@@ -246,9 +246,6 @@ class EigenProblemSpec:
         self.weight = weight
 
 
-DENSE_LIMIT = 4000
-
-
 def build_mesh(domain, level):
     mesh = triangulate(domain)
     for _ in range(level):
@@ -267,10 +264,12 @@ def _constrained_markers(bc):
 def solve_fem(domain, spec, mesh=None):
     """Eigenvalues of the requested problem on a refined triangulation.
 
-    Dirichlet/mixed eliminate constrained dofs and solve (K, M). Neumann
-    solves unconstrained (K, M) and flags the zero mode. Steklov solves
-    B v = mu (K + B) v on the definite side and maps sigma = 1/mu - 1,
-    which discards the infinite interior modes (mu = 0) automatically.
+    The boundary condition picks the pencil: (K, M) on the free dofs for
+    Dirichlet/mixed, on all dofs for Neumann, and (K, B) with the boundary
+    mass B for Steklov, whose infinite interior modes drop out. Every pencil
+    goes through one Lanczos solve, shifted by -1/|Omega_h| (-1/|dOmega_h|
+    for Steklov) so that the shift scales with the spectrum. Neumann and
+    Steklov values within 1e-9 of that shift's size are the zero mode.
     """
     if mesh is None:
         mesh = build_mesh(domain, spec.level)
@@ -278,6 +277,7 @@ def solve_fem(domain, spec, mesh=None):
     K = assemble_stiffness(space)
     flags = {"bc": spec.bc, "level": mesh.level, "weight": spec.weight}
     method = f"fem-{spec.kind.lower()}"
+    free = space.free
 
     if spec.bc == "steklov":
         B = assemble_boundary_mass(
@@ -289,60 +289,21 @@ def solve_fem(domain, spec, mesh=None):
         if spec.count > n_boundary:
             raise ValueError(f"only {n_boundary} boundary dofs: cannot return "
                              f"{spec.count} finite Steklov eigenvalues")
-        G = K + B
-        if space.n_dofs <= DENSE_LIMIT:
-            full = pen.solve_symdef(pen.Pencil(B.toarray(), G.toarray()))
-            mu = full.eigenvalues[::-1][:spec.count]
-            vecs = full.vectors[:, ::-1][:, :spec.count]
-        else:
-            mu, vecs = pen.solve_lowest(G, B, spec.count)
-            mu, vecs = mu[:spec.count], vecs[:, :spec.count]
-        vals = 1.0 / mu - 1.0
-        vals[np.abs(vals) <= 1e-9] = 0.0
-        flags["zero_mode"] = bool(vals[0] == 0.0)
-        return _spectrum(vals, vecs, method, mesh, domain, flags, space)
-
-    M = assemble_mass(space, spec.weight)
-    if spec.bc == "neumann":
-        if spec.count > space.n_dofs:
-            raise ValueError(f"only {space.n_dofs} dofs: cannot return "
-                             f"{spec.count} eigenvalues")
-        flags["zero_mode"] = True
-        if space.n_dofs <= DENSE_LIMIT:
-            full = pen.solve_symdef(pen.Pencil(K.toarray(), M.toarray()))
-            vals = full.eigenvalues[:spec.count]
-            vecs = full.vectors[:, :spec.count]
-        else:
-            theta, vecs = pen.solve_lowest(K + M, M, spec.count)
-            vals = 1.0 / theta[:spec.count] - 1.0
-            vecs = vecs[:, :spec.count]
-        vals = vals.copy()
-        vals[np.abs(vals) <= 1e-9 * max(1.0, abs(vals[-1]))] = 0.0
-        return _spectrum(vals, vecs, method, mesh, domain, flags, space)
-
-    # dirichlet or mixed: eliminate the constrained dofs
-    free = space.free
-    if len(free) == 0:
-        raise ValueError("no free dofs remain after the Dirichlet constraints")
-    if spec.count > len(free):
-        raise ValueError(f"only {len(free)} free dofs: cannot return "
-                         f"{spec.count} eigenvalues (refine the mesh)")
-    Kff = K[free][:, free]
-    Mff = M[free][:, free]
-    if len(free) <= DENSE_LIMIT:
-        full = pen.solve_symdef(pen.Pencil(Kff.toarray(), Mff.toarray()))
-        vals = full.eigenvalues[:spec.count]
-        vfree = full.vectors[:, :spec.count]
+        shift = -1.0 / mesh.edge_lengths().sum()
     else:
-        theta, vfree = pen.solve_lowest(Kff, Mff, spec.count)
-        vals = 1.0 / theta[:spec.count]
-        vfree = vfree[:, :spec.count]
-    vecs = np.zeros((space.n_dofs, vfree.shape[1]))
+        B = assemble_mass(space, spec.weight)
+        shift = -1.0 / mesh.areas().sum()
+        if spec.count > len(free):
+            raise ValueError(f"only {len(free)} free dofs: cannot return "
+                             f"{spec.count} eigenvalues (refine the mesh)")
+
+    vals, vfree, flags["residual"] = pen.solve_lowest(
+        K[free][:, free], B[free][:, free], spec.count, shift)
+    if spec.bc in ("neumann", "steklov"):
+        vals[np.abs(vals) <= 1e-9 * abs(shift)] = 0.0
+        flags["zero_mode"] = bool(vals[0] == 0.0)
+    vecs = np.zeros((space.n_dofs, spec.count))
     vecs[free] = vfree
-    return _spectrum(vals, vecs, method, mesh, domain, flags, space)
-
-
-def _spectrum(vals, vecs, method, mesh, domain, flags, space):
     spectrum = pen.Spectrum(vals, method, mesh.h, getattr(domain, "name", None),
                             vectors=vecs, flags=flags)
     spectrum.space = space

@@ -354,13 +354,18 @@ def _boundary_samples(domain, per_piece):
 
 
 def fhm_enclosure(domain, lambda_h, coeff, basis, samples_per_edge=1200):
-    """A-posteriori interval for an L2-normalized candidate eigenfunction."""
+    """A-posteriori interval for an L2-normalized candidate eigenfunction.
+
+    The FHM theorem takes epsilon = sqrt|Omega| * sup over the boundary of
+    |u|, which does not change when the domain is dilated.
+    """
     basis = _as_basis_list(basis)
     sup = 0.0
     for pts in _boundary_samples(domain, samples_per_edge):
         u = evaluate_solution(basis, lambda_h, coeff, pts)
         sup = max(sup, float(np.abs(u).max()))
-    if sup >= 1.0:
-        raise ValueError(f"boundary sup {sup:.3g} is not below 1; "
+    eps = np.sqrt(domain.area()) * sup
+    if eps >= 1.0:
+        raise ValueError(f"sqrt|Omega| * boundary sup = {eps:.3g} is not below 1; "
                          "candidate is not eigenfunction-like")
-    return Enclosure(lambda_h, sup)
+    return Enclosure(lambda_h, eps)

@@ -2,8 +2,8 @@
 
 Dense symmetric-definite solves go through LAPACK's Cholesky-reduction path
 (sygvd): B = LL^T, reduce to a standard symmetric problem, tridiagonalize,
-implicit-shift QR. General pencils go through QZ (ggev). Large sparse definite
-pencils are handled by a shift-free block subspace iteration.
+implicit-shift QR. General pencils go through QZ (ggev). Sparse definite
+pencils go through one shift-invert Lanczos path (ARPACK) with a residual gate.
 """
 import numpy as np
 import scipy.linalg as la
@@ -11,6 +11,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DEFAULT_CLUSTER_RTOL = 1e-6
+RESIDUAL_GATE = 1e-9   # largest relative residual accepted from any solver
+PAD = 4                # extra Lanczos pairs beyond the k requested
+LANCZOS_SEED = 1234
+NULL_RTOL = 1e-12      # nu below this fraction of the largest is infinite lambda
 
 
 class Pencil:
@@ -101,16 +105,9 @@ def solve_symdef(pencil, method="pencil", param=None, domain=None):
         vals, vecs = la.eigh(pencil.A, pencil.B)
     except la.LinAlgError as exc:
         raise ValueError(f"B is not positive definite to working precision: {exc}")
-    # residual gate from the contract
-    nA = la.norm(pencil.A, 2) if pencil.n <= 400 else la.norm(pencil.A, "fro")
-    nB = la.norm(pencil.B, 2) if pencil.n <= 400 else la.norm(pencil.B, "fro")
-    R = pencil.A @ vecs - pencil.B @ vecs * vals
-    worst = np.abs(R).max(axis=0)
-    bound = 1e-9 * (nA + np.abs(vals) * nB)
-    if np.any(worst > bound):
-        k = int(np.argmax(worst - bound))
-        raise ValueError(f"eigenpair {k} residual {worst[k]:.2e} exceeds gate {bound[k]:.2e}")
-    return Spectrum(vals, method, param, domain, vectors=vecs)
+    residual = _residual_gate(pencil.A, pencil.B, vals, vecs)
+    return Spectrum(vals, method, param, domain, vectors=vecs,
+                    flags={"residual": residual})
 
 
 def solve_general(pencil, method="pencil", param=None, domain=None, cond_gate=1e12):
@@ -169,36 +166,53 @@ def _orthonormal(M, label):
     return q
 
 
-def solve_lowest(S, T, m, tol=1e-10, max_iter=400, seed=1234):
-    """Largest-theta eigenpairs of T v = theta S v for sparse spd S.
+def solve_lowest(A, B, k, shift):
+    """The k lowest eigenpairs of the sparse pencil A v = lambda B v.
 
-    Shift-free block subspace iteration: factor S once, iterate
-    X <- S^{-1} (T X) with Rayleigh-Ritz projection, block size 2m.
-    Returns (theta, X) with theta descending, the first m converged to
-    relative `tol`. Callers map theta back to their eigenvalue parameter.
+    Needs A - shift*B symmetric positive definite and B symmetric positive
+    semidefinite. Lanczos (ARPACK) runs on the definite pencil
+    B v = nu (A - shift*B) v for its largest nu, and lambda = shift + 1/nu;
+    directions in the null space of B have nu = 0 and drop out. A few more
+    pairs than k are computed so that a cluster is not split at the cutoff.
+    When the pencil is too small for ARPACK (k + PAD >= n - 1), a dense eigh
+    solves the same pencil. Every returned pair must pass the residual gate.
+    Returns (values ascending, B-normalized vectors, largest relative
+    residual).
     """
-    n = S.shape[0]
-    q = min(n, 2 * m)
-    S = sp.csc_matrix(S)
-    T = sp.csr_matrix(T)
-    lu = spla.splu(S)
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, q))
-    X, _ = la.qr(X, mode="economic")
-    prev = None
-    for _ in range(max_iter):
-        Y = lu.solve(T @ X)
-        Y, _ = la.qr(Y, mode="economic")
-        a = Y.T @ (T @ Y)
-        b = Y.T @ (S @ Y)
-        theta, C = la.eigh((a + a.T) / 2, (b + b.T) / 2)
-        order = np.argsort(theta)[::-1]
-        theta, C = theta[order], C[:, order]
-        X = Y @ C
-        if prev is not None:
-            num = np.abs(theta[:m] - prev[:m])
-            den = np.maximum(np.abs(theta[:m]), 1e-30)
-            if np.all(num <= tol * den):
-                return theta, X
-        prev = theta
-    raise ValueError(f"subspace iteration did not converge in {max_iter} sweeps")
+    n = A.shape[0]
+    C = sp.csc_matrix(A - shift * B)
+    if k + PAD >= n - 1:
+        nu, V = la.eigh(B.toarray(), C.toarray())
+    else:
+        rng = np.random.default_rng(LANCZOS_SEED)
+        try:
+            nu, V = spla.eigsh(B, k + PAD, M=C, which="LA",
+                               v0=rng.uniform(-1.0, 1.0, n), rng=rng)
+        except spla.ArpackNoConvergence as exc:
+            raise ValueError(f"Lanczos did not converge: {exc}")
+    order = np.argsort(nu)[::-1][:k]
+    nu, V = nu[order], V[:, order]
+    # nu at rounding level belongs to the null space of B (lambda = inf)
+    if not nu[-1] > NULL_RTOL * nu[0]:
+        raise ValueError(f"B has fewer than {k} directions off its null space: "
+                         f"cannot return {k} finite eigenvalues")
+    vals = shift + 1.0 / nu
+    # V is (A - shift B)-orthonormal, so v^T B v = nu
+    V = V / np.sqrt(nu)
+    return vals, V, _residual_gate(A, B, vals, V)
+
+
+def _residual_gate(A, B, vals, V):
+    """Largest ||Av - lambda Bv|| / ((||A||_1 + |lambda| ||B||_1) ||v||) over
+    the pairs; raises ValueError when a pair exceeds RESIDUAL_GATE."""
+    def norm1(M):
+        return float(abs(M).sum(axis=0).max())
+
+    R = A @ V - (B @ V) * vals
+    scale = (norm1(A) + np.abs(vals) * norm1(B)) * np.linalg.norm(V, axis=0)
+    rel = np.linalg.norm(R, axis=0) / scale
+    if np.any(rel > RESIDUAL_GATE):
+        j = int(np.argmax(rel))
+        raise ValueError(f"eigenpair {j} relative residual {rel[j]:.2e} exceeds "
+                         f"gate {RESIDUAL_GATE:.0e}")
+    return float(rel.max())

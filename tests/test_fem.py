@@ -231,3 +231,53 @@ def test_spectrum_provenance_fields():
     assert spec.flags["level"] == 2
     cr = shared_solve("unit-square", "steklov", "CR", 2, 3)
     assert cr.method == "fem-cr-midpoint"
+
+
+# ---------------------------------------------------------------------------
+# one eigensolver path: scale invariance, zero modes, residual gate
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "steklov"])
+@pytest.mark.parametrize("kind,level", [("P1", 6), ("P2", 3)])
+def test_spectrum_is_scale_invariant(square, bc, kind, level):
+    # lambda(s Omega) = lambda(Omega) / s^2 and sigma(s Omega) = sigma(Omega) / s;
+    # P1 at level 6 has 4225 dofs and P2 at level 3 has 289
+    power = 1 if bc == "steklov" else 2
+    spec = EigenProblemSpec(bc, 6, kind=kind, level=level)
+    base = solve_fem(square, spec).eigenvalues
+    for s in (1e-3, 1e3):
+        vals = solve_fem(square.scaled(s), spec).eigenvalues * s**power
+        assert np.max(np.abs(vals - base) / np.maximum(np.abs(base), 1.0)) < 1e-9
+        assert np.all((vals == 0.0) == (base == 0.0))
+
+
+@pytest.mark.parametrize("bc,scales", [("neumann", (1e-5, 1e5)),
+                                       ("steklov", (1e-10, 1e10))])
+def test_zero_mode_threshold_is_scale_relative(square, bc, scales):
+    # only the constant mode is zero at any scale; the first nonzero values
+    # (pi^2 and about 1.3765 on the unit square) keep their scaled size
+    power = 1 if bc == "steklov" else 2
+    spec = EigenProblemSpec(bc, 4, kind="P2", level=3)
+    base = solve_fem(square, spec)
+    assert base[0] == 0.0 and np.all(base.eigenvalues[1:] > 1.0)
+    for s in scales:
+        got = solve_fem(square.scaled(s), spec)
+        assert got[0] == 0.0
+        assert got.flags["zero_mode"] is True
+        scaled = got.eigenvalues[1:] * s**power
+        assert np.max(np.abs(scaled - base.eigenvalues[1:])
+                      / base.eigenvalues[1:]) < 1e-9
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "mixed", "steklov"])
+@pytest.mark.parametrize("kind", ["P1", "P2", "CR"])
+def test_every_fem_spectrum_passes_the_residual_gate(bc, kind):
+    name = "dn-square" if bc == "mixed" else "gww-a"
+    spec = shared_solve(name, bc, kind, 2, 4)
+    assert 0.0 <= spec.flags["residual"] <= 1e-9
+    # B-normalized vectors
+    space = spec.space
+    B = (assemble_boundary_mass(space, cr_variant="midpoint" if kind == "CR" else None)
+         if bc == "steklov" else assemble_mass(space))
+    gram = spec.vectors.T @ (B @ spec.vectors)
+    assert np.max(np.abs(np.diag(gram) - 1.0)) < 1e-10

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -97,6 +100,19 @@ def test_domain_file_circles(tmp_path):
     assert dom.kind == "smooth-curves"
     assert dom.weight == "genus2"
     assert len(dom.circles) == 2
+
+
+def test_readme_domain_file_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Domain files", 1)[1]
+    example = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    f = tmp_path / "readme.dom"
+    f.write_text(example)
+    dom = load_domain(str(f))
+    assert dom.kind == "polygon"
+    assert dom.markers == ["dirichlet", "neumann", "steklov", "neumann"]
+    assert dom.weight == "unit"
+    assert dom.area() == pytest.approx(1.0)
 
 
 def test_domain_file_mixed_sections_rejected(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapspec import mps, specfun
 from lapspec.geometry import load_domain
@@ -250,6 +252,23 @@ def test_disk_enclosure_with_analytic_radial_mode(disk):
     assert encl.epsilon < 1e-10
     assert j01**2 in encl
     assert encl.radius < 1e-8
+
+
+def _relative_radius(domain, bracket):
+    basis = corner_basis(domain, 12)
+    lam, coeff = refine_minimum(domain, basis, bracket)
+    return fhm_enclosure(domain, lam, coeff, basis).radius / lam
+
+
+@settings(max_examples=15, deadline=None)
+@given(log_scale=st.floats(min_value=-3.0, max_value=3.0))
+def test_enclosure_relative_radius_is_dilation_invariant(square, log_scale):
+    # epsilon = sqrt|Omega| * sup|u| for L2-normalized u does not change
+    # under x -> s x, so neither does radius / lambda
+    s = 10.0 ** log_scale
+    base = _relative_radius(square, (19.0, 21.0))
+    scaled = _relative_radius(square.scaled(s), (19.0 / s**2, 21.0 / s**2))
+    assert scaled == pytest.approx(base, rel=1e-3)
 
 
 def test_enclosure_rejects_non_eigenfunction(square):

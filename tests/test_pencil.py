@@ -142,6 +142,7 @@ def test_symdef_vectors_are_b_orthonormal(rng):
     G = spec.vectors.T @ B @ spec.vectors
     assert np.max(np.abs(G - np.eye(30))) < 1e-8
     assert np.all(np.diff(spec.eigenvalues) >= -1e-12)
+    assert spec.flags["residual"] <= 1e-9
 
 
 def test_symdef_rejects_nonsymmetric():
@@ -167,17 +168,67 @@ def test_congruence_invariance(seed):
     assert np.max(np.abs(base - cong) / np.maximum(1.0, np.abs(base))) < 1e-10
 
 
-def test_solve_lowest_matches_dense(rng):
-    n = 120
+def _tridiagonal_spd(rng, n):
     main = 2.0 + rng.uniform(0, 1, n)
     off = -rng.uniform(0.1, 0.9, n - 1)
-    S = sp.diags([off, main, off], [-1, 0, 1]).tocsc()
-    T = sp.diags(rng.uniform(0.5, 1.5, n)).tocsc()
-    theta, X = solve_lowest(S, T, m=5)
-    # theta are the largest eigenvalues of T v = theta S v
-    ref = np.sort(np.linalg.eigvals(np.linalg.solve(S.toarray(), T.toarray())).real)[::-1]
-    assert np.max(np.abs(theta[:5] - ref[:5]) / np.abs(ref[:5])) < 1e-8
-    assert X.shape == (n, 10)
+    return sp.diags([off, main, off], [-1, 0, 1]).tocsr()
+
+
+def test_solve_lowest_matches_dense(rng):
+    # SPD B: the lowest five against the full dense solve
+    n = 120
+    A = _tridiagonal_spd(rng, n)
+    B = sp.diags(rng.uniform(0.5, 1.5, n)).tocsr()
+    vals, V, residual = solve_lowest(A, B, 5, shift=-1.0)
+    ref = solve_symdef(Pencil(A.toarray(), B.toarray())).eigenvalues[:5]
+    assert np.max(np.abs(vals - ref) / ref) < 1e-10
+    assert V.shape == (n, 5) and residual <= 1e-9
+    assert np.max(np.abs(V.T @ (B @ V) - np.eye(5))) < 1e-10
+
+    # PSD B with a Steklov-like null space: B lives on the first nb rows,
+    # so the finite eigenvalues are those of the Schur complement
+    # S = A_bb - A_bi A_ii^-1 A_ib against B_bb (a discrete DtN map)
+    nb = 30
+    A = A + sp.diags(np.r_[np.zeros(nb), np.ones(n - nb)])
+    Bbb = np.diag(rng.uniform(0.5, 1.5, nb))
+    B = sp.block_diag([Bbb, sp.csr_matrix((n - nb, n - nb))]).tocsr()
+    Ad = A.toarray()
+    S = Ad[:nb, :nb] - Ad[:nb, nb:] @ np.linalg.solve(Ad[nb:, nb:], Ad[nb:, :nb])
+    ref = solve_symdef(Pencil((S + S.T) / 2, Bbb)).eigenvalues[:6]
+    vals, V, residual = solve_lowest(A, B, 6, shift=-0.5)
+    assert np.max(np.abs(vals - ref) / ref) < 1e-10
+    assert residual <= 1e-9
+
+    # tiny: k >= n - 1 is below what ARPACK serves and takes the dense path
+    n = 5
+    A = _tridiagonal_spd(rng, n)
+    B = sp.diags(rng.uniform(0.5, 1.5, n)).tocsr()
+    vals, V, residual = solve_lowest(A, B, n - 1, shift=0.0)
+    ref = solve_symdef(Pencil(A.toarray(), B.toarray())).eigenvalues[:n - 1]
+    assert np.max(np.abs(vals - ref) / ref) < 1e-12
+    assert residual <= 1e-9
+
+
+@pytest.mark.parametrize("n", [40, 6])
+def test_solve_lowest_rejects_k_beyond_the_rank_of_b(rng, n):
+    # two nonzero directions in B: the third value is infinite
+    A = _tridiagonal_spd(rng, n)
+    B = sp.diags(np.r_[1.0, 2.0, np.zeros(n - 2)]).tocsr()
+    vals, _, _ = solve_lowest(A, B, 2, shift=-1.0)
+    assert np.all(np.isfinite(vals))
+    with pytest.raises(ValueError, match="null space"):
+        solve_lowest(A, B, 3, shift=-1.0)
+
+
+@pytest.mark.parametrize("n,k", [(120, 5), (6, 5)])
+def test_solve_lowest_rejects_pairs_that_miss_the_residual_gate(rng, n, k):
+    # a nonsymmetric A breaks the symmetric solvers' premise; the pairs they
+    # return are not eigenpairs of (A, B), and the gate must say so
+    A = _tridiagonal_spd(rng, n).tolil()
+    A[0, 1] += 1e-3
+    B = sp.identity(n, format="csr")
+    with pytest.raises(ValueError, match="exceeds gate"):
+        solve_lowest(A.tocsr(), B, k, shift=-1.0)
 
 
 # ---------------------------------------------------------------------------
