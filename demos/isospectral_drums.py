@@ -11,16 +11,9 @@ import numpy as np
 from lapspec import bounds, fem, geometry
 
 
-def extrapolated(dom, bc, count, levels=(3, 4, 5)):
-    vals, hs = [], []
-    for lvl in levels:
-        sp = fem.solve_fem(dom, fem.EigenProblemSpec(bc, count, kind="P2",
-                                                     level=lvl))
-        vals.append(sp.eigenvalues)
-        hs.append(sp.param)
-    vals = np.array(vals)
-    return np.array([bounds.richardson_extrapolate(vals[:, j], hs).limit
-                     for j in range(count)])
+def extrapolated(dom, bc, count, level=5):
+    spec = fem.EigenProblemSpec(bc, count, kind="P2", level=level)
+    return bounds.extrapolated_spectrum(dom, spec)[0]
 
 
 def main():

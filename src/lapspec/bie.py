@@ -184,7 +184,7 @@ def annulus_domain(eps, inner_radius=0.1):
                   name=f"annulus:eps={eps:g}")
 
 
-def sweep_annulus(eps_grid, n_per_curve, k_list, threads=1):
+def sweep_annulus(eps_grid, n_per_curve, k_list):
     """sigma_k across a family of hole offsets, normalized by the centered case.
 
     Returns rows (eps, k, sigma, ratio_to_concentric, N_total), ordered by
@@ -205,16 +205,7 @@ def sweep_annulus(eps_grid, n_per_curve, k_list, threads=1):
         spec = solve_steklov_bie(annulus_domain(eps), n_per_curve, count=kmax + 1)
         return spec.eigenvalues
 
-    results = {}
-    todo = sorted(set(eps_grid))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for eps, vals in zip(todo, pool.map(one, todo)):
-                results[eps] = vals
-    else:
-        for eps in todo:
-            results[eps] = one(eps)
+    results = {eps: one(eps) for eps in sorted(set(eps_grid))}
     base = results[0.0] if 0.0 in results else one(0.0)
 
     if np.isscalar(n_per_curve):

@@ -72,6 +72,26 @@ def richardson_extrapolate(values, hs):
     return Extrapolation(float(limit), float(rates[-1]), asymptotic)
 
 
+def extrapolated_spectrum(domain, spec):
+    """Solve `spec` at levels spec.level-2 .. spec.level and extrapolate.
+
+    Returns (limits, spectra): the Richardson limit of each of the
+    spec.count eigenvalues over the three levels, and the Spectrum of each
+    level, coarsest first.
+    """
+    if spec.level < 2:
+        raise ValueError("three-level extrapolation needs spec.level >= 2")
+    spectra = [solve_fem(domain, EigenProblemSpec(spec.bc, spec.count,
+                                                  kind=spec.kind, level=lvl,
+                                                  weight=spec.weight))
+               for lvl in range(spec.level - 2, spec.level + 1)]
+    values = np.array([sp.eigenvalues for sp in spectra])
+    hs = [sp.param for sp in spectra]
+    limits = np.array([richardson_extrapolate(values[:, j], hs).limit
+                       for j in range(spec.count)])
+    return limits, spectra
+
+
 def _infer_bc(domain):
     if domain.kind != "polygon":
         raise ValueError("bracket reports run on polygon domains")
@@ -179,10 +199,6 @@ def bracket_report(domain, index, levels):
     hs = [r[1] for r in rows]
     cols = {"cr": [r[2] for r in rows], "cr_lower": [r[3] for r in rows],
             "p1": [r[4] for r in rows], "p2": [r[5] for r in rows]}
-    extrapolated = {}
-    for name, vals in cols.items():
-        if any(np.isnan(vals)):
-            extrapolated[name] = Extrapolation(float("nan"), float("nan"), False)
-        else:
-            extrapolated[name] = richardson_extrapolate(vals, hs)
+    extrapolated = {name: richardson_extrapolate(vals, hs)
+                    for name, vals in cols.items()}
     return BracketReport(domain, index, rows, extrapolated, residuals, certified)

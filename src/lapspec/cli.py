@@ -79,9 +79,6 @@ def build_parser():
     def common(p):
         p.add_argument("--out", default=None,
                        help="output directory (default $SPECTRA_OUT or cwd)")
-        p.add_argument("--threads", type=_positive_int, default=1)
-        p.add_argument("--seed", type=int, default=17,
-                       help="offset of the low-discrepancy interior sequence")
 
     solve = sub.add_parser("solve", help="compute one spectrum", parents=[])
     solve.add_argument("--domain")
@@ -108,6 +105,9 @@ def build_parser():
                        help="enable the edge-midpoint Steklov variant of fem-cr")
     solve.add_argument("--modes", type=_int_list,
                        help="render these eigenfunction indices to modes.svg")
+    solve.add_argument("--seed", type=int, default=17,
+                       help="offset of the low-discrepancy interior sequence "
+                            "(mps)")
     common(solve)
 
     comp = sub.add_parser("compare", help="isospectrality verdict for two domains")
@@ -272,39 +272,6 @@ def _fem_kind(method):
     return {"fem-p1": "P1", "fem-p2": "P2", "fem-cr": "CR"}[method]
 
 
-def _fem_level_values(dom, args, levels):
-    """Eigenvalues and mesh sizes per level, plus the finest spectrum."""
-    kind = _fem_kind(args.method)
-    values, hs, finest = [], [], None
-    for lvl in levels:
-        spec = fem.EigenProblemSpec(args.bc, args.count, kind=kind, level=lvl,
-                                    weight=dom.weight)
-        sp = fem.solve_fem(dom, spec)
-        values.append(sp.eigenvalues[:args.count])
-        hs.append(sp.param)
-        finest = sp
-    return np.array(values), np.array(hs), finest
-
-
-def solve_fem_extrapolated(dom, args):
-    """Three-level tail schedule ending at args.levels, one limit per index."""
-    top = args.levels
-    if top < 3:
-        spec = fem.EigenProblemSpec(args.bc, args.count,
-                                    kind=_fem_kind(args.method), level=top,
-                                    weight=dom.weight)
-        sp = fem.solve_fem(dom, spec)
-        return sp.eigenvalues[:args.count], f"h={float(sp.param)!r}", sp
-    levels = (top - 2, top - 1, top)
-    values, hs, finest = _fem_level_values(dom, args, levels)
-    limits = []
-    for j in range(args.count):
-        ex = bounds.richardson_extrapolate(values[:, j], hs)
-        limits.append(ex.limit)
-    param = f"levels={levels[0]}-{levels[-1]};h={float(hs[-1])!r};extrapolated"
-    return np.array(limits), param, finest
-
-
 def cmd_solve(args):
     _check_compat(args)
     dom = _resolve_domain(args.domain, args.scale)
@@ -322,7 +289,16 @@ def cmd_solve(args):
     if args.method == "mps":
         return _solve_mps(dom, args, out)
 
-    vals, param, finest = solve_fem_extrapolated(dom, args)
+    top = args.levels
+    spec = fem.EigenProblemSpec(args.bc, args.count, kind=_fem_kind(args.method),
+                                level=top, weight=dom.weight)
+    if top < 3:
+        finest = fem.solve_fem(dom, spec)
+        vals, param = finest.eigenvalues, f"h={float(finest.param)!r}"
+    else:
+        vals, spectra = bounds.extrapolated_spectrum(dom, spec)
+        finest = spectra[-1]
+        param = f"levels={top - 2}-{top};h={float(finest.param)!r};extrapolated"
     method = finest.method
     rows = [(i + 1, v, m, method, param, dom.name)
             for i, (v, m) in enumerate(_with_multiplicities(vals))]
@@ -348,8 +324,7 @@ def _solve_mps(dom, args, out):
         raise UsageError("mps needs --bracket a:b and/or --grid a:b:n")
     basis = _mps_basis(dom, args)
     if args.grid is not None:
-        rows = mps.sigma_min_sweep(dom, basis, args.grid, threads=args.threads,
-                                   offset=args.seed)
+        rows = mps.sigma_min_sweep(dom, basis, args.grid, offset=args.seed)
         csv = "lambda,smin\n" + "".join(f"{l!r},{s!r}\n" for l, s in rows)
         _write(os.path.join(out, "smin.csv"), csv)
     if args.bracket is not None:
@@ -370,7 +345,7 @@ def _solve_mps(dom, args, out):
 # compare
 # ---------------------------------------------------------------------------
 
-def compare_domains(dom_a, dom_b, bc, count, top_level, kind="P2", weight=None):
+def compare_domains(dom_a, dom_b, bc, count, top_level, kind="P2"):
     """Per-index verdicts from extrapolated spectra of two domains.
 
     Each domain's uncertainty width is the distance from the finest-level
@@ -379,25 +354,14 @@ def compare_domains(dom_a, dom_b, bc, count, top_level, kind="P2", weight=None):
     corner-singular eigenfunctions can certify. Verdict per index is
     "consistent-with-equal" when the gap is within the combined widths.
     """
-    results = []
-    for dom in (dom_a, dom_b):
-        levels = (top_level - 2, top_level - 1, top_level)
-        values, hs = [], []
-        for lvl in levels:
-            spec = fem.EigenProblemSpec(bc, count, kind=kind, level=lvl,
-                                        weight=weight or dom.weight)
-            sp = fem.solve_fem(dom, spec)
-            values.append(sp.eigenvalues[:count])
-            hs.append(sp.param)
-        values = np.array(values)
-        limits, widths = [], []
-        for j in range(count):
-            ex = bounds.richardson_extrapolate(values[:, j], hs)
-            limits.append(ex.limit)
-            widths.append(max(abs(ex.limit - values[-1, j]),
-                              1e-4 * abs(ex.limit)))
-        results.append((np.array(limits), np.array(widths)))
-    (la, wa), (lb, wb) = results
+    def limits_and_widths(dom):
+        spec = fem.EigenProblemSpec(bc, count, kind=kind, level=top_level,
+                                    weight=dom.weight)
+        limits, spectra = bounds.extrapolated_spectrum(dom, spec)
+        return limits, np.maximum(np.abs(limits - spectra[-1].eigenvalues),
+                                  1e-4 * np.abs(limits))
+
+    (la, wa), (lb, wb) = limits_and_widths(dom_a), limits_and_widths(dom_b)
     rows = []
     for j in range(count):
         gap = abs(la[j] - lb[j])
@@ -436,7 +400,7 @@ def cmd_sweep(args):
     if args.n % 2:
         raise UsageError("--n is the total node count and must be even")
     per_curve = (args.n // 2, args.n // 2)
-    rows = bie.sweep_annulus(args.eps, per_curve, args.k, threads=args.threads)
+    rows = bie.sweep_annulus(args.eps, per_curve, args.k)
     lines = ["eps,k,sigma,ratio_to_concentric,N"]
     for eps, k, sigma, ratio, ntot in rows:
         lines.append(f"{eps!r},{k},{sigma!r},{ratio!r},{ntot}")

@@ -224,26 +224,26 @@ def _subspace_smin(M, nb, want_vector=False):
     return float(s[-1]), coeff
 
 
-def sigma_min_sweep(domain, basis, lambda_grid, oversample=2, threads=1,
-                    offset=17):
+def _indicator(domain, basis, oversample, offset):
+    """s(lam, want_vector=False) -> (s, coeff) at fixed sample points."""
+    total = oversample * sum(_fan_size(fan) for fan in basis)
+    bpts = boundary_collocation(domain, basis, total)
+    ipts = interior_points(domain, len(bpts), offset=offset)
+
+    def s(lam, want_vector=False):
+        return _subspace_smin(_stacked(basis, lam, bpts, ipts), len(bpts),
+                              want_vector=want_vector)
+    return s
+
+
+def sigma_min_sweep(domain, basis, lambda_grid, oversample=2, offset=17):
     """Subspace-angle indicator s(lambda) over a grid; minima mark eigenvalues."""
     basis = _as_basis_list(basis)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if np.any(lambda_grid <= 0) or np.any(np.diff(lambda_grid) <= 0):
         raise ValueError("lambda grid must be positive and ascending")
-    total = oversample * sum(_fan_size(fan) for fan in basis)
-    bpts = boundary_collocation(domain, basis, total)
-    ipts = interior_points(domain, len(bpts), offset=offset)
-
-    def one(lam):
-        s, _ = _subspace_smin(_stacked(basis, lam, bpts, ipts), len(bpts))
-        return (float(lam), s)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, lambda_grid))
-    return [one(lam) for lam in lambda_grid]
+    s = _indicator(domain, basis, oversample, offset)
+    return [(float(lam), s(lam)[0]) for lam in lambda_grid]
 
 
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
@@ -261,12 +261,10 @@ def refine_minimum(domain, basis, bracket, rtol=1e-9, oversample=2, offset=17):
     a, b = float(bracket[0]), float(bracket[1])
     if not 0 < a < b:
         raise ValueError("bracket must be positive and increasing")
-    total = oversample * sum(_fan_size(fan) for fan in basis)
-    bpts = boundary_collocation(domain, basis, total)
-    ipts = interior_points(domain, len(bpts), offset=offset)
+    s = _indicator(domain, basis, oversample, offset)
 
     def s_of(lam):
-        return _subspace_smin(_stacked(basis, lam, bpts, ipts), len(bpts))[0]
+        return s(lam)[0]
 
     sa, sb = s_of(a), s_of(b)
     x1 = b - _GOLD * (b - a)
@@ -283,8 +281,7 @@ def refine_minimum(domain, basis, bracket, rtol=1e-9, oversample=2, offset=17):
             x2 = lo + _GOLD * (hi - lo)
             f2 = s_of(x2)
     lam_h = float(0.5 * (lo + hi))
-    s_min, coeff = _subspace_smin(_stacked(basis, lam_h, bpts, ipts),
-                                  len(bpts), want_vector=True)
+    s_min, coeff = s(lam_h, want_vector=True)
     if s_min >= min(sa, sb) - 1e-12:
         raise ValueError(f"no interior minimum of s in [{a:g}, {b:g}] "
                          f"(s = {s_min:.3e} vs endpoints {sa:.3e}, {sb:.3e})")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lapspec import fem, geometry
+from lapspec import bounds, fem, geometry
 
 _MESH_CACHE = {}
 _SOLVE_CACHE = {}
@@ -24,6 +24,19 @@ def shared_solve(name, bc, kind, level, count, scale=1.0):
         spec = fem.EigenProblemSpec(bc, count, kind=kind, level=level)
         mesh = None if scale != 1.0 else shared_mesh(name, level)
         _SOLVE_CACHE[key] = fem.solve_fem(dom, spec, mesh=mesh)
+    return _SOLVE_CACHE[key]
+
+
+def shared_extrapolated(name, bc, count, level, scale=1.0):
+    """Memoized P2 extrapolated_spectrum over levels level-2..level:
+    (limits, spectra)."""
+    key = ("extrapolated", name, bc, count, level, scale)
+    if key not in _SOLVE_CACHE:
+        dom = geometry.load_domain(name)
+        if scale != 1.0:
+            dom = dom.scaled(scale)
+        spec = fem.EigenProblemSpec(bc, count, kind="P2", level=level)
+        _SOLVE_CACHE[key] = bounds.extrapolated_spectrum(dom, spec)
     return _SOLVE_CACHE[key]
 
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from lapspec import bie, bounds, cli, fem, geometry, pencil, reference, specfun
-from conftest import shared_bie, shared_gww_mps, shared_solve, shared_square_mps
+from conftest import (shared_bie, shared_extrapolated, shared_gww_mps,
+                      shared_solve, shared_square_mps)
 
 PI2 = np.pi**2
 
@@ -26,17 +27,6 @@ ANNULUS_TARGETS = {1: 0.794597555472255, 2: 0.961791479149744,
 # land on: sigma_1..sigma_4 per drum, quadratic elements, extrapolated.
 DRUM_STEKLOV = {"gww-a": (0.2803, 0.7919, 1.0897, 1.7054),
                 "gww-b": (0.3096, 0.6130, 1.2375, 2.0244)}
-
-
-def _extrapolated(name, bc, count, levels, scale=1.0):
-    vals, hs = [], []
-    for lvl in levels:
-        sp = shared_solve(name, bc, "P2", lvl, count, scale=scale)
-        vals.append(sp.eigenvalues)
-        hs.append(sp.param)
-    vals = np.array(vals)
-    return np.array([bounds.richardson_extrapolate(vals[:, j], hs).limit
-                     for j in range(vals.shape[1])])
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +103,12 @@ def test_c03_steklov_distinguishes_the_drums(gww_steklov):
     reference rows, the nonconforming <= P2 <= P1 ordering holds at
     every level, and the compare verdict is distinct."""
     for name, known in DRUM_STEKLOV.items():
-        lims = _extrapolated(name, "steklov", 5, (3, 4, 5))
+        lims, spectra = shared_extrapolated(name, "steklov", 5, 5)
         err = np.abs(lims[1:5] - np.array(known))
         assert err.max() <= 5e-3, f"{name}: {err}"
-        for lvl in (3, 4, 5):
+        for lvl, sp in zip((3, 4, 5), spectra):
             cr = gww_steklov(name, "CR", lvl).eigenvalues[1:5]
-            p2 = gww_steklov(name, "P2", lvl).eigenvalues[1:5]
+            p2 = sp.eigenvalues[1:5]
             p1 = gww_steklov(name, "P1", lvl).eigenvalues[1:5]
             assert np.all(cr <= p2 + 1e-12) and np.all(p2 <= p1 + 1e-12)
     rows, overall = cli.compare_domains(geometry.load_domain("gww-a"),
@@ -136,8 +126,8 @@ def test_c04_dirichlet_isospectrality():
     builtin unit edge length, hence scale=2 here (eigenvalues of the
     unit drums are exactly 4x these).
     """
-    a = _extrapolated("gww-a", "dirichlet", 10, (4, 5, 6), scale=2.0)
-    b = _extrapolated("gww-b", "dirichlet", 10, (4, 5, 6), scale=2.0)
+    a = shared_extrapolated("gww-a", "dirichlet", 10, 6, scale=2.0)[0]
+    b = shared_extrapolated("gww-b", "dirichlet", 10, 6, scale=2.0)[0]
     assert np.max(np.abs(a - b) / a) <= 1e-3
     assert abs(a[9] - 26.08) <= 0.05, f"gww-a 10th: {a[9]:.4f}"
     assert abs(b[9] - 26.08) <= 0.05, f"gww-b 10th: {b[9]:.4f}"
@@ -146,8 +136,8 @@ def test_c04_dirichlet_isospectrality():
 def test_c04_neumann_isospectrality():
     """Same pairing for the Neumann spectra: zero mode on both drums,
     then 10 nonzero values agreeing pairwise to rel 1e-3."""
-    a = _extrapolated("gww-a", "neumann", 11, (4, 5, 6), scale=2.0)
-    b = _extrapolated("gww-b", "neumann", 11, (4, 5, 6), scale=2.0)
+    a = shared_extrapolated("gww-a", "neumann", 11, 6, scale=2.0)[0]
+    b = shared_extrapolated("gww-b", "neumann", 11, 6, scale=2.0)[0]
     assert a[0] == 0.0 and b[0] == 0.0
     assert np.max(np.abs(a[1:] - b[1:]) / a[1:]) <= 1e-3
 
@@ -182,11 +172,11 @@ def test_c04_neumann_tenth_magnitude():
       and the gate at 1e-5 keeps that distance under 5e-4, far inside
       the margins above.
     """
-    a = _extrapolated("gww-a", "neumann", 11, (4, 5, 6), scale=2.0)
+    a, spectra = shared_extrapolated("gww-a", "neumann", 11, 6, scale=2.0)
     tenth_nonzero = a[a > 0.0][9]
     assert abs(a[5] - PI2 / 2) <= 1e-5 and abs(a[9] - PI2) <= 1e-5, \
         f"5th/9th nonzero Neumann values: {a[5]:.8f}, {a[9]:.8f}"
-    p2 = shared_solve("gww-a", "neumann", "P2", 6, 11, scale=2.0)
+    p2 = spectra[-1]
     cr = shared_solve("gww-a", "neumann", "CR", 6, 11, scale=2.0)
     residual = bounds._pencil_residual(cr, 11)
     assert residual <= 1e-5, f"CR pencil residual {residual:.2e}"
@@ -211,7 +201,7 @@ def test_c09_mps_enclosure_consistency():
     for lam, enc, exact in shared_square_mps(14):
         assert exact in enc, f"[{enc.lower}, {enc.upper}] misses {exact}"
     lam, enc = shared_gww_mps(14)  # unit drum; divide by 4 to rescale
-    fem10 = _extrapolated("gww-a", "dirichlet", 10, (4, 5, 6), scale=2.0)[9]
+    fem10 = shared_extrapolated("gww-a", "dirichlet", 10, 6, scale=2.0)[0][9]
     assert abs(lam / 4.0 - 26.08) <= 0.05
     assert abs(lam / 4.0 - fem10) <= enc.radius / 4.0, \
         f"mps {lam/4.0:.6f} vs fem {fem10:.6f}, radius {enc.radius/4.0:.2e}"

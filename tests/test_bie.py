@@ -162,12 +162,6 @@ def test_sweep_rejects_bad_grid():
         sweep_annulus([0.1], 64, [0])
 
 
-def test_sweep_threaded_matches_serial():
-    serial = sweep_annulus([0.0, 0.2, 0.4], 48, [1], threads=1)
-    multi = sweep_annulus([0.0, 0.2, 0.4], 48, [1], threads=3)
-    assert serial == multi
-
-
 # ---------------------------------------------------------------------------
 # interior evaluation
 # ---------------------------------------------------------------------------

@@ -114,6 +114,48 @@ def test_extrapolation_recovers_synthetic_models(limit, c, rate):
 
 
 # ---------------------------------------------------------------------------
+# three-level solve and extrapolate
+# ---------------------------------------------------------------------------
+
+# 2 pi^2 and the first of the 5 pi^2 pair; the pair's second member
+# extrapolates to 1.01e-5 relative at this level
+_SQUARE_P2 = fem.EigenProblemSpec("dirichlet", 2, kind="P2", level=4)
+
+
+@pytest.fixture(scope="module")
+def square_extrapolated(square):
+    return bounds.extrapolated_spectrum(square, _SQUARE_P2)
+
+
+def test_extrapolated_spectrum_matches_exact_square(square_extrapolated):
+    limits, _ = square_extrapolated
+    exact = reference.rectangle_spectra("dirichlet", count=2).values[:2]
+    assert np.max(np.abs(limits - exact) / exact) <= 1e-5
+
+
+def test_extrapolated_spectrum_equals_hand_written_loop(square,
+                                                        square_extrapolated):
+    limits, _ = square_extrapolated
+    spectra = [fem.solve_fem(square, fem.EigenProblemSpec(
+        "dirichlet", 2, kind="P2", level=lvl)) for lvl in (2, 3, 4)]
+    hs = [sp.param for sp in spectra]
+    want = [richardson_extrapolate([sp.eigenvalues[j] for sp in spectra],
+                                   hs).limit for j in range(2)]
+    assert limits.tolist() == want
+
+
+def test_extrapolated_spectrum_returns_each_level(square_extrapolated):
+    _, spectra = square_extrapolated
+    assert [sp.flags["level"] for sp in spectra] == [2, 3, 4]
+
+
+def test_extrapolated_spectrum_needs_three_levels(square):
+    spec = fem.EigenProblemSpec("dirichlet", 2, kind="P2", level=1)
+    with pytest.raises(ValueError):
+        bounds.extrapolated_spectrum(square, spec)
+
+
+# ---------------------------------------------------------------------------
 # bracket reports
 # ---------------------------------------------------------------------------
 

@@ -52,6 +52,16 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == lapspec.__version__
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--eps", "0:0.4:3", "--n", "96", "--threads", "2"],
+    ["bounds", "--domain", "unit-square", "--levels", "3", "--seed", "3"],
+])
+def test_removed_flags_are_usage_errors(argv, capsys, tmp_path):
+    # no command takes --threads, and --seed is a solve flag
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bad_grid_syntax(capsys):
     assert main(["sweep", "--eps", "0.5"]) == 1
     assert main(["sweep", "--eps", "0:1"]) == 1

@@ -146,13 +146,6 @@ def test_sweep_dips_at_eigenvalue(square):
     assert s[0] > 10 * s[k] and s[-1] > 10 * s[k]
 
 
-def test_sweep_threaded_matches_serial(square):
-    basis = corner_basis(square, 10)
-    grid = np.linspace(18, 21, 5)
-    assert sigma_min_sweep(square, basis, grid) == \
-        sigma_min_sweep(square, basis, grid, threads=3)
-
-
 class _ColumnScaledFan:
     """Duck-typed fan wrapping another with fixed positive column scalings."""
 
