@@ -4,21 +4,19 @@ Single-layer and adjoint-double-layer matrices with the periodic log-weight
 splitting on each curve (spectrally accurate for analytic boundaries) and
 plain trapezoid across curves. The eigenvalue pencil acts on mean-free
 densities; the shared one-dimensional kernel of both sides is deflated by an
-orthogonal projection before the QZ solve, so no spurious eigenvalues appear
+orthogonal reflection before the eigensolve, so no spurious eigenvalues appear
 even though the outer circle has unit radius (its equilibrium density makes
 the raw single-layer matrix singular).
 """
 import warnings
 
 import numpy as np
-import scipy.linalg as la
 
 from . import pencil as pen
 from .geometry import BoundaryQuadrature, boundary_quadrature
 
 NORMALIZATION = -1.0 / (2.0 * np.pi)  # fundamental solution -(1/2pi) ln|x-y|
 IMAG_TOL = 1e-6
-COND_GATE = 1e12
 
 
 def kress_log_weights(m):
@@ -101,9 +99,12 @@ def assemble_kernels(quad):
         raise TypeError("assemble_kernels expects a BoundaryQuadrature")
     S0, Kp = _raw_kernels(quad)
     w = quad.weights
-    n = quad.total
-    ImW = np.eye(n) - np.outer(np.ones(n), w) / w.sum()
-    return KernelMatrices(S0 @ ImW, (0.5 * np.eye(n) + Kp) @ ImW, quad, w)
+    p = w / w.sum()
+    Kp[np.diag_indices_from(Kp)] += 0.5
+    # M (I - 1 p^T) = M - (M 1) p^T, in place
+    for M in (S0, Kp):
+        M -= np.outer(M.sum(axis=1), p)
+    return KernelMatrices(S0, Kp, quad, w)
 
 
 def _deflated_pencil(kernels):
@@ -113,13 +114,25 @@ def _deflated_pencil(kernels):
     the right; on the left the jump identity for the constant density on the
     outer curve combines with the unit-capacity kernel of S0), so the
     one-dimensional common null space is removed exactly.
+
+    H = I - tau v v^T with v = 1 + sqrt(n) e_1 is the reflector that maps the
+    constant density onto a multiple of e_1, so (H M H)[1:, 1:] is M on the
+    complement of the constants. Since v[1:] = 1, that block is
+    M[1:, 1:] minus a row vector minus a column vector.
     """
     n = kernels.n
-    Qf, _ = la.qr(np.ones((n, 1)), mode="full")
-    Q = Qf[:, 1:]
-    A = Q.T @ kernels.Khalf @ Q
-    B = Q.T @ kernels.S0 @ Q
-    return A, B, Q
+    root = np.sqrt(n)
+    tau = 1.0 / (n + root)        # 2 / (v^T v)
+
+    def reflect(M):
+        r = tau * (M.sum(axis=0) + root * M[0])           # tau v^T M
+        c = tau * (M.sum(axis=1) + root * M[:, 0]
+                   - (r.sum() + root * r[0]))             # tau (M - v r^T) v, rows 1:
+        out = M[1:, 1:] - c[1:, None]
+        out -= r[1:]
+        return out
+
+    return reflect(kernels.Khalf), reflect(kernels.S0)
 
 
 def solve_steklov_bie(domain, n_per_curve, count=None, max_halvings=3):
@@ -138,20 +151,20 @@ def solve_steklov_bie(domain, n_per_curve, count=None, max_halvings=3):
 
     for attempt in range(max_halvings + 1):
         quad = boundary_quadrature(domain, n_per_curve)
-        kernels = assemble_kernels(quad)
-        A, B, _ = _deflated_pencil(kernels)
-        est = np.linalg.cond(B)
-        if est <= COND_GATE:
+        A, B = _deflated_pencil(assemble_kernels(quad))
+        try:
+            spec = pen.solve_general(pen.Pencil(A, B), method="bie",
+                                     param=sum(n_per_curve), domain=domain.name)
             break
-        halved = [max(8, n // 2 - (n // 2) % 2) for n in n_per_curve]
-        warnings.warn(f"projected single-layer condition {est:.2e} exceeds "
-                      f"{COND_GATE:.0e}; retrying with nodes {halved}")
-        n_per_curve = halved
+        except pen.IllConditionedError as exc:
+            halved = [max(8, n // 2 - (n // 2) % 2) for n in n_per_curve]
+            warnings.warn(f"projected single-layer condition {exc.cond:.2e} "
+                          f"exceeds {pen.COND_GATE:.2g}; retrying with nodes "
+                          f"{halved}")
+            n_per_curve = halved
     else:
         raise ValueError("single-layer matrix stayed ill-conditioned after halvings")
 
-    spec = pen.solve_general(pen.Pencil(A, B), method="bie",
-                             param=sum(n_per_curve), domain=domain.name)
     vals = spec.eigenvalues
     if np.iscomplexobj(vals):
         realish = np.abs(vals.imag) <= IMAG_TOL * np.maximum(np.abs(vals), 1e-300)

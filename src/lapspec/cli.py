@@ -376,6 +376,9 @@ def compare_domains(dom_a, dom_b, bc, count, top_level, kind="P2"):
 def cmd_compare(args):
     if args.method == "fem-cr" and args.bc == "steklov" and not args.cr_midpoint:
         raise UsageError("fem-cr with steklov needs --cr-midpoint\n" + COMPAT_MATRIX)
+    if args.levels < 2:
+        raise UsageError("lapspec compare: --levels must be at least 2 (the "
+                         "verdict extrapolates over levels levels-2..levels)")
     dom_a = _resolve_domain(args.domain_a)
     dom_b = _resolve_domain(args.domain_b)
     out = _outdir(args)

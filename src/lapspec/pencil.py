@@ -2,8 +2,10 @@
 
 Dense symmetric-definite solves go through LAPACK's Cholesky-reduction path
 (sygvd): B = LL^T, reduce to a standard symmetric problem, tridiagonalize,
-implicit-shift QR. General pencils go through QZ (ggev). Sparse definite
-pencils go through one shift-invert Lanczos path (ARPACK) with a residual gate.
+implicit-shift QR. General pencils with a well-conditioned B are reduced by
+one LU solve to the standard problem B^-1 A and solved by Hessenberg QR
+(geev). Sparse definite pencils go through one shift-invert Lanczos path
+(ARPACK) with a residual gate.
 """
 import numpy as np
 import scipy.linalg as la
@@ -15,6 +17,16 @@ RESIDUAL_GATE = 1e-9   # largest relative residual accepted from any solver
 PAD = 4                # extra Lanczos pairs beyond the k requested
 LANCZOS_SEED = 1234
 NULL_RTOL = 1e-12      # nu below this fraction of the largest is infinite lambda
+COND_GATE = 1e12       # largest 2-norm condition number of B that solve_general takes
+
+
+class IllConditionedError(ValueError):
+    """B is too ill-conditioned for solve_general; `cond` is its 2-norm
+    condition number."""
+
+    def __init__(self, cond):
+        super().__init__(f"B condition number {cond:.2e} exceeds {COND_GATE:.2g}")
+        self.cond = cond
 
 
 class Pencil:
@@ -110,18 +122,19 @@ def solve_symdef(pencil, method="pencil", param=None, domain=None):
                     flags={"residual": residual})
 
 
-def solve_general(pencil, method="pencil", param=None, domain=None, cond_gate=1e12):
-    """Eigenvalues of a general square pencil by QZ.
+def solve_general(pencil, method="pencil", param=None, domain=None):
+    """Eigenvalues of a general square pencil by LU reduction to B^-1 A.
 
-    Real pairs are reported as reals when the imaginary part is at most
-    1e-8 of the modulus; the full list is sorted by modulus, real lists
-    ascending.
+    B must have a 2-norm condition number of at most COND_GATE, otherwise
+    IllConditionedError is raised; B is then nonsingular and no infinite
+    eigenvalues arise. Real pairs are reported as reals when the imaginary
+    part is at most 1e-8 of the modulus; the full list is sorted by modulus,
+    real lists ascending.
     """
     est = np.linalg.cond(pencil.B)
-    if not np.isfinite(est) or est > cond_gate:
-        raise ValueError(f"B condition estimate {est:.2e} exceeds {cond_gate:.0e}")
-    vals = la.eig(pencil.A, pencil.B, right=False)
-    vals = vals[np.isfinite(vals)]
+    if not np.isfinite(est) or est > COND_GATE:
+        raise IllConditionedError(est)
+    vals = la.eigvals(la.solve(pencil.B, pencil.A), overwrite_a=True)
     mod = np.abs(vals)
     realish = np.abs(vals.imag) <= 1e-8 * np.maximum(mod, 1e-300)
     if np.all(realish):

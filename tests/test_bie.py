@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as la
 
-from lapspec import bie, geometry, reference
+from lapspec import bie, geometry, pencil, reference
 from lapspec.bie import (annulus_domain, assemble_kernels, evaluate_interior,
                          kress_log_weights, solve_steklov_bie, sweep_annulus)
 from lapspec.geometry import Domain, boundary_quadrature, load_domain
@@ -73,6 +76,27 @@ def test_assemble_kernels_type_check():
         assemble_kernels("not a quadrature")
 
 
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_rank_one_projections_match_explicit_construction():
+    quad = boundary_quadrature(annulus_domain(0.6), [60, 40])
+    n, w = quad.total, quad.weights
+    S0, Kp = bie._raw_kernels(quad)
+    ImW = np.eye(n) - np.outer(np.ones(n), w) / w.sum()
+    S0_ref, Khalf_ref = S0 @ ImW, (0.5 * np.eye(n) + Kp) @ ImW
+    kernels = assemble_kernels(quad)
+    assert _rel(kernels.S0, S0_ref) < 1e-12
+    assert _rel(kernels.Khalf, Khalf_ref) < 1e-12
+    Qf, _ = la.qr(np.ones((n, 1)), mode="full")
+    Q = Qf[:, 1:]
+    A, B = bie._deflated_pencil(kernels)
+    assert A.shape == B.shape == (n - 1, n - 1)
+    assert _rel(A, Q.T @ Khalf_ref @ Q) < 1e-12
+    assert _rel(B, Q.T @ S0_ref @ Q) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
@@ -132,6 +156,39 @@ def test_resolution_jump_cuts_error_by_three_decades():
     err = {n: abs(shared_bie(0.88, n).eigenvalues[10] - pinned)
            for n in (260, 520)}
     assert err[260] / max(err[520], 1e-16) >= 1e3
+
+
+def test_lu_reduced_solve_matches_qz_on_the_deflated_annulus():
+    quad = boundary_quadrature(annulus_domain(0.85), [330, 330])
+    A, B = bie._deflated_pencil(assemble_kernels(quad))
+    ref = np.sort(la.eig(A, B, right=False).real)[:201]
+    got = pencil.solve_general(pencil.Pencil(A, B)).eigenvalues
+    assert np.isrealobj(got)
+    assert np.max(np.abs(got[:201] - ref) / np.abs(ref)) < 1e-10
+
+
+def test_ill_conditioned_pencil_halves_the_nodes(monkeypatch):
+    # the projected single layer of the concentric annulus has condition
+    # 1.66e3 at 330 nodes per curve and 8.2e2 at 164
+    calls = []
+    cond = np.linalg.cond
+
+    def counting_cond(*args, **kwargs):
+        calls.append(1)
+        return cond(*args, **kwargs)
+
+    monkeypatch.setattr(pencil, "COND_GATE", 1.2e3)
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = solve_steklov_bie(annulus_domain(0.0), 330, count=20)
+    assert len(caught) == 1
+    assert "retrying with nodes [164, 164]" in str(caught[0].message)
+    assert spec.flags["n_per_curve"] == [164, 164]
+    assert spec.param == 328
+    assert len(calls) == 2
+    exact = reference.concentric_annulus_steklov(0.1, count=20).values
+    assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-10
 
 
 def test_polygon_domain_rejected(square):

@@ -62,6 +62,12 @@ def test_removed_flags_are_usage_errors(argv, capsys, tmp_path):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_compare_levels_too_few_to_extrapolate_is_usage_error(capsys, tmp_path):
+    assert main(["compare", "--domain-a", "dn-square", "--domain-b",
+                 "dn-triangle", "--levels", "1", "--out", str(tmp_path)]) == 1
+    assert "--levels" in capsys.readouterr().err
+
+
 def test_bad_grid_syntax(capsys):
     assert main(["sweep", "--eps", "0.5"]) == 1
     assert main(["sweep", "--eps", "0:1"]) == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +83,16 @@ def _charpoly_roots(A, B):
     return poly.roots()
 
 
+def _match_each(got, ref, rtol):
+    """Pair every value of `got` with a distinct nearest value of `ref`."""
+    remaining = list(ref)
+    for lam in got:
+        dist = [abs(lam - r) for r in remaining]
+        j = int(np.argmin(dist))
+        assert dist[j] <= rtol * max(1.0, abs(lam))
+        remaining.pop(j)
+
+
 def test_general_against_companion_matrix_roots(rng):
     n = 12
     A = rng.standard_normal((n, n))
@@ -90,12 +101,7 @@ def test_general_against_companion_matrix_roots(rng):
     spec = solve_general(Pencil(A, B))
     got = np.asarray(spec.eigenvalues, dtype=complex)
     assert len(got) == n
-    remaining = list(ref)
-    for lam in got:
-        dist = [abs(lam - r) for r in remaining]
-        j = int(np.argmin(dist))
-        assert dist[j] <= 1e-7 * max(1.0, abs(lam))
-        remaining.pop(j)
+    _match_each(got, ref, 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +161,29 @@ def test_general_rejects_singular_b():
     B = np.diag([1.0, 0.0])
     with pytest.raises(ValueError):
         solve_general(Pencil(np.eye(2), B))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_general_matches_qz_on_nonsymmetric_pencils(seed):
+    r = np.random.default_rng(seed)
+    n = 40
+    A = r.standard_normal((n, n))
+    B = np.eye(n) + 0.2 * r.standard_normal((n, n))
+    ref = la.eig(A, B, right=False)
+    got = solve_general(Pencil(A, B)).eigenvalues
+    # a random nonsymmetric pencil has complex-conjugate pairs
+    assert np.iscomplexobj(got) and np.sum(np.abs(got.imag) > 1e-3) >= 2
+    assert len(got) == n
+    assert np.all(np.diff(np.abs(got)) >= 0)
+    _match_each(got, ref, 1e-10)
+
+
+def test_general_ill_conditioned_error_carries_the_condition_number():
+    B = np.diag([1.0, 1e-13])
+    with pytest.raises(pencil.IllConditionedError) as info:
+        solve_general(Pencil(np.eye(2), B))
+    assert info.value.cond == pytest.approx(1e13)
+    assert isinstance(info.value, ValueError)
 
 
 @settings(max_examples=25, deadline=None)
