@@ -10,7 +10,7 @@ from .fem import EigenProblemSpec, FemSpace, build_mesh, solve_fem
 from .geometry import Domain, Mesh, boundary_quadrature, load_domain, triangulate
 from .mps import (CornerBasis, Enclosure, corner_basis, fhm_enclosure,
                   refine_minimum, sigma_min_sweep)
-from .pencil import Pencil, Spectrum, cluster, solve_general, solve_symdef, subspace_gap
+from .pencil import Pencil, Spectrum, cluster, solve_general, solve_symdef
 from .reference import (AnalyticSpectrum, concentric_annulus_steklov,
                         disk_spectra, rectangle_spectra, union_spectrum)
 
@@ -24,7 +24,6 @@ __all__ = [
     "CornerBasis", "Enclosure", "corner_basis", "fhm_enclosure",
     "refine_minimum", "sigma_min_sweep",
     "Pencil", "Spectrum", "cluster", "solve_general", "solve_symdef",
-    "subspace_gap",
     "AnalyticSpectrum", "concentric_annulus_steklov", "disk_spectra",
     "rectangle_spectra", "union_spectrum",
 ]

@@ -6,7 +6,8 @@ plain trapezoid across curves. The eigenvalue pencil acts on mean-free
 densities; the shared one-dimensional kernel of both sides is deflated by an
 orthogonal reflection before the eigensolve, so no spurious eigenvalues appear
 even though the outer circle has unit radius (its equilibrium density makes
-the raw single-layer matrix singular).
+the raw single-layer matrix singular). `pencil.solve_general` solves it, and
+`pencil.REAL_RTOL` decides which values are real.
 """
 import warnings
 
@@ -15,8 +16,7 @@ import numpy as np
 from . import pencil as pen
 from .geometry import BoundaryQuadrature, boundary_quadrature
 
-NORMALIZATION = -1.0 / (2.0 * np.pi)  # fundamental solution -(1/2pi) ln|x-y|
-IMAG_TOL = 1e-6
+MAX_HALVINGS = 3   # node-count halvings tried on an ill-conditioned pencil
 
 
 def kress_log_weights(m):
@@ -38,23 +38,7 @@ def kress_log_weights(m):
     return out
 
 
-class KernelMatrices:
-    """S0 and (1/2 I + K') with the mean-subtraction projector built in."""
-
-    def __init__(self, S0, Khalf, quad, weights):
-        self.S0 = S0
-        self.Khalf = Khalf
-        self.quad = quad
-        self.weights = weights
-        self.normalization = NORMALIZATION
-
-    @property
-    def n(self):
-        return self.S0.shape[0]
-
-
 def _raw_kernels(quad):
-    xs = quad.points
     total = quad.total
     S0 = np.zeros((total, total))
     Kp = np.zeros((total, total))
@@ -94,7 +78,7 @@ def _raw_kernels(quad):
 
 
 def assemble_kernels(quad):
-    """Kernel matrices acting on mean-free densities."""
+    """S0 and (1/2 I + K'), each acting on mean-free densities: (S0, Khalf)."""
     if not isinstance(quad, BoundaryQuadrature):
         raise TypeError("assemble_kernels expects a BoundaryQuadrature")
     S0, Kp = _raw_kernels(quad)
@@ -104,10 +88,10 @@ def assemble_kernels(quad):
     # M (I - 1 p^T) = M - (M 1) p^T, in place
     for M in (S0, Kp):
         M -= np.outer(M.sum(axis=1), p)
-    return KernelMatrices(S0, Kp, quad, w)
+    return S0, Kp
 
 
-def _deflated_pencil(kernels):
+def _deflated_pencil(S0, Khalf):
     """Project the pencil onto the complement of the constant density.
 
     Both matrices annihilate constants by construction (mean subtraction on
@@ -120,7 +104,7 @@ def _deflated_pencil(kernels):
     complement of the constants. Since v[1:] = 1, that block is
     M[1:, 1:] minus a row vector minus a column vector.
     """
-    n = kernels.n
+    n = S0.shape[0]
     root = np.sqrt(n)
     tau = 1.0 / (n + root)        # 2 / (v^T v)
 
@@ -132,10 +116,10 @@ def _deflated_pencil(kernels):
         out -= r[1:]
         return out
 
-    return reflect(kernels.Khalf), reflect(kernels.S0)
+    return reflect(Khalf), reflect(S0)
 
 
-def solve_steklov_bie(domain, n_per_curve, count=None, max_halvings=3):
+def solve_steklov_bie(domain, n_per_curve, count=None):
     """Steklov spectrum of a smooth-curves domain by collocation.
 
     Returns ascending real eigenvalues with the zero mode prepended and
@@ -149,9 +133,9 @@ def solve_steklov_bie(domain, n_per_curve, count=None, max_halvings=3):
         n_per_curve = [int(n_per_curve)] * len(domain.circles)
     n_per_curve = [int(n) for n in n_per_curve]
 
-    for attempt in range(max_halvings + 1):
+    for attempt in range(MAX_HALVINGS + 1):
         quad = boundary_quadrature(domain, n_per_curve)
-        A, B = _deflated_pencil(assemble_kernels(quad))
+        A, B = _deflated_pencil(*assemble_kernels(quad))
         try:
             spec = pen.solve_general(pen.Pencil(A, B), method="bie",
                                      param=sum(n_per_curve), domain=domain.name)
@@ -167,7 +151,7 @@ def solve_steklov_bie(domain, n_per_curve, count=None, max_halvings=3):
 
     vals = spec.eigenvalues
     if np.iscomplexobj(vals):
-        realish = np.abs(vals.imag) <= IMAG_TOL * np.maximum(np.abs(vals), 1e-300)
+        realish = pen.is_real(vals)
         m_req = count if count is not None else len(vals)
         kept = np.sort(vals[realish].real)
         bad = vals[~realish]
@@ -201,7 +185,8 @@ def sweep_annulus(eps_grid, n_per_curve, k_list):
     """sigma_k across a family of hole offsets, normalized by the centered case.
 
     Returns rows (eps, k, sigma, ratio_to_concentric, N_total), ordered by
-    eps then k. The centered spectrum is computed at the same node counts.
+    eps then k; N_total is what the solve at eps used, which a halving
+    lowers. The centered spectrum is computed at the same node counts.
     """
     eps_grid = [float(e) for e in eps_grid]
     for e in eps_grid:
@@ -215,47 +200,16 @@ def sweep_annulus(eps_grid, n_per_curve, k_list):
     kmax = max(k_list)
 
     def one(eps):
-        spec = solve_steklov_bie(annulus_domain(eps), n_per_curve, count=kmax + 1)
-        return spec.eigenvalues
+        return solve_steklov_bie(annulus_domain(eps), n_per_curve, count=kmax + 1)
 
     results = {eps: one(eps) for eps in sorted(set(eps_grid))}
-    base = results[0.0] if 0.0 in results else one(0.0)
+    base = (results[0.0] if 0.0 in results else one(0.0)).eigenvalues
 
-    if np.isscalar(n_per_curve):
-        n_total = int(n_per_curve) * 2
-    else:
-        n_total = int(sum(n_per_curve))
     rows = []
     for eps in eps_grid:
-        vals = results[eps]
+        spec = results[eps]
+        vals = spec.eigenvalues
         for k in k_list:
-            rows.append((eps, k, float(vals[k]), float(vals[k] / base[k]), n_total))
+            rows.append((eps, k, float(vals[k]), float(vals[k] / base[k]),
+                         spec.param))
     return rows
-
-
-def evaluate_interior(quad, density, points):
-    """Single-layer potential of the mean-free part of `density`.
-
-    Valid away from the boundary: every point must be inside the domain and
-    at least three node spacings from each curve.
-    """
-    density = np.asarray(density, dtype=float)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(density) != quad.total:
-        raise ValueError("density must have one value per quadrature node")
-    for p in points:
-        for idx, c in enumerate(quad.curves):
-            gap = abs(np.hypot(*(p - np.asarray(c.center))) - c.radius)
-            spacing = c.h * c.radius
-            if gap < 3.0 * spacing:
-                raise ValueError(f"point {tuple(p)} is within 3 node spacings "
-                                 f"of curve {idx}")
-            r = np.hypot(*(p - np.asarray(c.center)))
-            inside_ok = r < c.radius if c.orientation > 0 else r > c.radius
-            if not inside_ok:
-                raise ValueError(f"point {tuple(p)} is outside the domain")
-    w = quad.weights
-    rho = density - (w @ density) / w.sum()
-    d = points[:, None, :] - quad.points[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-    return (NORMALIZATION * np.log(r)) @ (rho * w)

@@ -18,6 +18,7 @@ EXIT_QUALITY = 2
 EXIT_VALIDATE = 3
 
 METHODS = ("fem-p1", "fem-p2", "fem-cr", "bie", "mps")
+EXTRAPOLATE_FROM = 3   # smallest --levels at which solve and compare extrapolate
 
 COMPAT_MATRIX = """\
 method / boundary-condition compatibility:
@@ -87,8 +88,8 @@ def build_parser():
                        choices=("dirichlet", "neumann", "mixed", "steklov"))
     solve.add_argument("--count", type=_positive_int, default=10)
     solve.add_argument("--levels", type=_positive_int, default=4,
-                       help="finest refinement level; levels >= 3 extrapolate "
-                            "over the last three")
+                       help=f"finest refinement level; levels >= "
+                            f"{EXTRAPOLATE_FROM} extrapolate over the last three")
     solve.add_argument("--n", type=_positive_int, default=128,
                        help="quadrature nodes per boundary curve (bie)")
     solve.add_argument("--bracket", type=_span,
@@ -281,7 +282,8 @@ def cmd_solve(args):
     if args.method == "bie":
         spectrum = bie.solve_steklov_bie(dom, args.n, count=args.count)
         vals = spectrum.eigenvalues[:args.count]
-        rows = [(i + 1, v, m, "bie", f"n={args.n}", dom.name)
+        n_used = spectrum.flags["n_per_curve"][0]   # all curves alike
+        rows = [(i + 1, v, m, "bie", f"n={n_used}", dom.name)
                 for i, (v, m) in enumerate(_with_multiplicities(vals))]
         _write(os.path.join(out, "spectrum.csv"), _spectrum_csv(rows))
         return EXIT_OK
@@ -292,7 +294,7 @@ def cmd_solve(args):
     top = args.levels
     spec = fem.EigenProblemSpec(args.bc, args.count, kind=_fem_kind(args.method),
                                 level=top, weight=dom.weight)
-    if top < 3:
+    if top < EXTRAPOLATE_FROM:
         finest = fem.solve_fem(dom, spec)
         vals, param = finest.eigenvalues, f"h={float(finest.param)!r}"
     else:
@@ -376,9 +378,9 @@ def compare_domains(dom_a, dom_b, bc, count, top_level, kind="P2"):
 def cmd_compare(args):
     if args.method == "fem-cr" and args.bc == "steklov" and not args.cr_midpoint:
         raise UsageError("fem-cr with steklov needs --cr-midpoint\n" + COMPAT_MATRIX)
-    if args.levels < 2:
-        raise UsageError("lapspec compare: --levels must be at least 2 (the "
-                         "verdict extrapolates over levels levels-2..levels)")
+    if args.levels < EXTRAPOLATE_FROM:
+        raise UsageError(f"lapspec compare: --levels must be at least {EXTRAPOLATE_FROM}"
+                         " (the verdict extrapolates over levels levels-2..levels)")
     dom_a = _resolve_domain(args.domain_a)
     dom_b = _resolve_domain(args.domain_b)
     out = _outdir(args)

@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg as la
 
 from lapspec import bie, geometry, pencil, reference
-from lapspec.bie import (annulus_domain, assemble_kernels, evaluate_interior,
-                         kress_log_weights, solve_steklov_bie, sweep_annulus)
+from lapspec.bie import (annulus_domain, assemble_kernels, kress_log_weights,
+                         solve_steklov_bie, sweep_annulus)
 from lapspec.geometry import Domain, boundary_quadrature, load_domain
 
 from conftest import shared_bie
@@ -64,11 +64,11 @@ def test_single_layer_fourier_symbol_on_circle(disk):
 
 def test_assembled_kernels_annihilate_constants():
     quad = boundary_quadrature(annulus_domain(0.3), [48, 32])
-    kernels = assemble_kernels(quad)
+    S0, Khalf = assemble_kernels(quad)
     ones = np.ones(quad.total)
-    assert np.max(np.abs(kernels.S0 @ ones)) < 1e-12
-    assert np.max(np.abs(kernels.Khalf @ ones)) < 1e-12
-    assert kernels.n == 80
+    assert np.max(np.abs(S0 @ ones)) < 1e-12
+    assert np.max(np.abs(Khalf @ ones)) < 1e-12
+    assert S0.shape == (80, 80)
 
 
 def test_assemble_kernels_type_check():
@@ -86,12 +86,12 @@ def test_rank_one_projections_match_explicit_construction():
     S0, Kp = bie._raw_kernels(quad)
     ImW = np.eye(n) - np.outer(np.ones(n), w) / w.sum()
     S0_ref, Khalf_ref = S0 @ ImW, (0.5 * np.eye(n) + Kp) @ ImW
-    kernels = assemble_kernels(quad)
-    assert _rel(kernels.S0, S0_ref) < 1e-12
-    assert _rel(kernels.Khalf, Khalf_ref) < 1e-12
+    S0_got, Khalf_got = assemble_kernels(quad)
+    assert _rel(S0_got, S0_ref) < 1e-12
+    assert _rel(Khalf_got, Khalf_ref) < 1e-12
     Qf, _ = la.qr(np.ones((n, 1)), mode="full")
     Q = Qf[:, 1:]
-    A, B = bie._deflated_pencil(kernels)
+    A, B = bie._deflated_pencil(S0_got, Khalf_got)
     assert A.shape == B.shape == (n - 1, n - 1)
     assert _rel(A, Q.T @ Khalf_ref @ Q) < 1e-12
     assert _rel(B, Q.T @ S0_ref @ Q) < 1e-12
@@ -160,7 +160,7 @@ def test_resolution_jump_cuts_error_by_three_decades():
 
 def test_lu_reduced_solve_matches_qz_on_the_deflated_annulus():
     quad = boundary_quadrature(annulus_domain(0.85), [330, 330])
-    A, B = bie._deflated_pencil(assemble_kernels(quad))
+    A, B = bie._deflated_pencil(*assemble_kernels(quad))
     ref = np.sort(la.eig(A, B, right=False).real)[:201]
     got = pencil.solve_general(pencil.Pencil(A, B)).eigenvalues
     assert np.isrealobj(got)
@@ -210,6 +210,14 @@ def test_sweep_normalizes_by_concentric_case():
     assert rows[2][3] < 1.0
 
 
+def test_sweep_reports_the_node_count_after_a_halving(monkeypatch):
+    # the setup of test_ill_conditioned_pencil_halves_the_nodes
+    monkeypatch.setattr(pencil, "COND_GATE", 1.2e3)
+    with pytest.warns(UserWarning, match="retrying with nodes \\[164, 164\\]"):
+        rows = sweep_annulus([0.0], 330, [1])
+    assert [r[4] for r in rows] == [328]
+
+
 def test_sweep_rejects_bad_grid():
     with pytest.raises(ValueError):
         sweep_annulus([-0.1], 64, [1])
@@ -217,36 +225,3 @@ def test_sweep_rejects_bad_grid():
         sweep_annulus([0.95], 64, [1])
     with pytest.raises(ValueError):
         sweep_annulus([0.1], 64, [0])
-
-
-# ---------------------------------------------------------------------------
-# interior evaluation
-# ---------------------------------------------------------------------------
-
-def test_interior_potential_of_constant_density_vanishes(disk):
-    quad = boundary_quadrature(disk, 64)
-    pts = np.array([[0.0, 0.0], [0.3, 0.2], [-0.4, 0.1]])
-    out = evaluate_interior(quad, np.full(64, 2.5), pts)
-    assert np.max(np.abs(out)) < 1e-14
-    assert np.max(np.abs(evaluate_interior(quad, np.zeros(64), pts))) == 0.0
-
-
-def test_interior_potential_of_first_mode(disk):
-    # single layer with density cos(theta) on the unit circle is (r/2) cos(theta)
-    quad = boundary_quadrature(disk, 64)
-    theta = np.arctan2(quad.points[:, 1], quad.points[:, 0])
-    rho = np.cos(theta)
-    pts = np.array([[0.3, 0.0], [0.0, 0.5], [-0.25, 0.35], [0.1, -0.6]])
-    got = evaluate_interior(quad, rho, pts)
-    want = pts[:, 0] / 2.0
-    assert np.max(np.abs(got - want)) < 1e-8
-
-
-def test_interior_evaluation_guard_rails(disk):
-    quad = boundary_quadrature(disk, 64)
-    with pytest.raises(ValueError):
-        evaluate_interior(quad, np.ones(64), [[0.999, 0.0]])
-    with pytest.raises(ValueError):
-        evaluate_interior(quad, np.ones(64), [[1.5, 0.0]])
-    with pytest.raises(ValueError):
-        evaluate_interior(quad, np.ones(10), [[0.0, 0.0]])

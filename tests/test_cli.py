@@ -63,9 +63,11 @@ def test_removed_flags_are_usage_errors(argv, capsys, tmp_path):
 
 
 def test_compare_levels_too_few_to_extrapolate_is_usage_error(capsys, tmp_path):
-    assert main(["compare", "--domain-a", "dn-square", "--domain-b",
-                 "dn-triangle", "--levels", "1", "--out", str(tmp_path)]) == 1
-    assert "--levels" in capsys.readouterr().err
+    # like solve, compare extrapolates only from --levels 3
+    for levels in ("1", "2"):
+        assert main(["compare", "--domain-a", "dn-square", "--domain-b",
+                     "dn-triangle", "--levels", levels, "--out", str(tmp_path)]) == 1
+        assert "--levels" in capsys.readouterr().err
 
 
 def test_bad_grid_syntax(capsys):
@@ -76,6 +78,18 @@ def test_bad_grid_syntax(capsys):
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
+
+def test_solve_bie_reports_the_node_count_after_a_halving(monkeypatch, tmp_path):
+    # with the gate at 1.2e3 the concentric annulus is rejected at 330 nodes
+    # per curve (condition 1.66e3) and solved at 164
+    monkeypatch.setattr(lapspec.pencil, "COND_GATE", 1.2e3)
+    with pytest.warns(UserWarning, match="retrying"):
+        assert main(["solve", "--domain", "annulus:eps=0", "--method", "bie",
+                     "--bc", "steklov", "--n", "330", "--count", "5",
+                     "--out", str(tmp_path)]) == 0
+    _, rows = _csv_rows(_read(tmp_path / "spectrum.csv"))
+    assert {r[4] for r in rows} == {"n=164"}
+
 
 def test_solve_bie_disk(tmp_path, capsys):
     assert main(["solve", "--domain", "unit-disk", "--method", "bie",
