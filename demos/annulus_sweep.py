@@ -21,7 +21,7 @@ def main():
               f"closed form {ref.values[k]:.12f}")
     print(f"  worst of the first 12: {err:.2e}\n")
 
-    print("Sliding the hole (offset eps, 200 nodes per circle):")
+    print("Sliding the hole (offset eps, 100 nodes per circle):")
     grid = np.linspace(0.0, 0.88, 12)
     rows = bie.sweep_annulus(grid, 100, [1, 2])
     print("  eps     sigma_1   ratio    sigma_2   ratio")

@@ -82,8 +82,7 @@ def extrapolated_spectrum(domain, spec):
     if spec.level < 2:
         raise ValueError("three-level extrapolation needs spec.level >= 2")
     spectra = [solve_fem(domain, EigenProblemSpec(spec.bc, spec.count,
-                                                  kind=spec.kind, level=lvl,
-                                                  weight=spec.weight))
+                                                  kind=spec.kind, level=lvl))
                for lvl in range(spec.level - 2, spec.level + 1)]
     values = np.array([sp.eigenvalues for sp in spectra])
     hs = [sp.param for sp in spectra]
@@ -187,8 +186,7 @@ def bracket_report(domain, index, levels):
         mesh = build_mesh(domain, lvl)
         per_kind = {}
         for kind in ("CR", "P1", "P2"):
-            spec = EigenProblemSpec(bc, index, kind=kind, level=lvl,
-                                    weight=domain.weight)
+            spec = EigenProblemSpec(bc, index, kind=kind, level=lvl)
             per_kind[kind] = solve_fem(domain, spec, mesh=mesh)
         cr = float(per_kind["CR"].eigenvalues[index - 1])
         lo = cr_lower_bound(cr, mesh.h) if certified and cr > 0 else float("nan")

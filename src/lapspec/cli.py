@@ -24,8 +24,7 @@ COMPAT_MATRIX = """\
 method / boundary-condition compatibility:
   fem-p1   dirichlet neumann mixed steklov      polygon domains
   fem-p2   dirichlet neumann mixed steklov      polygon domains
-  fem-cr   dirichlet neumann mixed              polygon domains
-           steklov only with --cr-midpoint (edge-midpoint boundary mass)
+  fem-cr   dirichlet neumann mixed steklov      polygon domains
   bie      steklov                              circle domains only
   mps      dirichlet                            polygon domains only
 """
@@ -102,8 +101,6 @@ def build_parser():
                             "| comma-separated corner indices")
     solve.add_argument("--scale", type=float, default=1.0,
                        help="dilate the domain before solving")
-    solve.add_argument("--cr-midpoint", action="store_true",
-                       help="enable the edge-midpoint Steklov variant of fem-cr")
     solve.add_argument("--modes", type=_int_list,
                        help="render these eigenfunction indices to modes.svg")
     solve.add_argument("--seed", type=int, default=17,
@@ -120,7 +117,6 @@ def build_parser():
                       choices=("dirichlet", "neumann", "mixed", "steklov"))
     comp.add_argument("--count", type=_positive_int, default=10)
     comp.add_argument("--levels", type=_positive_int, default=5)
-    comp.add_argument("--cr-midpoint", action="store_true")
     common(comp)
 
     swp = sub.add_parser("sweep", help="eccentric-annulus Steklov sweep")
@@ -228,18 +224,14 @@ def _check_compat(args):
     elif m == "mps":
         if args.bc != "dirichlet":
             raise UsageError("mps computes dirichlet spectra only\n" + COMPAT_MATRIX)
-    elif m == "fem-cr":
-        if args.bc == "steklov" and not args.cr_midpoint:
-            raise UsageError("fem-cr with steklov needs --cr-midpoint\n"
-                             + COMPAT_MATRIX)
 
 
-def _check_domain_compat(args, dom):
-    if args.method == "bie" and dom.kind != "smooth-curves":
+def _check_domain_compat(method, dom):
+    if method == "bie" and dom.kind != "smooth-curves":
         raise UsageError("bie needs a circle domain\n" + COMPAT_MATRIX)
-    if args.method == "mps" and dom.kind != "polygon":
+    if method == "mps" and dom.kind != "polygon":
         raise UsageError("mps needs a polygon domain\n" + COMPAT_MATRIX)
-    if args.method.startswith("fem") and dom.kind != "polygon":
+    if method.startswith("fem") and dom.kind != "polygon":
         raise UsageError("fem methods need a polygon domain\n" + COMPAT_MATRIX)
 
 
@@ -276,7 +268,7 @@ def _fem_kind(method):
 def cmd_solve(args):
     _check_compat(args)
     dom = _resolve_domain(args.domain, args.scale)
-    _check_domain_compat(args, dom)
+    _check_domain_compat(args.method, dom)
     out = _outdir(args)
 
     if args.method == "bie":
@@ -293,7 +285,7 @@ def cmd_solve(args):
 
     top = args.levels
     spec = fem.EigenProblemSpec(args.bc, args.count, kind=_fem_kind(args.method),
-                                level=top, weight=dom.weight)
+                                level=top)
     if top < EXTRAPOLATE_FROM:
         finest = fem.solve_fem(dom, spec)
         vals, param = finest.eigenvalues, f"h={float(finest.param)!r}"
@@ -357,8 +349,7 @@ def compare_domains(dom_a, dom_b, bc, count, top_level, kind="P2"):
     "consistent-with-equal" when the gap is within the combined widths.
     """
     def limits_and_widths(dom):
-        spec = fem.EigenProblemSpec(bc, count, kind=kind, level=top_level,
-                                    weight=dom.weight)
+        spec = fem.EigenProblemSpec(bc, count, kind=kind, level=top_level)
         limits, spectra = bounds.extrapolated_spectrum(dom, spec)
         return limits, np.maximum(np.abs(limits - spectra[-1].eigenvalues),
                                   1e-4 * np.abs(limits))
@@ -376,13 +367,13 @@ def compare_domains(dom_a, dom_b, bc, count, top_level, kind="P2"):
 
 
 def cmd_compare(args):
-    if args.method == "fem-cr" and args.bc == "steklov" and not args.cr_midpoint:
-        raise UsageError("fem-cr with steklov needs --cr-midpoint\n" + COMPAT_MATRIX)
     if args.levels < EXTRAPOLATE_FROM:
         raise UsageError(f"lapspec compare: --levels must be at least {EXTRAPOLATE_FROM}"
                          " (the verdict extrapolates over levels levels-2..levels)")
     dom_a = _resolve_domain(args.domain_a)
     dom_b = _resolve_domain(args.domain_b)
+    _check_domain_compat(args.method, dom_a)
+    _check_domain_compat(args.method, dom_b)
     out = _outdir(args)
     rows, overall = compare_domains(dom_a, dom_b, args.bc, args.count,
                                     args.levels, kind=_fem_kind(args.method))
@@ -419,6 +410,7 @@ def cmd_sweep(args):
 
 def cmd_bounds(args):
     dom = _resolve_domain(args.domain)
+    _check_domain_compat("fem-p2", dom)   # the report solves CR, P1 and P2 alike
     out = _outdir(args)
     report = bounds.bracket_report(dom, args.index, range(1, args.levels + 1))
     _write(os.path.join(out, "bracket.csv"), report.to_csv())
@@ -524,7 +516,7 @@ def _vertex_values(spectrum, column):
     # edge-midpoint dofs: average onto vertices for display
     vals = np.zeros(nv)
     hits = np.zeros(nv)
-    for (a, b), v in zip(space.edges, vec):
+    for (a, b), v in zip(mesh.edges, vec):
         vals[a] += v
         vals[b] += v
         hits[a] += 1

@@ -38,23 +38,13 @@ def genus2_weight(points):
     return 4.0 / (1.0 + r2) ** 2
 
 
-def _edge_table(triangles, n_vertices):
-    """Global edge numbering; local edge i is opposite local vertex i."""
-    local = np.stack([triangles[:, [1, 2]], triangles[:, [2, 0]],
-                      triangles[:, [0, 1]]], axis=1)
-    flat = np.sort(local.reshape(-1, 2), axis=1)
-    keys = flat[:, 0] * n_vertices + flat[:, 1]
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    edges = np.column_stack([uniq // n_vertices, uniq % n_vertices])
-    return edges, inverse.reshape(-1, 3), uniq
-
-
 class FemSpace:
     """Finite element space on a mesh with Dirichlet dofs eliminated later.
 
     Dof numbering: P1 uses vertex indices; P2 appends edge midpoints after
-    the vertices; CR uses edge indices alone. `constrained_markers` names the
-    boundary markers whose edges carry the essential condition.
+    the vertices; CR uses edge indices alone, in the mesh's edge numbering.
+    `constrained_markers` names the boundary markers whose edges carry the
+    essential condition.
     """
 
     def __init__(self, kind, mesh, constrained_markers=()):
@@ -62,30 +52,21 @@ class FemSpace:
             raise ValueError(f"unknown element kind {kind!r}")
         self.kind = kind
         self.mesh = mesh
-        nv = mesh.n_vertices
-        self.edges, self.tri_edges, self._edge_keys = _edge_table(mesh.triangles, nv)
-        ne = len(self.edges)
+        nv, ne = mesh.n_vertices, len(mesh.edges)
         if kind == "P1":
             self.n_dofs = nv
             self.cell_dofs = mesh.triangles
         elif kind == "P2":
             self.n_dofs = nv + ne
-            self.cell_dofs = np.hstack([mesh.triangles, nv + self.tri_edges])
+            self.cell_dofs = np.hstack([mesh.triangles, nv + mesh.tri_edges])
         else:
             self.n_dofs = ne
-            self.cell_dofs = self.tri_edges
-
-        bpairs = np.sort(mesh.boundary_edges, axis=1)
-        bkeys = bpairs[:, 0] * nv + bpairs[:, 1]
-        pos = np.searchsorted(self._edge_keys, bkeys)
-        if np.any(pos >= ne) or np.any(self._edge_keys[pos] != bkeys):
-            raise ValueError("boundary edge missing from the triangulation")
-        self.boundary_edge_index = pos
+            self.cell_dofs = mesh.tri_edges
 
         constrained = np.zeros(self.n_dofs, dtype=bool)
         on_boundary = np.zeros(self.n_dofs, dtype=bool)
         for (a, b), e, marker in zip(mesh.boundary_edges,
-                                     self.boundary_edge_index, mesh.markers):
+                                     mesh.boundary_edge_index, mesh.markers):
             dofs = self._edge_trace_dofs(a, b, e)
             on_boundary[dofs] = True
             if marker in constrained_markers:
@@ -187,21 +168,17 @@ def assemble_mass(space, weight="unit"):
     return _scatter(space.cell_dofs, ke, space.n_dofs)
 
 
-def assemble_boundary_mass(space, cr_variant=None):
-    """Boundary mass on marked edges, lifted to the volume dof numbering.
+def assemble_boundary_mass(space):
+    """Boundary mass on every boundary edge, lifted to the volume dof numbering.
 
-    CR traces jump at boundary vertices, so plain CR assembly is refused;
-    pass cr_variant="midpoint" for the midpoint-lumped form on the natural
-    CR edge dofs.
+    CR traces jump at boundary vertices, so the CR form is the
+    midpoint-lumped one: each edge's length on its edge dof.
     """
     mesh = space.mesh
-    if space.kind == "CR" and cr_variant != "midpoint":
-        raise ValueError("CR boundary mass needs cr_variant='midpoint' "
-                         "(CR traces are discontinuous at boundary vertices)")
     n = space.n_dofs
     rows, cols, data = [], [], []
     lengths = mesh.edge_lengths()
-    for (a, b), e, L in zip(mesh.boundary_edges, space.boundary_edge_index, lengths):
+    for (a, b), e, L in zip(mesh.boundary_edges, mesh.boundary_edge_index, lengths):
         if space.kind == "P1":
             dofs = [a, b]
             block = (L / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -222,11 +199,12 @@ def assemble_boundary_mass(space, cr_variant=None):
 
 
 class EigenProblemSpec:
-    """What to solve: bc, weight, eigenvalue count, element kind, level."""
+    """What to solve: bc, eigenvalue count, element kind, level. The mass
+    weight is the domain's (`Domain.weight`)."""
 
     BCS = ("dirichlet", "neumann", "mixed", "steklov")
 
-    def __init__(self, bc, count, kind="P1", level=0, weight="unit"):
+    def __init__(self, bc, count, kind="P1", level=0):
         if bc not in self.BCS:
             raise ValueError(f"unknown boundary condition {bc!r}")
         if kind not in KINDS:
@@ -235,15 +213,10 @@ class EigenProblemSpec:
             raise ValueError("eigenvalue count must be at least 1")
         if level < 0:
             raise ValueError("refinement level must be nonnegative")
-        if weight not in ("unit", "genus2"):
-            raise ValueError(f"unknown weight {weight!r}")
-        if weight == "genus2" and bc == "steklov":
-            raise ValueError("the radial weight applies to volume mass terms only")
         self.bc = bc
         self.count = count
         self.kind = kind
         self.level = level
-        self.weight = weight
 
 
 def build_mesh(domain, level):
@@ -270,28 +243,29 @@ def solve_fem(domain, spec, mesh=None):
     goes through one Lanczos solve, shifted by -1/|Omega_h| (-1/|dOmega_h|
     for Steklov) so that the shift scales with the spectrum. Neumann and
     Steklov values within 1e-9 of that shift's size are the zero mode.
+    The mass weight is `domain.weight`.
     """
+    if domain.weight == "genus2" and spec.bc == "steklov":
+        raise ValueError("the radial weight applies to volume mass terms only")
     if mesh is None:
         mesh = build_mesh(domain, spec.level)
     space = FemSpace(spec.kind, mesh, _constrained_markers(spec.bc))
     K = assemble_stiffness(space)
-    flags = {"bc": spec.bc, "level": mesh.level, "weight": spec.weight}
+    flags = {"bc": spec.bc, "level": mesh.level, "weight": domain.weight}
     method = f"fem-{spec.kind.lower()}"
     free = space.free
 
     if spec.bc == "steklov":
-        B = assemble_boundary_mass(
-            space, cr_variant="midpoint" if spec.kind == "CR" else None)
+        B = assemble_boundary_mass(space)
         if spec.kind == "CR":
             method = "fem-cr-midpoint"
-            flags["variant"] = "cr-midpoint"
         n_boundary = int(space.on_boundary.sum())
         if spec.count > n_boundary:
             raise ValueError(f"only {n_boundary} boundary dofs: cannot return "
                              f"{spec.count} finite Steklov eigenvalues")
         shift = -1.0 / mesh.edge_lengths().sum()
     else:
-        B = assemble_mass(space, spec.weight)
+        B = assemble_mass(space, domain.weight)
         shift = -1.0 / mesh.areas().sum()
         if spec.count > len(free):
             raise ValueError(f"only {len(free)} free dofs: cannot return "

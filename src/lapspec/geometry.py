@@ -56,8 +56,15 @@ class Domain:
                 f"polygon edge {short} (vertex {short} to {(short + 1) % n}) has "
                 f"length {lengths[short]:.3e}, below {MIN_EDGE_FRACTION:g} of "
                 f"the diameter {diameter:.3e}")
-        if polygon_area(v) <= 0:
+        area = polygon_area(v)
+        if area <= 0:
             raise ValueError("polygon vertices must be counterclockwise")
+        # a polygon this thin meshes into triangles whose areas are rounding
+        # noise, even when every edge passes the length check above
+        if area < MIN_EDGE_FRACTION * diameter**2:
+            raise ValueError(
+                f"polygon area {area:.3e} is below {MIN_EDGE_FRACTION:g} of "
+                f"the squared diameter {diameter:.3e}^2 (numerically flat)")
         # simplicity: no two non-adjacent edges may intersect
         for i in range(n):
             a1, a2 = v[i], v[(i + 1) % n]
@@ -238,20 +245,35 @@ def load_domain(path_or_name):
 
 class Mesh:
     """Conforming triangulation: vertices (n,2), triangles (t,3) ccw,
-    boundary_edges (b,2) with per-edge markers, mesh size h, refinement level."""
+    boundary_edges (b,2) with per-edge markers, mesh size h, refinement level,
+    and the one edge numbering: edges (e,2) as sorted vertex pairs in
+    lexicographic order, tri_edges (t,3) with local edge i opposite local
+    vertex i, and boundary_edge_index (b,) into edges."""
 
-    def __init__(self, vertices, triangles, boundary_edges, markers, level=0, weight="unit"):
+    def __init__(self, vertices, triangles, boundary_edges, markers, level=0):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
         self.boundary_edges = np.asarray(boundary_edges, dtype=int).reshape(-1, 2)
         self.markers = list(markers)
         self.level = level
-        self.weight = weight
         areas = self.areas()
         if np.any(areas <= 0):
             bad = int(np.argmin(areas))
             raise ValueError(f"triangle {bad} has non-positive area {areas[bad]:.3e}")
         self.h = self._mesh_size()
+        # key a*n + b (a < b < n) sorts like the pair (a, b)
+        n, t = len(self.vertices), self.triangles
+        local = np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1)
+        pairs = np.sort(local.reshape(-1, 2), axis=1)
+        keys, inverse = np.unique(pairs[:, 0] * n + pairs[:, 1], return_inverse=True)
+        self.edges = np.column_stack([keys // n, keys % n])
+        self.tri_edges = inverse.reshape(-1, 3)
+        bpairs = np.sort(self.boundary_edges, axis=1)
+        bkeys = bpairs[:, 0] * n + bpairs[:, 1]
+        pos = np.searchsorted(keys, bkeys)
+        if np.any(pos >= len(keys)) or np.any(keys[pos] != bkeys):
+            raise ValueError("boundary edge missing from the triangulation")
+        self.boundary_edge_index = pos
 
     def areas(self):
         p = self.vertices[self.triangles]
@@ -309,7 +331,7 @@ def triangulate(domain):
     if _orient(*verts[list(tris[-1])]) <= 0:
         raise ValueError("ear clipping failed: final triangle degenerate")
     bedges = [(k, (k + 1) % n) for k in range(n)]
-    return Mesh(verts, tris, bedges, list(domain.markers), level=0, weight=domain.weight)
+    return Mesh(verts, tris, bedges, list(domain.markers), level=0)
 
 
 def _point_in_triangle(p, a, b, c):
@@ -320,43 +342,22 @@ def _point_in_triangle(p, a, b, c):
 def refine(mesh):
     """Red refinement: split every triangle into 4 via edge midpoints."""
     v, t = mesh.vertices, mesh.triangles
-    # unique edges, each as a sorted vertex pair
-    raw = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    raw.sort(axis=1)
-    edges, inverse = np.unique(raw, axis=0, return_inverse=True)
-    mid_index = len(v) + np.arange(len(edges))
-    midpoints = 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])
-    newv = np.vstack([v, midpoints])
-    nt = len(t)
-    m01 = mid_index[inverse[:nt]]
-    m12 = mid_index[inverse[nt:2 * nt]]
-    m20 = mid_index[inverse[2 * nt:]]
-    children = np.empty((4 * nt, 3), dtype=int)
+    edges = mesh.edges
+    newv = np.vstack([v, 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])])
+    # midpoint vertex of the edge opposite local vertex 0, 1, 2
+    m12, m20, m01 = (len(v) + mesh.tri_edges).T
+    children = np.empty((4 * len(t), 3), dtype=int)
     children[0::4] = np.column_stack([t[:, 0], m01, m20])
     children[1::4] = np.column_stack([t[:, 1], m12, m01])
     children[2::4] = np.column_stack([t[:, 2], m20, m12])
     children[3::4] = np.column_stack([m01, m12, m20])
     # boundary edges split in two, inheriting markers
-    bsorted = np.sort(mesh.boundary_edges, axis=1)
-    loc = _edge_lookup(edges, bsorted)
-    bm = mid_index[loc]
-    newb = np.empty((2 * len(bsorted), 2), dtype=int)
+    bm = len(v) + mesh.boundary_edge_index
+    newb = np.empty((2 * len(bm), 2), dtype=int)
     newb[0::2] = np.column_stack([mesh.boundary_edges[:, 0], bm])
     newb[1::2] = np.column_stack([bm, mesh.boundary_edges[:, 1]])
     newmark = [m for m in mesh.markers for _ in range(2)]
-    return Mesh(newv, children, newb, newmark, level=mesh.level + 1, weight=mesh.weight)
-
-
-def _edge_lookup(sorted_edges, queries):
-    """Row indices of `queries` in the lexicographically sorted edge array."""
-    keys = sorted_edges[:, 0] * (sorted_edges.max() + 1) + sorted_edges[:, 1]
-    q = queries[:, 0] * (sorted_edges.max() + 1) + queries[:, 1]
-    order = np.argsort(keys)
-    pos = np.searchsorted(keys[order], q)
-    loc = order[pos]
-    if not np.all(keys[loc] == q):
-        raise ValueError("boundary edge missing from triangulation")
-    return loc
+    return Mesh(newv, children, newb, newmark, level=mesh.level + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -267,8 +267,7 @@ def test_c11_weighted_partition_bracketing():
     p1, cr = [], []
     for lvl in (1, 2, 3, 4, 5):
         for kind, seq in (("P1", p1), ("CR", cr)):
-            spec = fem.EigenProblemSpec("mixed", 1, kind=kind, level=lvl,
-                                        weight=dom.weight)
+            spec = fem.EigenProblemSpec("mixed", 1, kind=kind, level=lvl)
             seq.append(fem.solve_fem(dom, spec).eigenvalues[0])
     assert np.all(np.diff(p1) < 0) and np.all(np.diff(cr) > 0)
     assert 2.2 <= cr[-1] <= p1[-1] <= 2.35

@@ -1,3 +1,7 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,9 +41,10 @@ def test_missing_required_flags(capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "--domain", "unit-square", "--method", "mps", "--bc", "steklov"],
     ["solve", "--domain", "unit-disk", "--method", "bie", "--bc", "dirichlet"],
-    ["solve", "--domain", "unit-square", "--method", "fem-cr", "--bc", "steklov"],
     ["solve", "--domain", "unit-square", "--method", "bie", "--bc", "steklov"],
     ["solve", "--domain", "unit-disk", "--method", "mps", "--bracket", "19:21"],
+    ["compare", "--domain-a", "unit-disk", "--domain-b", "gww-b"],
+    ["bounds", "--domain", "unit-disk"],
 ])
 def test_incompatible_combinations_exit_one(argv, capsys, tmp_path):
     assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -55,11 +60,25 @@ def test_version_flag(capsys):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--eps", "0:0.4:3", "--n", "96", "--threads", "2"],
     ["bounds", "--domain", "unit-square", "--levels", "3", "--seed", "3"],
+    ["solve", "--domain", "unit-square", "--method", "fem-cr", "--bc", "steklov",
+     "--cr-midpoint"],
+    ["compare", "--domain-a", "gww-a", "--domain-b", "gww-b", "--method", "fem-cr",
+     "--bc", "steklov", "--cr-midpoint"],
 ])
 def test_removed_flags_are_usage_errors(argv, capsys, tmp_path):
-    # no command takes --threads, and --seed is a solve flag
+    # no command takes --threads or --cr-midpoint, and --seed is a solve flag
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    lines = [l for l in block.splitlines() if l.startswith("lapspec ")]
+    assert len(lines) >= 5
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_compare_levels_too_few_to_extrapolate_is_usage_error(capsys, tmp_path):
@@ -127,6 +146,14 @@ def test_solve_fem_single_level_no_extrapolation(tmp_path):
     _, rows = _csv_rows(_read(tmp_path / "spectrum.csv"))
     assert rows[0][4].startswith("h=")
     assert "extrapolated" not in rows[0][4]
+
+
+def test_solve_cr_steklov_is_midpoint_lumped(tmp_path):
+    assert main(["solve", "--domain", "unit-square", "--method", "fem-cr",
+                 "--bc", "steklov", "--count", "3", "--levels", "2",
+                 "--out", str(tmp_path)]) == 0
+    _, rows = _csv_rows(_read(tmp_path / "spectrum.csv"))
+    assert [r[3] for r in rows] == ["fem-cr-midpoint"] * 3
 
 
 def test_solve_modes_svg(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import dblquad
 
 from lapspec import fem, geometry, reference
@@ -87,15 +88,15 @@ def test_genus2_mass_total_on_inscribed_disk_polygon():
 
 
 def test_cr_boundary_mass_needs_midpoint_variant(square):
+    # the CR boundary mass is the midpoint-lumped one: each boundary edge's
+    # length on its edge dof
     space = FemSpace("CR", build_mesh(square, 1))
-    with pytest.raises(ValueError):
-        assemble_boundary_mass(space)
-    B = assemble_boundary_mass(space, cr_variant="midpoint")
+    B = assemble_boundary_mass(space)
     assert B.sum() == pytest.approx(4.0, rel=1e-14)
     assert (B - B.T).nnz == 0
 
 
-def test_problem_spec_validation():
+def test_problem_spec_validation(square):
     with pytest.raises(ValueError):
         EigenProblemSpec("robin", 4)
     with pytest.raises(ValueError):
@@ -104,8 +105,27 @@ def test_problem_spec_validation():
         EigenProblemSpec("dirichlet", 4, kind="P3")
     with pytest.raises(ValueError):
         EigenProblemSpec("dirichlet", 4, level=-1)
-    with pytest.raises(ValueError):
-        EigenProblemSpec("steklov", 4, weight="genus2")
+    # the weight belongs to the domain, so its Steklov rejection is the solve's
+    weighted = Domain("polygon", square.vertices, weight="genus2")
+    with pytest.raises(ValueError, match="volume mass terms only"):
+        solve_fem(weighted, EigenProblemSpec("steklov", 4, level=1))
+
+
+def test_solve_reads_the_weight_from_the_domain(tmp_path):
+    f = tmp_path / "square.dom"
+    f.write_text("v 0 0\nv 1 0\nv 1 1\nv 0 1\nweight genus2\n")
+    dom = geometry.load_domain(str(f))
+    got = solve_fem(dom, EigenProblemSpec("dirichlet", 3, kind="P2", level=3))
+    assert got.flags["weight"] == "genus2"
+    # dense reference on the same space with the weighted mass
+    space = got.space
+    free = space.free
+    K = assemble_stiffness(space)[free][:, free].toarray()
+    M = assemble_mass(space, "genus2")[free][:, free].toarray()
+    want = scipy.linalg.eigh(K, M, eigvals_only=True)[:3]
+    assert np.max(np.abs(got.eigenvalues - want) / want) < 1e-9
+    # well away from the unit-weight values 2 pi^2, 5 pi^2, 5 pi^2
+    assert got.eigenvalues == pytest.approx([10.43, 25.40, 28.26], abs=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +225,14 @@ def test_steklov_scaling_covariance():
 def test_weighted_bracketing_trend_on_square():
     # with the radial weight the conforming values still fall with refinement
     # while the nonconforming ones climb from below
+    weighted = Domain("polygon", geometry.load_domain("unit-square").vertices,
+                      weight="genus2")
     p1, cr = [], []
     for level in (2, 3, 4):
-        sp_p1 = fem.solve_fem(geometry.load_domain("unit-square"),
-                              EigenProblemSpec("dirichlet", 3, kind="P1",
-                                               level=level, weight="genus2"))
-        sp_cr = fem.solve_fem(geometry.load_domain("unit-square"),
-                              EigenProblemSpec("dirichlet", 3, kind="CR",
-                                               level=level, weight="genus2"))
+        sp_p1 = fem.solve_fem(weighted, EigenProblemSpec("dirichlet", 3, kind="P1",
+                                                         level=level))
+        sp_cr = fem.solve_fem(weighted, EigenProblemSpec("dirichlet", 3, kind="CR",
+                                                         level=level))
         p1.append(sp_p1.eigenvalues)
         cr.append(sp_cr.eigenvalues)
     for a, b in zip(p1[:-1], p1[1:]):
@@ -277,7 +297,6 @@ def test_every_fem_spectrum_passes_the_residual_gate(bc, kind):
     assert 0.0 <= spec.flags["residual"] <= 1e-9
     # B-normalized vectors
     space = spec.space
-    B = (assemble_boundary_mass(space, cr_variant="midpoint" if kind == "CR" else None)
-         if bc == "steklov" else assemble_mass(space))
+    B = assemble_boundary_mass(space) if bc == "steklov" else assemble_mass(space)
     gram = spec.vectors.T @ (B @ spec.vectors)
     assert np.max(np.abs(np.diag(gram) - 1.0)) < 1e-10

@@ -194,6 +194,20 @@ def test_refinement_preserves_boundary(gww_a):
         np.sum(coarse.edge_lengths()), rel=1e-14)
 
 
+@pytest.mark.parametrize("name", ["unit-square", "gww-a", "dn-triangle"])
+def test_mesh_numbers_each_edge_once(name):
+    for mesh in _mesh_tower(load_domain(name), 2):
+        t = mesh.triangles
+        brute = sorted({tuple(sorted((int(tri[i]), int(tri[j]))))
+                        for tri in t for i, j in ((0, 1), (1, 2), (2, 0))})
+        assert [tuple(e) for e in mesh.edges.tolist()] == brute
+        for i in range(3):
+            opposite = np.sort(np.delete(t, i, axis=1), axis=1)
+            assert np.array_equal(mesh.edges[mesh.tri_edges[:, i]], opposite)
+        assert np.array_equal(mesh.edges[mesh.boundary_edge_index],
+                              np.sort(mesh.boundary_edges, axis=1))
+
+
 def test_quadruple_triangle_count_and_halved_h(square):
     coarse = triangulate(square)
     fine = refine(coarse)
@@ -212,14 +226,22 @@ _ULP_AFTER_005 = float(np.nextafter(0.05, 1.0))
 @example([0.05, _ULP_AFTER_005, 1.0, 2.0])
 @example([0.05, _ULP_AFTER_005, 1.0, 4.0])
 @example([1.0, 6.0, 6.2331853071795855, 6.233185307179586])
+# every edge passes the length check, but the polygon is numerically flat
+@example([1.0, 1.0 + 2e-8, 1.0 + 4e-8, 1.0 + 6e-8])
 def test_convex_polygon_mesh_area_preserved(angles):
     """Every convex polygon inscribed in the circle either meshes with
     positive triangle areas summing to its own area, or is rejected at
-    construction because an edge is shorter than the minimum feature."""
+    construction because an edge is shorter than the minimum feature or
+    the area is below the minimum feature times the squared diameter."""
     pts = np.column_stack([np.cos(sorted(angles)), np.sin(sorted(angles))])
     try:
         dom = Domain("polygon", pts)
     except ValueError as exc:
+        if str(exc).startswith("polygon area "):
+            diameter = max(np.linalg.norm(pts - p, axis=1).max() for p in pts)
+            assert geometry.polygon_area(pts) < geometry.MIN_EDGE_FRACTION * diameter**2
+            assert "squared diameter" in str(exc)
+            return
         lengths = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
         short = int(np.argmin(lengths))
         assert str(exc).startswith(f"polygon edge {short} ")
@@ -227,7 +249,8 @@ def test_convex_polygon_mesh_area_preserved(angles):
         return
     mesh = refine(triangulate(dom))
     assert np.all(mesh.areas() > 0)
-    assert np.sum(mesh.areas()) == pytest.approx(dom.area(), rel=1e-12)
+    # relative only: approx's default abs=1e-12 would pass any tiny polygon
+    assert np.sum(mesh.areas()) == pytest.approx(dom.area(), rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
