@@ -126,6 +126,8 @@ def solve_steklov_bie(domain, n_per_curve, count=None):
     flagged. Complex pencil eigenvalues among the requested leading block
     signal under-resolution and are rejected; an ill-conditioned projected
     single-layer matrix triggers a halving of the node counts with a warning.
+    The flags copy the pencil solve's `solver` route and, when it was gated,
+    its largest relative `residual`.
     """
     if domain.kind != "smooth-curves":
         raise ValueError("the collocation solver needs a smooth-curves domain")
@@ -138,7 +140,8 @@ def solve_steklov_bie(domain, n_per_curve, count=None):
         A, B = _deflated_pencil(*assemble_kernels(quad))
         try:
             spec = pen.solve_general(pen.Pencil(A, B), method="bie",
-                                     param=sum(n_per_curve), domain=domain.name)
+                                     param=sum(n_per_curve), domain=domain.name,
+                                     count=count)
             break
         except pen.IllConditionedError as exc:
             halved = [max(8, n // 2 - (n // 2) % 2) for n in n_per_curve]
@@ -170,7 +173,7 @@ def solve_steklov_bie(domain, n_per_curve, count=None):
         vals = vals[:count]
     return pen.Spectrum(vals, "bie", sum(n_per_curve), domain.name,
                         flags={"zero_mode": True,
-                               "n_per_curve": list(n_per_curve)})
+                               "n_per_curve": list(n_per_curve), **spec.flags})
 
 
 def annulus_domain(eps, inner_radius=0.1):

@@ -411,6 +411,9 @@ def cmd_sweep(args):
 def cmd_bounds(args):
     dom = _resolve_domain(args.domain)
     _check_domain_compat("fem-p2", dom)   # the report solves CR, P1 and P2 alike
+    if "steklov" in dom.markers:
+        raise UsageError("lapspec bounds: the domain has a 'steklov' edge marker; "
+                         "bracket reports cover dirichlet and neumann edges only")
     out = _outdir(args)
     report = bounds.bracket_report(dom, args.index, range(1, args.levels + 1))
     _write(os.path.join(out, "bracket.csv"), report.to_csv())

@@ -40,13 +40,14 @@ def shared_extrapolated(name, bc, count, level, scale=1.0):
     return _SOLVE_CACHE[key]
 
 
-def shared_bie(eps, n_per_curve):
-    """Memoized full off-center-annulus spectrum at n nodes per curve."""
+def shared_bie(eps, n_per_curve, count=None):
+    """Memoized off-center-annulus spectrum at n nodes per curve: the full
+    spectrum, or its lowest `count` values."""
     from lapspec import bie
-    key = ("bie", float(eps), int(n_per_curve))
+    key = ("bie", float(eps), int(n_per_curve), count)
     if key not in _SOLVE_CACHE:
         _SOLVE_CACHE[key] = bie.solve_steklov_bie(
-            bie.annulus_domain(eps), int(n_per_curve))
+            bie.annulus_domain(eps), int(n_per_curve), count=count)
     return _SOLVE_CACHE[key]
 
 

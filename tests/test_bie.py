@@ -153,18 +153,72 @@ def test_resolution_jump_cuts_error_by_three_decades():
     # the pinned tenth eigenvalue of the hardest offset; doubling the nodes
     # must improve it by at least 10^3 (spectral convergence)
     pinned = 4.438646399422233
-    err = {n: abs(shared_bie(0.88, n).eigenvalues[10] - pinned)
+    err = {n: abs(shared_bie(0.88, n, count=101).eigenvalues[10] - pinned)
            for n in (260, 520)}
     assert err[260] / max(err[520], 1e-16) >= 1e3
 
 
+def _annulus_pencil(eps, n_per_curve):
+    quad = boundary_quadrature(annulus_domain(eps), [n_per_curve, n_per_curve])
+    return pencil.Pencil(*bie._deflated_pencil(*assemble_kernels(quad)))
+
+
 def test_lu_reduced_solve_matches_qz_on_the_deflated_annulus():
-    quad = boundary_quadrature(annulus_domain(0.85), [330, 330])
-    A, B = bie._deflated_pencil(*assemble_kernels(quad))
-    ref = np.sort(la.eig(A, B, right=False).real)[:201]
-    got = pencil.solve_general(pencil.Pencil(A, B)).eigenvalues
+    pen = _annulus_pencil(0.85, 330)
+    ref = np.sort(la.eig(pen.A, pen.B, right=False).real)[:201]
+    got = pencil.solve_general(pen).eigenvalues
     assert np.isrealobj(got)
     assert np.max(np.abs(got[:201] - ref) / np.abs(ref)) < 1e-10
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, 0.88])
+def test_arnoldi_matches_the_dense_route_on_the_deflated_annulus(eps):
+    pen = _annulus_pencil(eps, 330)
+    dense = pencil.solve_general(pen)
+    got = pencil.solve_general(pen, count=20)
+    assert dense.flags == {"solver": "lu-eigvals"}
+    assert got.flags["solver"] == "arnoldi"
+    assert got.flags["residual"] <= pencil.RESIDUAL_GATE
+    assert np.isrealobj(got.eigenvalues)
+    assert len(got) == 20 + pencil.PAD
+    ref = dense.eigenvalues[:len(got)]
+    assert np.max(np.abs(got.eigenvalues - ref) / ref) < 1e-10
+
+
+def test_size_switch_routes_the_sweep_and_the_high_index_solve():
+    # the sweep asks for sigma_0..sigma_1 at 330 nodes per curve; the
+    # high-index solve for 201 values at 440
+    sweep = solve_steklov_bie(annulus_domain(0.4), 330, count=2)
+    assert sweep.flags["solver"] == "arnoldi"
+    assert sweep.flags["residual"] <= pencil.RESIDUAL_GATE
+    assert sweep.flags["zero_mode"] is True
+    high = solve_steklov_bie(annulus_domain(0.4), 440, count=201)
+    assert high.flags["solver"] == "lu-eigvals"
+    assert "residual" not in high.flags
+    assert len(high) == 201
+
+
+def test_arnoldi_route_rejects_a_small_complex_pair(monkeypatch, disk):
+    # sigma = 1 +- 0.5i below the real values 3, 4, ..., 63, hidden by a
+    # similarity so that neither matrix is structured
+    n = 63
+    D = np.diag(np.arange(1.0, n + 1.0))
+    D[0, 1], D[1, 0], D[1, 1] = -0.5, 0.5, 1.0
+    P = np.eye(n) + 0.1 * np.random.default_rng(7).standard_normal((n, n))
+    A, B = P @ D @ np.linalg.inv(P), np.eye(n)
+    spec = pencil.solve_general(pencil.Pencil(A, B), count=3)
+    assert spec.flags["solver"] == "arnoldi"
+    assert np.allclose(sorted(spec.eigenvalues[:2].imag), [-0.5, 0.5])
+    monkeypatch.setattr(bie, "_deflated_pencil", lambda S0, Khalf: (A, B))
+    with pytest.raises(ValueError, match="complex pencil eigenvalues inside"):
+        solve_steklov_bie(disk, 64, count=3)
+
+
+def test_arnoldi_route_passes_the_residual_gate(monkeypatch):
+    pen = _annulus_pencil(0.5, 64)
+    monkeypatch.setattr(pencil, "RESIDUAL_GATE", 1e-20)
+    with pytest.raises(ValueError, match="exceeds gate"):
+        pencil.solve_general(pen, count=2)
 
 
 def test_ill_conditioned_pencil_halves_the_nodes(monkeypatch):
@@ -186,6 +240,7 @@ def test_ill_conditioned_pencil_halves_the_nodes(monkeypatch):
     assert "retrying with nodes [164, 164]" in str(caught[0].message)
     assert spec.flags["n_per_curve"] == [164, 164]
     assert spec.param == 328
+    assert spec.flags["solver"] == "arnoldi"
     assert len(calls) == 2
     exact = reference.concentric_annulus_steklov(0.1, count=20).values
     assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-10

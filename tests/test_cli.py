@@ -265,6 +265,17 @@ def test_bounds_report(tmp_path, capsys):
     assert lo <= 2 * np.pi**2 <= hi
 
 
+@pytest.mark.parametrize("markers", [("steklov",) * 4, ("neumann", "steklov")])
+def test_bounds_rejects_a_steklov_marker(markers, tmp_path, capsys):
+    poly = tmp_path / "square.poly"
+    poly.write_text("v 0 0\nv 1 0\nv 1 1\nv 0 1\n"
+                    + "".join(f"e {i} {(i + 1) % 4} {m}\n" for i, m in enumerate(markers)))
+    assert main(["bounds", "--domain", str(poly), "--levels", "3",
+                 "--out", str(tmp_path)]) == 1
+    assert "'steklov' edge marker" in capsys.readouterr().err
+    assert not (tmp_path / "bracket.csv").exists()
+
+
 def test_validate_passes(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out

@@ -52,7 +52,7 @@ def test_minimum_edge_is_relative_to_the_diameter():
     edge = 10 * geometry.MIN_EDGE_FRACTION
     for s in (1e-9, 1.0, 1e9):
         verts = s * np.array([(0, 0), (1, 0), (1, 1), (1 - edge, 1), (0, 1)])
-        assert Domain("polygon", verts).area() == pytest.approx(s * s, rel=1e-12)
+        assert Domain("polygon", verts).area() == pytest.approx(s * s, rel=1e-12, abs=0)
 
 
 def test_area_of_a_polygon_far_from_the_origin():

@@ -200,6 +200,17 @@ def test_general_ill_conditioned_error_carries_the_condition_number():
     assert isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("n,route", [(40, "arnoldi"), (39, "lu-eigvals")])
+def test_general_takes_arnoldi_only_for_few_values_of_many(n, route):
+    # count = 1 asks for 1 + PAD = 5 values: Arnoldi from n = 8 * 5 = 40 up
+    r = np.random.default_rng(n)
+    P = np.eye(n) + 0.1 * r.standard_normal((n, n))
+    A = P @ np.diag(np.arange(1.0, n + 1.0)) @ np.linalg.inv(P)
+    spec = solve_general(Pencil(A, np.eye(n)), count=1)
+    assert spec.flags["solver"] == route
+    assert np.allclose(spec.eigenvalues[:5], [1, 2, 3, 4, 5], rtol=1e-10, atol=0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_congruence_invariance(seed):
