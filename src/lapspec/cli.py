@@ -17,17 +17,20 @@ EXIT_USAGE = 1
 EXIT_QUALITY = 2
 EXIT_VALIDATE = 3
 
-METHODS = ("fem-p1", "fem-p2", "fem-cr", "bie", "mps")
+BCS = fem.EigenProblemSpec.BCS
+# method -> (FEM element kind, boundary conditions, Domain.kind); the
+# --method choices, the FEM kind and the printed matrix all come from here
+METHODS = {"fem-p1": ("P1", BCS, "polygon"),
+           "fem-p2": ("P2", BCS, "polygon"),
+           "fem-cr": ("CR", BCS, "polygon"),
+           "bie": (None, ("steklov",), "smooth-curves"),
+           "mps": (None, ("dirichlet",), "polygon")}
+FEM_METHODS = tuple(m for m, (kind, _, _) in METHODS.items() if kind)
 EXTRAPOLATE_FROM = 3   # smallest --levels at which solve and compare extrapolate
 
-COMPAT_MATRIX = """\
-method / boundary-condition compatibility:
-  fem-p1   dirichlet neumann mixed steklov      polygon domains
-  fem-p2   dirichlet neumann mixed steklov      polygon domains
-  fem-cr   dirichlet neumann mixed steklov      polygon domains
-  bie      steklov                              circle domains only
-  mps      dirichlet                            polygon domains only
-"""
+COMPAT_MATRIX = "method / boundary-condition / domain compatibility:\n" + "".join(
+    f"  {m:8} {' '.join(bcs):36} {kind} domains\n"
+    for m, (_, bcs, kind) in METHODS.items())
 
 
 class UsageError(Exception):
@@ -66,13 +69,26 @@ def _grid(text):
 
 
 def _int_list(text):
-    return [int(t) for t in text.split(",") if t]
+    values = [int(t) for t in text.split(",") if t]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one integer")
+    return values
+
+
+def _corners(text):
+    # "auto" means the singular-corner set; corner_basis falls back to the
+    # largest-angle corner on polygons where every corner is regular.
+    if text in ("auto", "singular", "reentrant"):
+        return "singular" if text == "auto" else text
+    return _int_list(text)
 
 
 def build_parser():
     top = _Parser(prog="lapspec",
                   description="Planar Laplace eigenvalue toolkit")
-    top.add_argument("--config", help="key=value file; explicit flags win")
+    top.add_argument("--config",
+                     help="file of key = value lines, read as flags of the "
+                          "command; flags typed after the command win")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", metavar="command")
 
@@ -81,10 +97,9 @@ def build_parser():
                        help="output directory (default $SPECTRA_OUT or cwd)")
 
     solve = sub.add_parser("solve", help="compute one spectrum", parents=[])
-    solve.add_argument("--domain")
-    solve.add_argument("--method", choices=METHODS)
-    solve.add_argument("--bc", default="dirichlet",
-                       choices=("dirichlet", "neumann", "mixed", "steklov"))
+    solve.add_argument("--domain", required=True)
+    solve.add_argument("--method", required=True, choices=METHODS)
+    solve.add_argument("--bc", default="dirichlet", choices=BCS)
     solve.add_argument("--count", type=_positive_int, default=10)
     solve.add_argument("--levels", type=_positive_int, default=4,
                        help=f"finest refinement level; levels >= "
@@ -96,7 +111,7 @@ def build_parser():
     solve.add_argument("--grid", type=_grid,
                        help="start:stop:count indicator sweep grid (mps)")
     solve.add_argument("--basis-size", type=_positive_int, default=14)
-    solve.add_argument("--corners", default="auto",
+    solve.add_argument("--corners", type=_corners, default="auto",
                        help="mps fan placement: auto | singular | reentrant "
                             "| comma-separated corner indices")
     solve.add_argument("--scale", type=float, default=1.0,
@@ -109,18 +124,16 @@ def build_parser():
     common(solve)
 
     comp = sub.add_parser("compare", help="isospectrality verdict for two domains")
-    comp.add_argument("--domain-a")
-    comp.add_argument("--domain-b")
-    comp.add_argument("--method", choices=("fem-p1", "fem-p2", "fem-cr"),
-                      default="fem-p2")
-    comp.add_argument("--bc", default="dirichlet",
-                      choices=("dirichlet", "neumann", "mixed", "steklov"))
+    comp.add_argument("--domain-a", required=True)
+    comp.add_argument("--domain-b", required=True)
+    comp.add_argument("--method", choices=FEM_METHODS, default="fem-p2")
+    comp.add_argument("--bc", default="dirichlet", choices=BCS)
     comp.add_argument("--count", type=_positive_int, default=10)
     comp.add_argument("--levels", type=_positive_int, default=5)
     common(comp)
 
     swp = sub.add_parser("sweep", help="eccentric-annulus Steklov sweep")
-    swp.add_argument("--eps", type=_grid,
+    swp.add_argument("--eps", type=_grid, required=True,
                      help="start:stop:count eccentricity grid")
     swp.add_argument("--n", type=_positive_int, default=660,
                      help="total quadrature nodes, split evenly over the "
@@ -142,65 +155,40 @@ def build_parser():
     return top
 
 
-def _load_config(path):
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{ln}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-_REQUIRED = {"solve": ("domain", "method"),
-             "compare": ("domain_a", "domain_b"),
-             "sweep": ("eps",)}
+def _config_flags(path):
+    """Each `key = value` line of a config file as one `--key=value` flag."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"lapspec: cannot read --config {path}: {exc}")
+    flags = []
+    for ln, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{ln}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def parse_args(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv. A --config file (given before the command) is read as
+    flags placed straight after the command, so the parser checks its
+    values like typed ones and the user's own flags, parsed later, win."""
+    early = _Parser(prog="lapspec", add_help=False)
+    early.add_argument("--config")
+    early.add_argument("rest", nargs=argparse.REMAINDER)
+    known, _ = early.parse_known_args(argv)
+    if known.config and known.rest:
+        cut = len(argv) - len(known.rest) + 1   # just after the command
+        argv = argv[:cut] + _config_flags(known.config) + argv[cut:]
+    args = build_parser().parse_args(argv)
     if args.command is None:
         raise UsageError("missing command (solve, compare, sweep, bounds, validate)")
-    if args.config:
-        conf = _load_config(args.config)
-        given = _explicit_dests(parser, argv)
-        for key, value in conf.items():
-            if not hasattr(args, key):
-                raise UsageError(f"config key {key!r} is not a flag of "
-                                 f"{args.command!r}")
-            if key in given:
-                continue
-            setattr(args, key, _coerce_like(parser, args.command, key, value))
-    missing = [f"--{d.replace('_', '-')}" for d in _REQUIRED.get(args.command, ())
-               if getattr(args, d) is None]
-    if missing:
-        raise UsageError(f"lapspec {args.command}: missing {', '.join(missing)}")
     return args
-
-
-def _explicit_dests(parser, argv):
-    """Dests the user actually typed, so flags beat config values."""
-    given = set()
-    for token in argv:
-        if token.startswith("--"):
-            given.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return given
-
-
-def _coerce_like(parser, command, dest, text):
-    for action in parser._subparsers._group_actions[0].choices[command]._actions:
-        if action.dest == dest:
-            if action.type is not None:
-                return action.type(text)
-            if isinstance(action, argparse._StoreTrueAction):
-                return text.lower() in ("1", "true", "yes", "on")
-            return text
-    return text
 
 
 def _outdir(args):
@@ -209,30 +197,17 @@ def _outdir(args):
     return out
 
 
-def _resolve_domain(name, scale=1.0):
+def _load_domain(method, bc, name, scale=1.0):
+    """The named domain, if METHODS lists `bc` and its kind for `method`;
+    the boundary condition is checked before the domain file is read."""
+    _, bcs, kind = METHODS[method]
+    if bc not in bcs:
+        raise UsageError(f"{method} computes {' '.join(bcs)} spectra only\n"
+                         + COMPAT_MATRIX)
     dom = geometry.load_domain(name)
-    if scale != 1.0:
-        dom = dom.scaled(scale)
-    return dom
-
-
-def _check_compat(args):
-    m = args.method
-    if m == "bie":
-        if args.bc != "steklov":
-            raise UsageError("bie computes steklov spectra only\n" + COMPAT_MATRIX)
-    elif m == "mps":
-        if args.bc != "dirichlet":
-            raise UsageError("mps computes dirichlet spectra only\n" + COMPAT_MATRIX)
-
-
-def _check_domain_compat(method, dom):
-    if method == "bie" and dom.kind != "smooth-curves":
-        raise UsageError("bie needs a circle domain\n" + COMPAT_MATRIX)
-    if method == "mps" and dom.kind != "polygon":
-        raise UsageError("mps needs a polygon domain\n" + COMPAT_MATRIX)
-    if method.startswith("fem") and dom.kind != "polygon":
-        raise UsageError("fem methods need a polygon domain\n" + COMPAT_MATRIX)
+    if dom.kind != kind:
+        raise UsageError(f"{method} needs a {kind} domain\n" + COMPAT_MATRIX)
+    return dom.scaled(scale) if scale != 1.0 else dom
 
 
 def _write(path, text):
@@ -261,14 +236,8 @@ def _with_multiplicities(values, rtol=pencil.DEFAULT_CLUSTER_RTOL):
 # solve
 # ---------------------------------------------------------------------------
 
-def _fem_kind(method):
-    return {"fem-p1": "P1", "fem-p2": "P2", "fem-cr": "CR"}[method]
-
-
 def cmd_solve(args):
-    _check_compat(args)
-    dom = _resolve_domain(args.domain, args.scale)
-    _check_domain_compat(args.method, dom)
+    dom = _load_domain(args.method, args.bc, args.domain, args.scale)
     out = _outdir(args)
 
     if args.method == "bie":
@@ -284,7 +253,7 @@ def cmd_solve(args):
         return _solve_mps(dom, args, out)
 
     top = args.levels
-    spec = fem.EigenProblemSpec(args.bc, args.count, kind=_fem_kind(args.method),
+    spec = fem.EigenProblemSpec(args.bc, args.count, kind=METHODS[args.method][0],
                                 level=top)
     if top < EXTRAPOLATE_FROM:
         finest = fem.solve_fem(dom, spec)
@@ -303,20 +272,10 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _mps_basis(dom, args):
-    # "auto" means the singular-corner set; corner_basis falls back to the
-    # largest-angle corner on polygons where every corner is regular.
-    corners = {"auto": "singular", "singular": "singular",
-               "reentrant": "reentrant"}.get(args.corners)
-    if corners is None:
-        corners = _int_list(args.corners)
-    return mps.corner_basis(dom, args.basis_size, corners=corners)
-
-
 def _solve_mps(dom, args, out):
     if args.bracket is None and args.grid is None:
         raise UsageError("mps needs --bracket a:b and/or --grid a:b:n")
-    basis = _mps_basis(dom, args)
+    basis = mps.corner_basis(dom, args.basis_size, corners=args.corners)
     if args.grid is not None:
         rows = mps.sigma_min_sweep(dom, basis, args.grid, offset=args.seed)
         csv = "lambda,smin\n" + "".join(f"{l!r},{s!r}\n" for l, s in rows)
@@ -370,13 +329,11 @@ def cmd_compare(args):
     if args.levels < EXTRAPOLATE_FROM:
         raise UsageError(f"lapspec compare: --levels must be at least {EXTRAPOLATE_FROM}"
                          " (the verdict extrapolates over levels levels-2..levels)")
-    dom_a = _resolve_domain(args.domain_a)
-    dom_b = _resolve_domain(args.domain_b)
-    _check_domain_compat(args.method, dom_a)
-    _check_domain_compat(args.method, dom_b)
+    dom_a = _load_domain(args.method, args.bc, args.domain_a)
+    dom_b = _load_domain(args.method, args.bc, args.domain_b)
     out = _outdir(args)
     rows, overall = compare_domains(dom_a, dom_b, args.bc, args.count,
-                                    args.levels, kind=_fem_kind(args.method))
+                                    args.levels, kind=METHODS[args.method][0])
     lines = ["index,value_a,value_b,width_a,width_b,verdict"]
     for idx, va, vb, wa, wb, verdict in rows:
         lines.append(f"{idx},{va!r},{vb!r},{wa!r},{wb!r},{verdict}")
@@ -409,8 +366,8 @@ def cmd_sweep(args):
 
 
 def cmd_bounds(args):
-    dom = _resolve_domain(args.domain)
-    _check_domain_compat("fem-p2", dom)   # the report solves CR, P1 and P2 alike
+    # the report solves dirichlet problems with CR, P1 and P2 alike
+    dom = _load_domain("fem-p2", "dirichlet", args.domain)
     if "steklov" in dom.markers:
         raise UsageError("lapspec bounds: the domain has a 'steklov' edge marker; "
                          "bracket reports cover dirichlet and neumann edges only")

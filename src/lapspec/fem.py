@@ -63,24 +63,20 @@ class FemSpace:
             self.n_dofs = ne
             self.cell_dofs = mesh.tri_edges
 
-        constrained = np.zeros(self.n_dofs, dtype=bool)
-        on_boundary = np.zeros(self.n_dofs, dtype=bool)
-        for (a, b), e, marker in zip(mesh.boundary_edges,
-                                     mesh.boundary_edge_index, mesh.markers):
-            dofs = self._edge_trace_dofs(a, b, e)
-            on_boundary[dofs] = True
-            if marker in constrained_markers:
-                constrained[dofs] = True
-        self.constrained = constrained
-        self.on_boundary = on_boundary
-        self.free = np.flatnonzero(~constrained)
-
-    def _edge_trace_dofs(self, a, b, e):
-        if self.kind == "P1":
-            return [a, b]
-        if self.kind == "P2":
-            return [a, b, self.mesh.n_vertices + e]
-        return [e]
+        # trace dofs of each boundary edge: P1 [a, b], P2 [a, b, nv + e], CR [e]
+        if kind == "P1":
+            self.boundary_dofs = mesh.boundary_edges
+        elif kind == "P2":
+            self.boundary_dofs = np.column_stack([mesh.boundary_edges,
+                                                  nv + mesh.boundary_edge_index])
+        else:
+            self.boundary_dofs = mesh.boundary_edge_index[:, None]
+        self.on_boundary = np.zeros(self.n_dofs, dtype=bool)
+        self.on_boundary[self.boundary_dofs] = True
+        self.constrained = np.zeros(self.n_dofs, dtype=bool)
+        essential = np.isin(mesh.markers, constrained_markers)
+        self.constrained[self.boundary_dofs[essential]] = True
+        self.free = np.flatnonzero(~self.constrained)
 
     def _geometry(self):
         p = self.mesh.vertices[self.mesh.triangles]
@@ -174,28 +170,16 @@ def assemble_boundary_mass(space):
     CR traces jump at boundary vertices, so the CR form is the
     midpoint-lumped one: each edge's length on its edge dof.
     """
-    mesh = space.mesh
-    n = space.n_dofs
-    rows, cols, data = [], [], []
-    lengths = mesh.edge_lengths()
-    for (a, b), e, L in zip(mesh.boundary_edges, mesh.boundary_edge_index, lengths):
-        if space.kind == "P1":
-            dofs = [a, b]
-            block = (L / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-        elif space.kind == "P2":
-            dofs = [a, b, mesh.n_vertices + e]
-            block = (L / 30.0) * np.array([[4.0, -1.0, 2.0],
-                                           [-1.0, 4.0, 2.0],
-                                           [2.0, 2.0, 16.0]])
-        else:
-            dofs = [e]
-            block = np.array([[L]])
-        for i, di in enumerate(dofs):
-            for j, dj in enumerate(dofs):
-                rows.append(di)
-                cols.append(dj)
-                data.append(block[i, j])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    L = space.mesh.edge_lengths()[:, None, None]
+    if space.kind == "P1":
+        blocks = (L / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+    elif space.kind == "P2":
+        blocks = (L / 30.0) * np.array([[4.0, -1.0, 2.0],
+                                        [-1.0, 4.0, 2.0],
+                                        [2.0, 2.0, 16.0]])
+    else:
+        blocks = L
+    return _scatter(space.boundary_dofs, blocks, space.n_dofs)
 
 
 class EigenProblemSpec:

@@ -398,14 +398,11 @@ class BoundaryQuadrature:
             raise ValueError("one node count per curve required")
         if any(n % 2 or n < 4 for n in n_per_curve):
             raise ValueError("node counts must be even and at least 4")
-        self.domain = domain
-        self.n_per_curve = n_per_curve
         self.curves = [CurveQuadrature(c, r, o, n)
                        for (c, r, o), n in zip(domain.circles, n_per_curve)]
         self.points = np.vstack([c.points for c in self.curves])
         self.normals = np.vstack([c.normals for c in self.curves])
         self.weights = np.concatenate([c.weights for c in self.curves])
-        self.curvature = np.concatenate([c.curvature for c in self.curves])
         self.offsets = np.cumsum([0] + [c.n for c in self.curves])
 
     @property

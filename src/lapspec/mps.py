@@ -36,7 +36,6 @@ class CornerBasis:
         angle = (phi_b - phi_f) % (2 * np.pi)
         self.vertex = verts[corner]
         self.corner = corner
-        self.angle = angle
         self.alpha = np.pi / angle
         self.size = int(size)
         if self.size < 1:

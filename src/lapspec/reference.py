@@ -17,14 +17,11 @@ class AnalyticSpectrum:
     multiplicity), trimmed to the requested count.
     """
 
-    def __init__(self, problem, params, values, generator):
+    def __init__(self, values):
         values = np.asarray(values, dtype=float)
         if np.any(np.diff(values) < 0):
             raise ValueError("analytic spectrum must be ascending")
-        self.problem = problem
-        self.params = dict(params)
         self.values = values
-        self.generator = generator
 
     def pairs(self):
         """(value, multiplicity) list, grouped on exact float ties."""
@@ -60,8 +57,7 @@ def disk_spectra(kind, radius=1.0, count=20):
         raise ValueError("radius must be positive")
     if kind == "steklov":
         vals = [(0.0, 1)] + [(n / radius, 2) for n in range(1, count)]
-        return AnalyticSpectrum("disk-steklov", {"radius": radius},
-                               _trim(vals, count), "sigma_n = n/R, double for n>=1")
+        return AnalyticSpectrum(_trim(vals, count))
     if kind not in ("dirichlet", "neumann"):
         raise ValueError(f"unknown disk problem {kind!r}")
 
@@ -85,8 +81,7 @@ def disk_spectra(kind, radius=1.0, count=20):
             n += 1
         expanded = _trim(vals, count)
         if expanded is not None:
-            return AnalyticSpectrum(f"disk-{kind}", {"radius": radius},
-                                    expanded, "Bessel zero squares / R^2")
+            return AnalyticSpectrum(expanded)
         j_cut *= 1.3
     raise ValueError("could not collect enough disk eigenvalues")
 
@@ -139,9 +134,7 @@ def rectangle_spectra(kind, a=1.0, b=1.0, neumann_sides=(), count=20):
     vals = sorted(x * x + y * y for x in kx for y in ky)[:count]
     if len(vals) < count:
         raise ValueError("requested more eigenvalues than the index window")
-    return AnalyticSpectrum(f"rectangle-{kind}",
-                            {"a": a, "b": b, "neumann": sorted(neumann)},
-                            vals, "pi^2 lattice from separated factors")
+    return AnalyticSpectrum(vals)
 
 
 def annulus_mode_pair(rho, n):
@@ -173,9 +166,7 @@ def concentric_annulus_steklov(r_inner, r_outer=1.0, count=20):
         vals.append((lo / r_outer, 2))
         vals.append((hi / r_outer, 2))
     expanded = _trim(vals, count)
-    return AnalyticSpectrum("annulus-steklov",
-                            {"r_inner": r_inner, "r_outer": r_outer},
-                            expanded, "radial log mode + quadratic pairs")
+    return AnalyticSpectrum(expanded)
 
 
 def union_spectrum(spec_a, spec_b, count):
@@ -183,6 +174,4 @@ def union_spectrum(spec_a, spec_b, count):
     merged = np.sort(np.concatenate([spec_a.values, spec_b.values]))
     if len(merged) < count:
         raise ValueError("inputs too short for the requested count")
-    return AnalyticSpectrum("union",
-                            {"a": spec_a.problem, "b": spec_b.problem},
-                            merged[:count], "sorted merge")
+    return AnalyticSpectrum(merged[:count])

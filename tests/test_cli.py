@@ -71,14 +71,27 @@ def test_removed_flags_are_usage_errors(argv, capsys, tmp_path):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_readme_command_lines_parse():
+def _plain(args):
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(args).items() if k != "config"}
+
+
+def test_readme_command_lines_parse(tmp_path):
+    # each README command parses, and the same flags written as a config
+    # file parse to the same values
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Command line", 1)[1]
     block = re.search(r"```\n(.*?)```", section, re.S).group(1)
     lines = [l for l in block.splitlines() if l.startswith("lapspec ")]
     assert len(lines) >= 5
-    for line in lines:
-        cli.build_parser().parse_args(shlex.split(line)[1:])
+    for n, line in enumerate(lines):
+        command, *flags = shlex.split(line)[1:]
+        typed = cli.build_parser().parse_args([command] + flags)
+        conf = tmp_path / f"readme-{n}.conf"
+        conf.write_text("".join(f"{key[2:]} = {value}\n"
+                                for key, value in zip(flags[::2], flags[1::2])))
+        from_config = cli.parse_args(["--config", str(conf), command])
+        assert _plain(from_config) == _plain(typed), line
 
 
 def test_compare_levels_too_few_to_extrapolate_is_usage_error(capsys, tmp_path):
@@ -87,6 +100,19 @@ def test_compare_levels_too_few_to_extrapolate_is_usage_error(capsys, tmp_path):
         assert main(["compare", "--domain-a", "dn-square", "--domain-b",
                      "dn-triangle", "--levels", levels, "--out", str(tmp_path)]) == 1
         assert "--levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--eps", "0:0.4:3", "--k", ","], "--k"),
+    (["solve", "--domain", "unit-square", "--method", "fem-p1", "--modes", ","],
+     "--modes"),
+    (["solve", "--domain", "unit-square", "--method", "mps", "--bracket", "19:21",
+      "--corners", ","], "--corners"),
+], ids=["k", "modes", "corners"])
+def test_empty_index_list_is_usage_error(argv, flag, capsys, tmp_path):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_grid_syntax(capsys):
@@ -314,12 +340,35 @@ def test_mps_seed_reproducibility(tmp_path):
 def test_config_file_with_flag_override(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("domain = unit-square\nmethod = fem-p1\n"
-                    "count = 2\nlevels = 4\n# comment line\n")
-    out = tmp_path / "out"
-    assert main(["--config", str(conf), "solve", "--count", "3",
-                 "--out", str(out)]) == 0
-    _, rows = _csv_rows(_read(out / "spectrum.csv"))
-    assert len(rows) == 3  # explicit flag beats the config value
+                    "count = 7\nlevels = 4\n# comment line\n")
+    # the typed flag beats the config value in any spelling argparse accepts
+    for n, typed in enumerate([["--count", "3"], ["--count=3"], ["--cou", "3"],
+                               ["--cou=3"]]):
+        out = tmp_path / f"out{n}"
+        assert main(["--config", str(conf), "solve", *typed, "--out", str(out)]) == 0
+        _, rows = _csv_rows(_read(out / "spectrum.csv"))
+        assert len(rows) == 3, typed
+
+
+@pytest.mark.parametrize("lines, flag", [
+    ("method = fem-p1\nlevels = 0\n", "--levels"),
+    ("method = fem-p9\n", "--method"),
+    ("method = fem-p1\nbc = robin\n", "--bc"),
+], ids=["levels", "method", "bc"])
+def test_config_values_are_checked_like_flags(lines, flag, tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(lines)
+    assert main(["--config", str(conf), "solve", "--domain", "unit-square",
+                 "--out", str(tmp_path)]) == 1
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["missing.conf", "."], ids=["missing", "directory"])
+def test_unreadable_config_is_usage_error(name, tmp_path, capsys):
+    path = str(tmp_path / name)
+    assert main(["--config", path, "validate"]) == 1
+    assert path in capsys.readouterr().err
 
 
 def test_config_unknown_key(tmp_path, capsys):

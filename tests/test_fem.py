@@ -87,6 +87,21 @@ def test_genus2_mass_total_on_inscribed_disk_polygon():
     assert total == pytest.approx(2 * np.pi, abs=1e-3)
 
 
+@pytest.mark.parametrize("kind", ["P1", "P2"])
+def test_boundary_mass_integrates_x_squared(kind, gww_a):
+    # u = x lies in both spaces and the boundary mass is exact edgewise, so
+    # u^T B u is the exact boundary integral of x^2
+    mesh = build_mesh(gww_a, 1)
+    space = FemSpace(kind, mesh)
+    x = mesh.vertices[:, 0]
+    if kind == "P2":
+        x = np.concatenate([x, x[mesh.edges].mean(axis=1)])
+    B = assemble_boundary_mass(space)
+    xa, xb = mesh.vertices[mesh.boundary_edges, 0].T
+    exact = np.sum(mesh.edge_lengths() * (xa * xa + xa * xb + xb * xb) / 3.0)
+    assert x @ (B @ x) == pytest.approx(exact, rel=1e-13)
+
+
 def test_cr_boundary_mass_needs_midpoint_variant(square):
     # the CR boundary mass is the midpoint-lumped one: each boundary edge's
     # length on its edge dof

@@ -176,4 +176,4 @@ def test_union_rejects_short_inputs():
 
 def test_analytic_spectrum_rejects_descending():
     with pytest.raises(ValueError):
-        reference.AnalyticSpectrum("p", {}, [2.0, 1.0], "g")
+        reference.AnalyticSpectrum([2.0, 1.0])
