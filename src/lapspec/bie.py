@@ -1,20 +1,23 @@
 """Nystrom collocation for Steklov spectra on collections of circles.
 
-Single-layer and adjoint-double-layer matrices with the periodic log-weight
-splitting on each curve (spectrally accurate for analytic boundaries) and
-plain trapezoid across curves. The eigenvalue pencil acts on mean-free
-densities; the shared one-dimensional kernel of both sides is deflated by an
-orthogonal reflection before the eigensolve, so no spurious eigenvalues appear
-even though the outer circle has unit radius (its equilibrium density makes
-the raw single-layer matrix singular). `pencil.solve_general` solves it, and
-`pencil.REAL_RTOL` decides which values are real.
+Single-layer and adjoint-double-layer matrices: the trapezoid rule across
+curves, and each circle's own block in closed form. With radius R, orientation
+o, m nodes and h = 2 pi / m, ln|x - y| = ln R + 1/2 ln(4 sin^2((t - s)/2))
+gives the single-layer block -(R / 2 pi)(1/2 R_{|i-j|} + h ln R) with the
+periodic log weights R_k, and (x - y).n(x) / |x - y|^2 = o / (2R) gives the
+constant adjoint-double-layer block -o h / (4 pi). The eigenvalue pencil acts
+on mean-free densities; the shared one-dimensional kernel of both sides is
+deflated by an orthogonal reflection before the eigensolve, so no spurious
+eigenvalues appear even though the outer circle has unit radius (its
+equilibrium density makes the raw single-layer matrix singular).
+`pencil.solve_general` solves it and `pencil.REAL_RTOL` picks the real values.
 """
 import warnings
 
 import numpy as np
 
 from . import pencil as pen
-from .geometry import BoundaryQuadrature, boundary_quadrature
+from .geometry import BoundaryQuadrature, annulus_domain, boundary_quadrature
 
 MAX_HALVINGS = 3   # node-count halvings tried on an ill-conditioned pencil
 
@@ -30,50 +33,35 @@ def kress_log_weights(m):
     n = m // 2
     k = np.arange(m)
     j = np.arange(1, n)
-    if len(j):
-        out = -(2 * np.pi / n) * (np.cos(np.pi / n * np.outer(k, j)) @ (1.0 / j))
-    else:
-        out = np.zeros(m)
+    out = -(2 * np.pi / n) * (np.cos(np.pi / n * np.outer(k, j)) @ (1.0 / j))
     out -= (np.pi / n**2) * np.cos(np.pi * k)
     return out
 
 
 def _raw_kernels(quad):
+    """Single-layer S0 and adjoint double-layer K' on the nodes of `quad`."""
     total = quad.total
-    S0 = np.zeros((total, total))
-    Kp = np.zeros((total, total))
+    S0 = np.empty((total, total))
+    Kp = np.empty((total, total))
     offs = quad.offsets
     for a, ca in enumerate(quad.curves):
         ia = slice(offs[a], offs[a + 1])
-        xa, na = ca.points, ca.normals
         for b, cb in enumerate(quad.curves):
             ib = slice(offs[b], offs[b + 1])
-            d = xa[:, None, :] - cb.points[None, :, :]
-            r2 = np.einsum("ijk,ijk->ij", d, d)
-            sb, hb = cb.speed, cb.h
-            if a != b:
-                if r2.min() <= 0.0:
-                    raise ValueError("coincident quadrature nodes across curves")
-                S0[ia, ib] = -(1 / (4 * np.pi)) * np.log(r2) * (sb * hb)
-                Kp[ia, ib] = (-(1 / (2 * np.pi))
-                              * np.einsum("ijk,ik->ij", d, na) / r2 * (sb * hb))
-            else:
-                m = cb.n
+            if a == b:
+                m, R = cb.n, cb.radius
                 lag = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
-                Rm = kress_log_weights(m)[lag]
-                dt = cb.t[:, None] - cb.t[None, :]
-                s2 = 4.0 * np.sin(dt / 2.0) ** 2
-                np.fill_diagonal(s2, 1.0)
-                np.fill_diagonal(r2, 1.0)
-                # ln|x-y| = 1/2 ln(4 sin^2((t-s)/2)) + analytic remainder
-                wsm = 0.5 * np.log(r2 / s2)
-                np.fill_diagonal(wsm, np.log(cb.speed))
-                S0[ia, ib] = -(1 / (2 * np.pi)) * (0.5 * Rm + hb * wsm) * sb
-                kd = (-(1 / (2 * np.pi))
-                      * np.einsum("ijk,ik->ij", d, na) / r2 * (sb * hb))
-                signed_curv = cb.orientation * cb.curvature
-                np.fill_diagonal(kd, -signed_curv / (4 * np.pi) * sb * hb)
-                Kp[ia, ib] = kd
+                S0[ia, ib] = -(R / (2 * np.pi)) * (
+                    0.5 * kress_log_weights(m)[lag] + cb.h * np.log(R))
+                Kp[ia, ib] = -cb.orientation * cb.h / (4 * np.pi)
+                continue
+            d = ca.points[:, None, :] - cb.points[None, :, :]
+            r2 = np.einsum("ijk,ijk->ij", d, d)
+            if r2.min() <= 0.0:
+                raise ValueError("coincident quadrature nodes across curves")
+            S0[ia, ib] = -(1 / (4 * np.pi)) * np.log(r2) * cb.weights
+            Kp[ia, ib] = (-(1 / (2 * np.pi))
+                          * np.einsum("ijk,ik->ij", d, ca.normals) / r2 * cb.weights)
     return S0, Kp
 
 
@@ -129,14 +117,9 @@ def solve_steklov_bie(domain, n_per_curve, count=None):
     The flags copy the pencil solve's `solver` route and, when it was gated,
     its largest relative `residual`.
     """
-    if domain.kind != "smooth-curves":
-        raise ValueError("the collocation solver needs a smooth-curves domain")
-    if np.isscalar(n_per_curve):
-        n_per_curve = [int(n_per_curve)] * len(domain.circles)
-    n_per_curve = [int(n) for n in n_per_curve]
-
     for attempt in range(MAX_HALVINGS + 1):
         quad = boundary_quadrature(domain, n_per_curve)
+        n_per_curve = [c.n for c in quad.curves]
         A, B = _deflated_pencil(*assemble_kernels(quad))
         try:
             spec = pen.solve_general(pen.Pencil(A, B), method="bie",
@@ -174,14 +157,6 @@ def solve_steklov_bie(domain, n_per_curve, count=None):
     return pen.Spectrum(vals, "bie", sum(n_per_curve), domain.name,
                         flags={"zero_mode": True,
                                "n_per_curve": list(n_per_curve), **spec.flags})
-
-
-def annulus_domain(eps, inner_radius=0.1):
-    """The unit disk with an off-center hole of radius `inner_radius`."""
-    from .geometry import Domain
-    return Domain("smooth-curves",
-                  circles=[((0.0, 0.0), 1.0, +1), ((0.0, float(eps)), inner_radius, -1)],
-                  name=f"annulus:eps={eps:g}")
 
 
 def sweep_annulus(eps_grid, n_per_curve, k_list):

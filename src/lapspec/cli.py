@@ -68,10 +68,34 @@ def _grid(text):
     return np.linspace(a, b, n)
 
 
+def _node_count(text):
+    """Nodes on one curve: the log-weight rule needs an even count."""
+    v = int(text)
+    if v % 2 or v < 4:
+        raise argparse.ArgumentTypeError("node counts must be even and at least 4")
+    return v
+
+
+def _node_total(text):
+    """Nodes over the two annulus circles, split evenly between them."""
+    v = int(text)
+    if v % 4 or v < 8:
+        raise argparse.ArgumentTypeError("must be twice an even count of at least 4")
+    return v
+
+
 def _int_list(text):
     values = [int(t) for t in text.split(",") if t]
     if not values:
         raise argparse.ArgumentTypeError("expected at least one integer")
+    return values
+
+
+def _index_list(text):
+    """1-based eigenvalue indices (index 0 would be a zero mode)."""
+    values = _int_list(text)
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError("indices start at 1")
     return values
 
 
@@ -104,7 +128,7 @@ def build_parser():
     solve.add_argument("--levels", type=_positive_int, default=4,
                        help=f"finest refinement level; levels >= "
                             f"{EXTRAPOLATE_FROM} extrapolate over the last three")
-    solve.add_argument("--n", type=_positive_int, default=128,
+    solve.add_argument("--n", type=_node_count, default=128,
                        help="quadrature nodes per boundary curve (bie)")
     solve.add_argument("--bracket", type=_span,
                        help="a:b eigenvalue bracket (mps)")
@@ -116,7 +140,7 @@ def build_parser():
                             "| comma-separated corner indices")
     solve.add_argument("--scale", type=float, default=1.0,
                        help="dilate the domain before solving")
-    solve.add_argument("--modes", type=_int_list,
+    solve.add_argument("--modes", type=_index_list,
                        help="render these eigenfunction indices to modes.svg")
     solve.add_argument("--seed", type=int, default=17,
                        help="offset of the low-discrepancy interior sequence "
@@ -135,10 +159,10 @@ def build_parser():
     swp = sub.add_parser("sweep", help="eccentric-annulus Steklov sweep")
     swp.add_argument("--eps", type=_grid, required=True,
                      help="start:stop:count eccentricity grid")
-    swp.add_argument("--n", type=_positive_int, default=660,
+    swp.add_argument("--n", type=_node_total, default=660,
                      help="total quadrature nodes, split evenly over the "
                           "two circles")
-    swp.add_argument("--k", type=_int_list, default=[1],
+    swp.add_argument("--k", type=_index_list, default=[1],
                      help="eigenvalue indices to track")
     common(swp)
 
@@ -237,6 +261,9 @@ def _with_multiplicities(values, rtol=pencil.DEFAULT_CLUSTER_RTOL):
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args):
+    if args.modes and max(args.modes) > args.count:
+        raise UsageError(f"lapspec solve: --modes index {max(args.modes)} "
+                         f"exceeds --count {args.count}")
     dom = _load_domain(args.method, args.bc, args.domain, args.scale)
     out = _outdir(args)
 
@@ -350,8 +377,6 @@ def cmd_compare(args):
 
 def cmd_sweep(args):
     out = _outdir(args)
-    if args.n % 2:
-        raise UsageError("--n is the total node count and must be even")
     per_curve = (args.n // 2, args.n // 2)
     rows = bie.sweep_annulus(args.eps, per_curve, args.k)
     lines = ["eps,k,sigma,ratio_to_concentric,N"]

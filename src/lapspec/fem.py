@@ -1,10 +1,11 @@
 """P1, P2, and Crouzeix-Raviart assembly plus the eigenvalue drives.
 
-All element integrals on affine triangles are exact: constant gradients for
-P1/CR, the 3-midpoint rule for P2 stiffness (exact on quadratics), and a
-7-point degree-5 rule for P2 mass and for the smooth radial weight. Boundary
-mass is exact edgewise. Dirichlet constraints are imposed by dof elimination
-so every pencil stays symmetric definite.
+Each element form is one quadrature loop over one shape-function table:
+the 3-midpoint rule for stiffness, exact since gradients are at most linear,
+and a 7-point degree-5 rule for mass, exact for the unit weight (products of
+quadratics) and fifth-order for the smooth radial weight. Boundary mass is
+exact edgewise. Dirichlet constraints are imposed by dof elimination so
+every pencil stays symmetric definite.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -53,23 +54,20 @@ class FemSpace:
         self.kind = kind
         self.mesh = mesh
         nv, ne = mesh.n_vertices, len(mesh.edges)
+        # boundary_dofs: the trace dofs of each boundary edge, P1 [a, b],
+        # P2 [a, b, nv + e], CR [e]
         if kind == "P1":
             self.n_dofs = nv
             self.cell_dofs = mesh.triangles
+            self.boundary_dofs = mesh.boundary_edges
         elif kind == "P2":
             self.n_dofs = nv + ne
             self.cell_dofs = np.hstack([mesh.triangles, nv + mesh.tri_edges])
-        else:
-            self.n_dofs = ne
-            self.cell_dofs = mesh.tri_edges
-
-        # trace dofs of each boundary edge: P1 [a, b], P2 [a, b, nv + e], CR [e]
-        if kind == "P1":
-            self.boundary_dofs = mesh.boundary_edges
-        elif kind == "P2":
             self.boundary_dofs = np.column_stack([mesh.boundary_edges,
                                                   nv + mesh.boundary_edge_index])
         else:
+            self.n_dofs = ne
+            self.cell_dofs = mesh.tri_edges
             self.boundary_dofs = mesh.boundary_edge_index[:, None]
         self.on_boundary = np.zeros(self.n_dofs, dtype=bool)
         self.on_boundary[self.boundary_dofs] = True
@@ -96,11 +94,19 @@ class FemSpace:
         return p, area, g
 
 
-def _p2_values(lam):
-    """P2 basis values at one barycentric point, length 6."""
-    l0, l1, l2 = lam
-    return np.array([l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
-                     4 * l1 * l2, 4 * l2 * l0, 4 * l0 * l1])
+def _shape(kind, lam, g):
+    """Basis values (nd,) and gradients (t, nd, 2) at barycentric point `lam`,
+    from the barycentric gradients `g` (t, 3, 2)."""
+    if kind == "P1":
+        return lam, g
+    if kind == "CR":
+        return 1.0 - 2.0 * lam, -2.0 * g
+    j, k = [1, 2, 0], [2, 0, 1]   # P2 local edge i joins vertices j[i], k[i]
+    values = np.concatenate([lam * (2 * lam - 1), 4 * lam[j] * lam[k]])
+    grad = np.concatenate([(4 * lam - 1)[:, None] * g,
+                           4 * (lam[k][:, None] * g[:, j]
+                                + lam[j][:, None] * g[:, k])], axis=1)
+    return values, grad
 
 
 def _scatter(cell_dofs, element, n):
@@ -114,53 +120,27 @@ def _scatter(cell_dofs, element, n):
 def assemble_stiffness(space):
     """Stiffness matrix; symmetric, kernel = constants when unconstrained."""
     p, area, g = space._geometry()
-    if space.kind == "P1":
-        ke = np.einsum("tid,tjd,t->tij", g, g, area)
-    elif space.kind == "CR":
-        ke = 4.0 * np.einsum("tid,tjd,t->tij", g, g, area)
-    else:
-        nt = len(area)
-        ke = np.zeros((nt, 6, 6))
-        for lam, w in zip(_QMID_BARY, _QMID_W):
-            grad = np.zeros((nt, 6, 2))
-            for i in range(3):
-                grad[:, i] = (4 * lam[i] - 1) * g[:, i]
-            for i, (j, k) in enumerate([(1, 2), (2, 0), (0, 1)]):
-                grad[:, 3 + i] = 4 * (lam[k] * g[:, j] + lam[j] * g[:, k])
-            ke += w * np.einsum("tid,tjd,t->tij", grad, grad, area)
+    nd = space.cell_dofs.shape[1]
+    ke = np.zeros((len(area), nd, nd))
+    for lam, w in zip(_QMID_BARY, _QMID_W):
+        _, grad = _shape(space.kind, lam, g)
+        ke += w * np.einsum("tid,tjd,t->tij", grad, grad, area)
     return _scatter(space.cell_dofs, ke, space.n_dofs)
 
 
 def assemble_mass(space, weight="unit"):
-    """Mass matrix, exactly integrated for the unit weight."""
-    p, area, g = space._geometry()
-    nt = len(area)
-    if weight == "unit":
-        if space.kind == "P1":
-            base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-            ke = area[:, None, None] * base
-        elif space.kind == "CR":
-            ke = area[:, None, None] * (np.eye(3) / 3.0)
-        else:
-            ke = np.zeros((nt, 6, 6))
-            for lam, w in zip(_Q5_BARY, _Q5_W):
-                v = _p2_values(lam)
-                ke += w * np.einsum("i,j,t->tij", v, v, area)
-    elif weight == "genus2":
-        nd = space.cell_dofs.shape[1]
-        ke = np.zeros((nt, nd, nd))
-        for lam, w in zip(_Q5_BARY, _Q5_W):
-            x = np.einsum("q,tqd->td", lam, p)
-            coef = genus2_weight(x) * area * w
-            if space.kind == "P1":
-                v = lam
-            elif space.kind == "CR":
-                v = 1.0 - 2.0 * lam
-            else:
-                v = _p2_values(lam)
-            ke += np.einsum("i,j,t->tij", v, v, coef)
-    else:
+    """Mass matrix for the weight 1 or `genus2_weight`; exact for 1."""
+    if weight not in ("unit", "genus2"):
         raise ValueError(f"unknown weight {weight!r}")
+    p, area, g = space._geometry()
+    nd = space.cell_dofs.shape[1]
+    ke = np.zeros((len(area), nd, nd))
+    for lam, w in zip(_Q5_BARY, _Q5_W):
+        v, _ = _shape(space.kind, lam, g)
+        coef = w * area
+        if weight == "genus2":
+            coef *= genus2_weight(np.einsum("q,tqd->td", lam, p))
+        ke += coef[:, None, None] * np.outer(v, v)
     return _scatter(space.cell_dofs, ke, space.n_dofs)
 
 
@@ -245,15 +225,15 @@ def solve_fem(domain, spec, mesh=None):
             method = "fem-cr-midpoint"
         n_boundary = int(space.on_boundary.sum())
         if spec.count > n_boundary:
-            raise ValueError(f"only {n_boundary} boundary dofs: cannot return "
-                             f"{spec.count} finite Steklov eigenvalues")
+            raise ValueError(f"only {n_boundary} boundary dofs at level {mesh.level}: "
+                             f"cannot return {spec.count} finite Steklov eigenvalues")
         shift = -1.0 / mesh.edge_lengths().sum()
     else:
         B = assemble_mass(space, domain.weight)
         shift = -1.0 / mesh.areas().sum()
         if spec.count > len(free):
-            raise ValueError(f"only {len(free)} free dofs: cannot return "
-                             f"{spec.count} eigenvalues (refine the mesh)")
+            raise ValueError(f"only {len(free)} free dofs at level {mesh.level}: "
+                             f"cannot return {spec.count} eigenvalues")
 
     vals, vfree, flags["residual"] = pen.solve_lowest(
         K[free][:, free], B[free][:, free], spec.count, shift)

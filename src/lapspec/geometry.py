@@ -179,11 +179,15 @@ def _builtin(name):
     if name == "unit-disk":
         return Domain("smooth-curves", circles=[((0.0, 0.0), 1.0, +1)], name=name)
     if name.startswith("annulus:eps="):
-        eps = float(name.split("=", 1)[1])
-        return Domain("smooth-curves",
-                      circles=[((0.0, 0.0), 1.0, +1), ((0.0, eps), 0.1, -1)],
-                      name=name)
+        return annulus_domain(float(name.split("=", 1)[1]))
     return None
+
+
+def annulus_domain(eps):
+    """The unit disk with a hole of radius 0.1 centred at (0, eps)."""
+    return Domain("smooth-curves",
+                  circles=[((0.0, 0.0), 1.0, +1), ((0.0, eps), 0.1, -1)],
+                  name=f"annulus:eps={eps:g}")
 
 
 def load_domain(path_or_name):
@@ -376,12 +380,9 @@ class CurveQuadrature:
         self.orientation = orientation
         self.n = n
         self.h = h
-        self.t = t
         self.points = self.center + radius * np.column_stack([c, s])
-        xp = radius * orientation * np.column_stack([-s, c])
-        self.speed = np.full(n, radius)
-        self.normals = np.column_stack([xp[:, 1], -xp[:, 0]]) / radius
-        self.curvature = np.full(n, 1.0 / radius)  # geometric (unsigned)
+        # out of the domain: towards the centre on a cw inner circle
+        self.normals = orientation * np.column_stack([c, s])
         self.weights = np.full(n, h * radius)
 
 

@@ -36,12 +36,28 @@ def test_log_weights_reject_odd_count():
         kress_log_weights(33)
 
 
-def test_adjoint_double_layer_constant_on_circle(disk):
-    quad = boundary_quadrature(disk, 40)
+# (domain, scale, curve): the unit circle, two radii where ln R is not 0, and
+# the clockwise inner curve of an annulus
+CIRCLES = [pytest.param("unit-disk", 1.0, 0, id="R=1"),
+           pytest.param("unit-disk", 0.1, 0, id="R=0.1"),
+           pytest.param("unit-disk", 2.5, 0, id="R=2.5"),
+           pytest.param("annulus:eps=0.3", 1.0, 1, id="annulus-inner")]
+
+
+def _self_blocks(name, scale, curve, n):
+    quad = boundary_quadrature(load_domain(name).scaled(scale), n)
     S0, Kp = bie._raw_kernels(quad)
-    # on a circle the kernel (x-y).n(x) / |x-y|^2 is identically 1/2, so every
-    # matrix entry, diagonal included, equals -(1/4pi) * (2pi/N)
-    expected = -(1.0 / (4 * np.pi)) * (2 * np.pi / 40)
+    block = slice(quad.offsets[curve], quad.offsets[curve + 1])
+    return quad.curves[curve], S0[block, block], Kp[block, block]
+
+
+@pytest.mark.parametrize("name, scale, curve", CIRCLES)
+def test_adjoint_double_layer_constant_on_circle(name, scale, curve):
+    c, _, Kp = _self_blocks(name, scale, curve, 40)
+    # on a circle the kernel (x-y).n(x) / |x-y|^2 is identically o/(2R), so
+    # every entry, diagonal included, equals -o (1/4pi) (2pi/N): negative on
+    # the ccw outer curve, positive on a cw inner one
+    expected = -c.orientation * (1.0 / (4 * np.pi)) * (2 * np.pi / 40)
     assert np.max(np.abs(Kp - expected)) < 1e-14
 
 
@@ -52,14 +68,17 @@ def test_gauss_jump_identity_on_circle(disk):
     assert np.max(np.abs(resid)) < 1e-13
 
 
-def test_single_layer_fourier_symbol_on_circle(disk):
-    # S0 acts on cos(n theta) as multiplication by 1/(2n) on the unit circle
-    quad = boundary_quadrature(disk, 64)
-    S0, _ = bie._raw_kernels(quad)
-    theta = np.arctan2(quad.points[:, 1], quad.points[:, 0])
-    for n in (1, 2, 3, 5, 8):
+@pytest.mark.parametrize("name, scale, curve", CIRCLES)
+def test_single_layer_fourier_symbol_on_circle(name, scale, curve):
+    # on a circle of radius R, S0 acts on cos(n theta) as multiplication by
+    # R/(2n), and on constants (n = 0) by -R ln R
+    c, S0, _ = _self_blocks(name, scale, curve, 64)
+    R = c.radius
+    theta = np.arctan2(*(c.points - c.center).T[::-1])
+    for n in (0, 1, 2, 3, 5, 8):
         f = np.cos(n * theta)
-        assert np.max(np.abs(S0 @ f - f / (2 * n))) < 1e-12
+        symbol = -R * np.log(R) if n == 0 else R / (2 * n)
+        assert np.max(np.abs(S0 @ f - symbol * f)) < 1e-12
 
 
 def test_assembled_kernels_annihilate_constants():

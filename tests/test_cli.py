@@ -115,6 +115,36 @@ def test_empty_index_list_is_usage_error(argv, flag, capsys, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--eps", "0:0.4:3", "--k", "0"], "--k"),
+    (["solve", "--domain", "unit-square", "--method", "fem-p1", "--modes", "0"],
+     "--modes"),
+    (["solve", "--domain", "unit-square", "--method", "fem-p1", "--count", "2",
+      "--levels", "2", "--modes", "9"], "--modes"),
+], ids=["k0", "modes0", "modes-above-count"])
+def test_mode_index_out_of_range_is_usage_error(argv, flag, capsys, tmp_path):
+    # rejected before any solve: nothing is written
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--eps", "0:0.4:3", "--n", "662"],
+    ["sweep", "--eps", "0:0.4:3", "--n", "661"],
+    ["solve", "--domain", "unit-disk", "--method", "bie", "--bc", "steklov",
+     "--n", "129"],
+    ["solve", "--domain", "unit-disk", "--method", "bie", "--bc", "steklov",
+     "--n", "2"],
+], ids=["sweep-odd-halves", "sweep-odd", "solve-odd", "solve-2"])
+def test_node_count_is_usage_error(argv, capsys, tmp_path):
+    # every curve needs an even node count of at least 4; the sweep's --n is
+    # the total over its two circles
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert "argument --n" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bad_grid_syntax(capsys):
     assert main(["sweep", "--eps", "0.5"]) == 1
     assert main(["sweep", "--eps", "0:1"]) == 1
@@ -193,11 +223,13 @@ def test_solve_modes_svg(tmp_path):
     assert "#2" in svg
 
 
-def test_solve_modes_out_of_range_is_quality_error(tmp_path, capsys):
+def test_too_coarse_extrapolation_level_is_named(tmp_path, capsys):
+    # --levels 3 extrapolates over levels 1-3, and level 1 of the square has
+    # a single free dof under the mixed condition
     assert main(["solve", "--domain", "unit-square", "--method", "fem-p1",
-                 "--count", "2", "--levels", "2", "--modes", "9",
+                 "--bc", "mixed", "--levels", "3", "--count", "4",
                  "--out", str(tmp_path)]) == 2
-    assert "numerical-quality rejection" in capsys.readouterr().err
+    assert "only 1 free dofs at level 1" in capsys.readouterr().err
 
 
 def test_solve_mps_bracket(tmp_path, capsys):

@@ -33,6 +33,23 @@ def test_p1_element_mass_by_hand():
     assert np.allclose(M, expected, atol=1e-15)
 
 
+def test_cr_element_stiffness_and_mass_by_hand():
+    # the CR basis function of local edge i is 1 - 2 lambda_i: its gradients
+    # are -2 times the P1 ones, and it is orthogonal to the other two
+    mesh = _reference_triangle()
+    space = FemSpace("CR", mesh)
+    K = assemble_stiffness(space).toarray()
+    M = assemble_mass(space).toarray()
+    p1 = 0.5 * np.array([[2.0, -1.0, -1.0],
+                         [-1.0, 1.0, 0.0],
+                         [-1.0, 0.0, 1.0]])
+    expected = np.zeros((3, 3))
+    dofs = mesh.tri_edges[0]
+    expected[np.ix_(dofs, dofs)] = 4.0 * p1
+    assert np.allclose(K, expected, atol=1e-14)
+    assert np.allclose(M, np.eye(3) / 6.0, atol=1e-15)
+
+
 def test_boundary_mass_edge_block_by_hand():
     space = FemSpace("P1", _reference_triangle())
     B = assemble_boundary_mass(space).toarray()

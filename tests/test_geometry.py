@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lapspec
 from lapspec import geometry
 from lapspec.geometry import Domain, boundary_quadrature, load_domain, refine, triangulate
 
@@ -14,6 +15,15 @@ def test_builtin_names_resolve():
     for name in ("gww-a", "gww-b", "unit-square", "dn-square", "dn-triangle",
                  "unit-disk", "annulus:eps=0.3"):
         assert load_domain(name).name == name
+
+
+def test_annulus_name_is_canonical():
+    # one constructor for the family: the name is the offset's shortest form
+    dom = load_domain("annulus:eps=0.40")
+    assert dom.name == "annulus:eps=0.4"
+    assert [(tuple(c), r, o) for c, r, o in dom.circles] == \
+        [((0.0, 0.0), 1.0, 1), ((0.0, 0.4), 0.1, -1)]
+    assert lapspec.annulus_domain is lapspec.bie.annulus_domain is geometry.annulus_domain
 
 
 def test_unknown_name_raises():
