@@ -122,9 +122,7 @@ def solve_steklov_bie(domain, n_per_curve, count=None):
         n_per_curve = [c.n for c in quad.curves]
         A, B = _deflated_pencil(*assemble_kernels(quad))
         try:
-            spec = pen.solve_general(pen.Pencil(A, B), method="bie",
-                                     param=sum(n_per_curve), domain=domain.name,
-                                     count=count)
+            spec = pen.solve_general(pen.Pencil(A, B), count=count)
             break
         except pen.IllConditionedError as exc:
             halved = [max(8, n // 2 - (n // 2) % 2) for n in n_per_curve]

@@ -1,8 +1,10 @@
 """Command-line driver: solve, compare, sweep, bounds, validate.
 
 Artifacts are CSV (spectra, sweeps, bracket reports) plus an optional SVG
-with nodal-line renderings. Exit codes: 0 success, 1 usage error, 2
-numerical-quality rejection, 3 validation failure.
+with nodal-line renderings; multiplicities are decided once, when
+`spectrum.csv` is written (`pencil.cluster`). Exit codes: 0 success, 1 usage
+error (an invalid flag value or domain), 2 numerical-quality rejection, 3
+validation failure.
 """
 import argparse
 import os
@@ -49,12 +51,26 @@ def _positive_int(text):
     return v
 
 
+def _finite(text):
+    v = float(text)
+    if not np.isfinite(v):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return v
+
+
+def _positive_finite(text):
+    v = _finite(text)
+    if v <= 0:
+        raise argparse.ArgumentTypeError("must be positive")
+    return v
+
+
 def _span(text):
     """a:b -> (a, b)"""
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected a:b")
-    return float(parts[0]), float(parts[1])
+    return _finite(parts[0]), _finite(parts[1])
 
 
 def _grid(text):
@@ -62,7 +78,7 @@ def _grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected start:stop:count")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    a, b, n = _finite(parts[0]), _finite(parts[1]), int(parts[2])
     if n < 2 or b <= a:
         raise argparse.ArgumentTypeError("need stop > start and count >= 2")
     return np.linspace(a, b, n)
@@ -138,7 +154,7 @@ def build_parser():
     solve.add_argument("--corners", type=_corners, default="auto",
                        help="mps fan placement: auto | singular | reentrant "
                             "| comma-separated corner indices")
-    solve.add_argument("--scale", type=float, default=1.0,
+    solve.add_argument("--scale", type=_positive_finite, default=1.0,
                        help="dilate the domain before solving")
     solve.add_argument("--modes", type=_index_list,
                        help="render these eigenfunction indices to modes.svg")
@@ -223,15 +239,19 @@ def _outdir(args):
 
 def _load_domain(method, bc, name, scale=1.0):
     """The named domain, if METHODS lists `bc` and its kind for `method`;
-    the boundary condition is checked before the domain file is read."""
+    the boundary condition is checked before the domain file is read. A
+    domain that cannot be loaded, validated or scaled is a usage error."""
     _, bcs, kind = METHODS[method]
     if bc not in bcs:
         raise UsageError(f"{method} computes {' '.join(bcs)} spectra only\n"
                          + COMPAT_MATRIX)
-    dom = geometry.load_domain(name)
-    if dom.kind != kind:
-        raise UsageError(f"{method} needs a {kind} domain\n" + COMPAT_MATRIX)
-    return dom.scaled(scale) if scale != 1.0 else dom
+    try:
+        dom = geometry.load_domain(name)
+        if dom.kind != kind:
+            raise UsageError(f"{method} needs a {kind} domain\n" + COMPAT_MATRIX)
+        return dom.scaled(scale) if scale != 1.0 else dom
+    except ValueError as exc:
+        raise UsageError(f"lapspec: invalid domain {name}: {exc}")
 
 
 def _write(path, text):
@@ -240,20 +260,16 @@ def _write(path, text):
     print(f"wrote {path}")
 
 
-def _spectrum_csv(rows):
+def _write_spectrum(out, values, method, param, domain):
+    """spectrum.csv, one row per value: each row carries the mean and the
+    size of its multiplicity cluster (pencil.cluster)."""
+    sizes, means = pencil.cluster(np.asarray(values, dtype=float))
     lines = ["index,eigenvalue,multiplicity,method,param,domain,version"]
-    for idx, val, mult, method, param, domain in rows:
-        lines.append(f"{idx},{float(val)!r},{mult},{method},{param},{domain},"
+    rows = zip(np.repeat(means, sizes), np.repeat(sizes, sizes))
+    for idx, (mean, size) in enumerate(rows, 1):
+        lines.append(f"{idx},{float(mean)!r},{size},{method},{param},{domain},"
                      f"{__version__}")
-    return "\n".join(lines) + "\n"
-
-
-def _with_multiplicities(values, rtol=pencil.DEFAULT_CLUSTER_RTOL):
-    sizes, means = pencil.cluster(np.asarray(values, dtype=float), rtol)
-    out = []
-    for size, mean in zip(sizes, means):
-        out.extend((mean, size) for _ in range(size))
-    return out
+    _write(os.path.join(out, "spectrum.csv"), "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +285,8 @@ def cmd_solve(args):
 
     if args.method == "bie":
         spectrum = bie.solve_steklov_bie(dom, args.n, count=args.count)
-        vals = spectrum.eigenvalues[:args.count]
         n_used = spectrum.flags["n_per_curve"][0]   # all curves alike
-        rows = [(i + 1, v, m, "bie", f"n={n_used}", dom.name)
-                for i, (v, m) in enumerate(_with_multiplicities(vals))]
-        _write(os.path.join(out, "spectrum.csv"), _spectrum_csv(rows))
+        _write_spectrum(out, spectrum.eigenvalues, "bie", f"n={n_used}", dom.name)
         return EXIT_OK
 
     if args.method == "mps":
@@ -289,10 +302,7 @@ def cmd_solve(args):
         vals, spectra = bounds.extrapolated_spectrum(dom, spec)
         finest = spectra[-1]
         param = f"levels={top - 2}-{top};h={float(finest.param)!r};extrapolated"
-    method = finest.method
-    rows = [(i + 1, v, m, method, param, dom.name)
-            for i, (v, m) in enumerate(_with_multiplicities(vals))]
-    _write(os.path.join(out, "spectrum.csv"), _spectrum_csv(rows))
+    _write_spectrum(out, vals, finest.method, param, dom.name)
     if args.modes:
         svg = render_modes_svg(finest, args.modes)
         _write(os.path.join(out, "modes.svg"), svg)
@@ -314,9 +324,8 @@ def _solve_mps(dom, args, out):
         csv = "lambda_h,lower,upper,epsilon,caveat\n" + enc.report_line() + "\n"
         _write(os.path.join(out, "enclosure.csv"), csv)
         krec = "+".join(str(fan.size) for fan in basis)
-        rows = [(1, lam_h, 1, "mps",
-                 f"K={krec};eps={enc.epsilon:.3e}", dom.name)]
-        _write(os.path.join(out, "spectrum.csv"), _spectrum_csv(rows))
+        _write_spectrum(out, [lam_h], "mps", f"K={krec};eps={enc.epsilon:.3e}",
+                        dom.name)
         print(f"lambda_h = {lam_h!r}  enclosure = [{enc.lower!r}, {enc.upper!r}]")
     return EXIT_OK
 
@@ -550,7 +559,7 @@ def render_modes_svg(spectrum, indices, size=240):
             raise ValueError(f"mode index {idx} out of range")
         vals = _vertex_values(spectrum, idx - 1)
         outline = " ".join(f"{fit(p, panel)[0]:.2f},{fit(p, panel)[1]:.2f}"
-                           for p in _boundary_loop(mesh))
+                           for p in mesh.vertices[mesh.boundary_edges[:, 0]])
         parts.append(f'<polygon points="{outline}" fill="#f7f7f7" '
                      f'stroke="#444" stroke-width="1"/>')
         for a, b in _nodal_segments(mesh, vals):
@@ -564,17 +573,6 @@ def render_modes_svg(spectrum, indices, size=240):
                      f'{lam:.5g}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _boundary_loop(mesh):
-    nxt = {int(a): int(b) for a, b in mesh.boundary_edges}
-    start = int(mesh.boundary_edges[0, 0])
-    loop, cur = [], start
-    while True:
-        loop.append(mesh.vertices[cur])
-        cur = nxt[cur]
-        if cur == start:
-            return loop
 
 
 # ---------------------------------------------------------------------------

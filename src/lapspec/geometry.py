@@ -32,6 +32,8 @@ class Domain:
             self.vertices = np.asarray(vertices, dtype=float)
             if self.vertices.ndim != 2 or self.vertices.shape[1] != 2 or len(self.vertices) < 3:
                 raise ValueError("polygon needs an (n,2) vertex array, n >= 3")
+            if not np.all(np.isfinite(self.vertices)):
+                raise ValueError("polygon vertices must be finite")
             n = len(self.vertices)
             self.markers = list(markers) if markers is not None else ["dirichlet"] * n
             if len(self.markers) != n:
@@ -78,6 +80,8 @@ class Domain:
         if not self.circles:
             raise ValueError("need at least one circle")
         for c, r, o in self.circles:
+            if not (np.all(np.isfinite(c)) and np.isfinite(r)):
+                raise ValueError("circle centres and radii must be finite")
             if r <= 0:
                 raise ValueError("circle radius must be positive")
             if o not in (+1, -1):
@@ -104,17 +108,10 @@ class Domain:
         (c0, r0, _) = self.circles[0]
         return np.pi * (r0**2 - sum(r**2 for _, r, _ in self.circles[1:]))
 
-    def with_markers(self, marker):
-        """Copy of a polygon domain with every edge re-marked."""
-        if self.kind != "polygon":
-            raise ValueError("markers apply to polygon domains")
-        return Domain("polygon", self.vertices, [marker] * len(self.vertices),
-                      weight=self.weight, name=self.name)
-
     def scaled(self, s):
         """Copy of the domain dilated by s about the origin."""
-        if s <= 0:
-            raise ValueError("scale factor must be positive")
+        if not 0 < s < np.inf:
+            raise ValueError("scale factor must be positive and finite")
         name = f"{self.name}*{s:g}"
         if self.kind == "polygon":
             return Domain("polygon", self.vertices * s, self.markers,
@@ -215,13 +212,16 @@ def load_domain(path_or_name):
             continue
         tok = line.split()
         try:
+            nums = [float(t) for t in tok[1:4]] if tok[0] in ("v", "c") else []
+            if not np.all(np.isfinite(nums)):
+                raise ValueError("non-finite number")
             if tok[0] == "v" and len(tok) == 3:
-                verts.append((float(tok[1]), float(tok[2])))
+                verts.append(tuple(nums))
             elif tok[0] == "e" and len(tok) == 4:
                 edges.append((int(tok[1]), int(tok[2]), tok[3]))
             elif tok[0] == "c" and len(tok) == 5:
                 o = {"ccw": +1, "outer-ccw": +1, "cw": -1, "inner-cw": -1}[tok[4]]
-                circles.append(((float(tok[1]), float(tok[2])), float(tok[3]), o))
+                circles.append((tuple(nums[:2]), nums[2], o))
             elif tok[0] == "weight" and len(tok) == 2:
                 weight = tok[1]
             else:
@@ -252,7 +252,10 @@ class Mesh:
     boundary_edges (b,2) with per-edge markers, mesh size h, refinement level,
     and the one edge numbering: edges (e,2) as sorted vertex pairs in
     lexicographic order, tri_edges (t,3) with local edge i opposite local
-    vertex i, and boundary_edge_index (b,) into edges."""
+    vertex i, and boundary_edge_index (b,) into edges.
+    The boundary edges of `triangulate` and `refine` chain head to tail
+    around the polygon (edge k ends where edge k+1 starts), so
+    vertices[boundary_edges[:, 0]] is the outline in order."""
 
     def __init__(self, vertices, triangles, boundary_edges, markers, level=0):
         self.vertices = np.asarray(vertices, dtype=float)

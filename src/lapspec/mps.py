@@ -14,6 +14,9 @@ import scipy.linalg as la
 from . import specfun
 from .fem import _Q5_BARY, _Q5_W, build_mesh
 
+REFINE_RTOL = 1e-9    # relative bracket width at which the golden section stops
+SUP_SAMPLES = 1200    # boundary sup samples per polygon edge or circle
+
 
 class CornerBasis:
     """Fourier-Bessel fan at one polygon corner.
@@ -30,10 +33,8 @@ class CornerBasis:
         n = len(verts)
         corner = int(corner) % n
         fwd = verts[(corner + 1) % n] - verts[corner]
-        bwd = verts[(corner - 1) % n] - verts[corner]
         phi_f = np.arctan2(fwd[1], fwd[0])
-        phi_b = np.arctan2(bwd[1], bwd[0])
-        angle = (phi_b - phi_f) % (2 * np.pi)
+        angle = corner_angles(domain)[corner]
         self.vertex = verts[corner]
         self.corner = corner
         self.alpha = np.pi / angle
@@ -120,21 +121,13 @@ def corner_basis(domain, size, corners=None):
 
 
 def _as_basis_list(basis):
-    # anything with an evaluate(lam, points) method works as a fan
+    # a fan has evaluate(lam, points); the indicator also reads size and edges
     if hasattr(basis, "evaluate"):
         return [basis]
     basis = list(basis)
     if not basis:
         raise ValueError("empty basis")
     return basis
-
-
-def _fan_size(fan):
-    return getattr(fan, "size", 1)
-
-
-def _fan_edges(fan):
-    return getattr(fan, "edges", set())
 
 
 def _point_in_polygon(p, verts):
@@ -185,7 +178,7 @@ def boundary_collocation(domain, basis, total):
     verts = domain.vertices
     n = len(verts)
     edges = [(j, (j + 1) % n) for j in range(n)]
-    active = [e for e in edges if any(e not in _fan_edges(fan) for fan in basis)]
+    active = [e for e in edges if any(e not in fan.edges for fan in basis)]
     if not active:
         raise ValueError("no boundary edges left to collocate")
     lengths = np.array([np.hypot(*(verts[b] - verts[a])) for a, b in active])
@@ -225,7 +218,7 @@ def _subspace_smin(M, nb, want_vector=False):
 
 def _indicator(domain, basis, oversample, offset):
     """s(lam, want_vector=False) -> (s, coeff) at fixed sample points."""
-    total = oversample * sum(_fan_size(fan) for fan in basis)
+    total = oversample * sum(fan.size for fan in basis)
     bpts = boundary_collocation(domain, basis, total)
     ipts = interior_points(domain, len(bpts), offset=offset)
 
@@ -248,7 +241,7 @@ def sigma_min_sweep(domain, basis, lambda_grid, oversample=2, offset=17):
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def refine_minimum(domain, basis, bracket, rtol=1e-9, oversample=2, offset=17):
+def refine_minimum(domain, basis, bracket, oversample=2, offset=17):
     """Golden-section descent of s(lambda) inside a bracket.
 
     Returns (lambda_h, coefficients) where the coefficient vector is
@@ -270,7 +263,7 @@ def refine_minimum(domain, basis, bracket, rtol=1e-9, oversample=2, offset=17):
     x2 = a + _GOLD * (b - a)
     f1, f2 = s_of(x1), s_of(x2)
     lo, hi = a, b
-    while hi - lo > rtol * hi:
+    while hi - lo > REFINE_RTOL * hi:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLD * (hi - lo)
@@ -349,7 +342,7 @@ def _boundary_samples(domain, per_piece):
             yield c + r * np.column_stack([np.cos(t), np.sin(t)])
 
 
-def fhm_enclosure(domain, lambda_h, coeff, basis, samples_per_edge=1200):
+def fhm_enclosure(domain, lambda_h, coeff, basis):
     """A-posteriori interval for an L2-normalized candidate eigenfunction.
 
     The FHM theorem takes epsilon = sqrt|Omega| * sup over the boundary of
@@ -357,7 +350,7 @@ def fhm_enclosure(domain, lambda_h, coeff, basis, samples_per_edge=1200):
     """
     basis = _as_basis_list(basis)
     sup = 0.0
-    for pts in _boundary_samples(domain, samples_per_edge):
+    for pts in _boundary_samples(domain, SUP_SAMPLES):
         u = evaluate_solution(basis, lambda_h, coeff, pts)
         sup = max(sup, float(np.abs(u).max()))
     eps = np.sqrt(domain.area()) * sup

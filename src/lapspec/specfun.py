@@ -30,15 +30,6 @@ def bessel_j(nu, x):
     return out if out.ndim else float(out)
 
 
-def bessel_j_deriv(nu, x):
-    """d/dx J_nu(x), same accuracy domain as bessel_j."""
-    nu, x = _check_domain(nu, x)
-    out = jvp(nu, x)
-    if np.any(~np.isfinite(out)):
-        raise ValueError("Bessel derivative evaluation failed inside the accuracy domain")
-    return out if out.ndim else float(out)
-
-
 def _mcmahon_guess(nu, k):
     # large-k asymptotic location of the kth positive zero of J_nu
     b = (k + nu / 2 - 0.25) * np.pi
@@ -66,13 +57,18 @@ def _bisect(f, a, b, tol):
     return 0.5 * (a + b)
 
 
-def _bracketed_zeros(f, start, x_stop, count, label):
-    """First `count` zeros of f past `start`, by marching sign brackets then bisection.
+def _kth_zero(f, nu, k, start, label):
+    """kth zero of f past `start`, by marching sign brackets then bisection.
 
     Marching (rather than jumping to per-zero guesses) keeps the index k
     correct even where the asymptotic guesses are poor (large order, small k);
-    the guesses only size the search window x_stop.
+    McMahon's guesses only size the search window.
     """
+    if not (0 <= nu <= NU_MAX):
+        raise ValueError(f"order outside accuracy domain [0, {NU_MAX:g}]")
+    if not (1 <= k <= 100):
+        raise ValueError("zero index k must be in [1, 100]")
+    x_stop = _mcmahon_guess(nu, k + 2) + nu + 10.0
     zeros = []
     step = np.pi / 16  # safely below half the minimal zero spacing
     x = start
@@ -80,7 +76,7 @@ def _bracketed_zeros(f, start, x_stop, count, label):
     while fx == 0.0:  # nudge off an exact zero at the left endpoint
         x += 1e-9
         fx = f(x)
-    while len(zeros) < count:
+    while len(zeros) < k:
         xn = x + step
         fn = f(xn)
         if fx * fn < 0:
@@ -92,7 +88,7 @@ def _bracketed_zeros(f, start, x_stop, count, label):
         x, fx = xn, fn
         if x > x_stop:
             raise ValueError(f"bracketing failed for {label}: ran past search window")
-    return zeros
+    return zeros[k - 1]
 
 
 def bessel_j_zero(nu, k):
@@ -101,17 +97,9 @@ def bessel_j_zero(nu, k):
     McMahon's expansion seeds the search window; the zero itself comes from
     sign bracketing and bisection, independent of any library zero tables.
     """
-    nu = float(nu)
-    k = int(k)
-    if not (0 <= nu <= NU_MAX):
-        raise ValueError(f"order outside accuracy domain [0, {NU_MAX:g}]")
-    if not (1 <= k <= 100):
-        raise ValueError("zero index k must be in [1, 100]")
-    f = lambda x: jv(nu, x)
+    nu, k = float(nu), int(k)
     start = max(1e-6, nu + 0.5)  # J_nu has no zero below nu
-    stop = _mcmahon_guess(nu, k + 2) + nu + 10.0
-    zs = _bracketed_zeros(f, start, stop, k, f"J_{nu:g}")
-    z = zs[k - 1]
+    z = _kth_zero(lambda x: jv(nu, x), nu, k, start, f"J_{nu:g}")
     if abs(jv(nu, z)) > 1e-9:
         raise ValueError(f"zero candidate of J_{nu:g} failed residual check")
     return z
@@ -124,14 +112,6 @@ def bessel_jp_zero(nu, k):
     positive zero is j'_{0,1} = j_{1,1} (the stationary point at x=0 is not
     counted).
     """
-    nu = float(nu)
-    k = int(k)
-    if not (0 <= nu <= NU_MAX):
-        raise ValueError(f"order outside accuracy domain [0, {NU_MAX:g}]")
-    if not (1 <= k <= 100):
-        raise ValueError("zero index k must be in [1, 100]")
-    f = lambda x: jvp(nu, x)
+    nu, k = float(nu), int(k)
     start = max(1e-6, nu + 1e-3) if nu > 0 else 0.5
-    stop = _mcmahon_guess(nu, k + 2) + nu + 10.0
-    zs = _bracketed_zeros(f, start, stop, k, f"J'_{nu:g}")
-    return zs[k - 1]
+    return _kth_zero(lambda x: jvp(nu, x), nu, k, start, f"J'_{nu:g}")

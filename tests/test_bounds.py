@@ -48,7 +48,8 @@ def test_lower_bound_below_exact_neumann_square(square, level):
     exact = np.sort([np.pi**2 * (m * m + n * n)
                      for m in range(5) for n in range(5)])[:13]
     spec = fem.EigenProblemSpec("neumann", 13, kind="CR", level=level)
-    sp = fem.solve_fem(square.with_markers("neumann"), spec)
+    neumann = geometry.Domain("polygon", square.vertices, ["neumann"] * 4)
+    sp = fem.solve_fem(neumann, spec)
     assert sp.eigenvalues[0] == 0.0
     for lam_cr, lam in zip(sp.eigenvalues[1:], exact[1:]):
         assert cr_lower_bound(lam_cr, sp.param) <= lam

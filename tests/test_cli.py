@@ -145,6 +145,51 @@ def test_node_count_is_usage_error(argv, capsys, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--eps", "nan:0.5:3"], "--eps"),
+    (["sweep", "--eps", "0:inf:3"], "--eps"),
+    (["solve", "--domain", "gww-a", "--method", "fem-p1", "--scale", "nan"],
+     "--scale"),
+    (["solve", "--domain", "gww-a", "--method", "fem-p1", "--scale", "inf"],
+     "--scale"),
+    (["solve", "--domain", "gww-a", "--method", "fem-p1", "--scale", "0"],
+     "--scale"),
+    (["solve", "--domain", "gww-a", "--method", "mps", "--bracket", "nan:27"],
+     "--bracket"),
+    (["solve", "--domain", "gww-a", "--method", "mps", "--grid", "25:inf:3"],
+     "--grid"),
+], ids=["eps-nan", "eps-inf", "scale-nan", "scale-inf", "scale-0", "bracket-nan",
+        "grid-inf"])
+def test_non_finite_or_non_positive_flag_is_usage_error(argv, flag, capsys, tmp_path):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("method, domain", [
+    ("bie", "annulus:eps=nan"),
+    ("bie", "c 0 0 1 ccw\nc 0 nan 0.1 cw\n"),
+    ("fem-p1", "v 0 0\nv nan 1\nv 1 1\n"),
+    ("fem-p1", "v 0 0\nv inf 1\nv 1 1\n"),
+    ("fem-p1", "v 0 0\nv 0 1\nv 1 0\n"),
+    ("fem-p1", None),
+], ids=["annulus-nan", "centre-nan", "vertex-nan", "vertex-inf", "clockwise",
+        "missing-file"])
+def test_invalid_domain_is_usage_error(method, domain, capsys, tmp_path):
+    # rejected where the domain enters, before the output directory is made
+    if domain is None or "\n" in domain:
+        path = tmp_path / "shape.dom"
+        if domain is not None:
+            path.write_text(domain)
+        domain = str(path)
+    out = tmp_path / "out"
+    assert main(["solve", "--domain", domain, "--method", method, "--bc",
+                 "steklov" if method == "bie" else "dirichlet",
+                 "--out", str(out)]) == 1
+    assert "invalid domain" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_grid_syntax(capsys):
     assert main(["sweep", "--eps", "0.5"]) == 1
     assert main(["sweep", "--eps", "0:1"]) == 1
@@ -185,12 +230,15 @@ def test_solve_bie_disk(tmp_path, capsys):
 
 def test_solve_fem_extrapolated_square(tmp_path):
     assert main(["solve", "--domain", "unit-square", "--method", "fem-p2",
-                 "--bc", "dirichlet", "--count", "3", "--levels", "4",
+                 "--bc", "dirichlet", "--count", "4", "--levels", "4",
                  "--out", str(tmp_path)]) == 0
     header, rows = _csv_rows(_read(tmp_path / "spectrum.csv"))
     exact = reference.rectangle_spectra("dirichlet", count=3).values
-    got = np.array([float(r[1]) for r in rows])
+    got = np.array([float(r[1]) for r in rows[:3]])
     assert np.max(np.abs(got - exact) / exact) < 1e-5
+    # 2, 5, 5, 8 pi^2: the double value is written once per member
+    assert [int(r[2]) for r in rows] == [1, 2, 2, 1]
+    assert rows[1][1] == rows[2][1]
     assert rows[0][3] == "fem-p2"
     assert rows[0][4].startswith("levels=2-4;h=")
     assert rows[0][4].endswith(";extrapolated")

@@ -80,6 +80,30 @@ def test_inner_circle_containment_enforced():
         Domain("smooth-curves", circles=[((0, 0), 1.0, +1), ((0.95, 0), 0.2, -1)])
 
 
+@pytest.mark.parametrize("kind, geometry_kw", [
+    ("polygon", {"vertices": [(0, 0), (1, 0), (np.nan, 1)]}),
+    ("polygon", {"vertices": [(0, 0), (1, 0), (np.inf, 1)]}),
+    ("smooth-curves", {"circles": [((0, 0), 1.0, +1), ((0, np.nan), 0.1, -1)]}),
+    ("smooth-curves", {"circles": [((0, 0), 1.0, +1), ((0, 0.4), np.nan, -1)]}),
+    ("smooth-curves", {"circles": [((0, 0), np.inf, +1)]}),
+], ids=["vertex-nan", "vertex-inf", "centre-nan", "radius-nan", "radius-inf"])
+def test_non_finite_geometry_rejected(kind, geometry_kw):
+    with pytest.raises(ValueError, match="finite"):
+        Domain(kind, **geometry_kw)
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_non_finite_annulus_offset_rejected(eps):
+    with pytest.raises(ValueError, match="finite"):
+        load_domain(f"annulus:eps={eps}")
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, np.nan, np.inf])
+def test_scale_factor_must_be_positive_and_finite(s):
+    with pytest.raises(ValueError, match="positive and finite"):
+        load_domain("unit-square").scaled(s)
+
+
 def test_scaled_area_and_markers():
     dom = load_domain("dn-square").scaled(2.0)
     assert dom.area() == pytest.approx(4.0, rel=1e-14)
@@ -132,6 +156,19 @@ def test_domain_file_mixed_sections_rejected(tmp_path):
         load_domain(str(f))
 
 
+@pytest.mark.parametrize("text", [
+    "v 0 0\nv nan 1\nv 1 1\n",
+    "v 0 0\nv inf 1\nv 1 1\n",
+    "c 0 0 1 ccw\nc 0 nan 0.1 cw\n",
+    "c 0 0 1 ccw\nc 0 0.4 inf cw\n",
+], ids=["vertex-nan", "vertex-inf", "centre-nan", "radius-inf"])
+def test_domain_file_non_finite_number_names_the_line(text, tmp_path):
+    f = tmp_path / "bad.dom"
+    f.write_text(text)
+    with pytest.raises(ValueError, match=r"bad\.dom:2: .*non-finite"):
+        load_domain(str(f))
+
+
 def test_domain_file_parse_error_carries_line_number(tmp_path):
     f = tmp_path / "typo.dom"
     f.write_text("v 0 0\nv 1 zero\n")
@@ -150,6 +187,18 @@ def _mesh_tower(domain, levels):
         m = refine(m)
         tower.append(m)
     return tower
+
+
+@pytest.mark.parametrize("name", ["unit-square", "gww-a", "gww-b", "dn-triangle"])
+def test_boundary_edges_chain_head_to_tail(name):
+    # the outline renderer reads vertices[boundary_edges[:, 0]] as the loop
+    dom = load_domain(name)
+    for mesh in _mesh_tower(dom, 3):
+        b = mesh.boundary_edges
+        assert np.array_equal(b[:, 1], np.roll(b[:, 0], -1))
+        assert len(np.unique(b[:, 0])) == len(b)
+        assert geometry.polygon_area(mesh.vertices[b[:, 0]]) == pytest.approx(
+            dom.area(), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["unit-square", "gww-a", "gww-b", "dn-triangle"])

@@ -292,6 +292,6 @@ def test_pencil_shape_validation():
 
 def test_spectrum_multiplicity_pattern():
     s = pencil.Spectrum([0.0, 1.0, 1.0 + 1e-9, 2.5], "test", None, None)
-    assert s.multiplicity_pattern() == [1, 2, 1]
+    assert list(cluster(s.eigenvalues)[0]) == [1, 2, 1]
     assert len(s) == 4
     assert s[1] == 1.0

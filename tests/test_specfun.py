@@ -70,14 +70,6 @@ def test_recurrence_on_random_grid(rng):
     assert np.max(np.abs(lhs - rhs) / denom) < 1e-10
 
 
-def test_derivative_against_central_difference(rng):
-    nu = rng.uniform(0.0, 30.0, size=50)
-    x = rng.uniform(1.0, 50.0, size=50)
-    h = 1e-5
-    fd = (specfun.bessel_j(nu, x + h) - specfun.bessel_j(nu, x - h)) / (2 * h)
-    assert np.max(np.abs(specfun.bessel_j_deriv(nu, x) - fd)) < 1e-6
-
-
 def test_broadcasting_matches_scalar_loop():
     nus = np.array([0.0, 1.5, 4.0])
     xs = np.array([[1.0], [7.5]])
