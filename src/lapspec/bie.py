@@ -165,21 +165,19 @@ def sweep_annulus(eps_grid, n_per_curve, k_list):
     lowers. The centered spectrum is computed at the same node counts.
     """
     eps_grid = [float(e) for e in eps_grid]
-    for e in eps_grid:
-        if e < 0.0:
-            raise ValueError("offsets must be nonnegative")
-        if e >= 0.9:
-            raise ValueError(f"offset {e} puts the hole against the outer boundary")
+    if any(e < 0.0 for e in eps_grid):
+        raise ValueError("offsets must be nonnegative")
     k_list = [int(k) for k in k_list]
     if any(k < 1 for k in k_list):
         raise ValueError("mode indices start at 1 (index 0 is the zero mode)")
     kmax = max(k_list)
 
-    def one(eps):
-        return solve_steklov_bie(annulus_domain(eps), n_per_curve, count=kmax + 1)
-
-    results = {eps: one(eps) for eps in sorted(set(eps_grid))}
-    base = (results[0.0] if 0.0 in results else one(0.0)).eigenvalues
+    # every annulus is built before any solve: Domain rejects an offset that
+    # puts the hole against the outer circle
+    domains = {eps: annulus_domain(eps) for eps in sorted(set(eps_grid) | {0.0})}
+    results = {eps: solve_steklov_bie(dom, n_per_curve, count=kmax + 1)
+               for eps, dom in domains.items()}
+    base = results[0.0].eigenvalues
 
     rows = []
     for eps in eps_grid:

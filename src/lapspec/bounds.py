@@ -10,12 +10,12 @@ best single estimate together with an observed convergence rate.
 from collections import namedtuple
 
 import numpy as np
+from scipy.special import jn_zeros
 
-from . import specfun
 from .fem import (EigenProblemSpec, assemble_mass, assemble_stiffness,
                   build_mesh, solve_fem)
 
-_J11 = specfun.bessel_j_zero(1, 1)
+_J11 = float(jn_zeros(1, 1)[0])
 KAPPA_SQ = 0.125 + 1.0 / _J11**2
 
 
@@ -195,8 +195,6 @@ def bracket_report(domain, index, levels):
                      float(per_kind["P2"].eigenvalues[index - 1])))
         residuals.append(_pencil_residual(per_kind["CR"], index))
     hs = [r[1] for r in rows]
-    cols = {"cr": [r[2] for r in rows], "cr_lower": [r[3] for r in rows],
-            "p1": [r[4] for r in rows], "p2": [r[5] for r in rows]}
-    extrapolated = {name: richardson_extrapolate(vals, hs)
-                    for name, vals in cols.items()}
+    extrapolated = {name: richardson_extrapolate([r[j] for r in rows], hs)
+                    for j, name in enumerate(BracketReport.COLUMNS, 2)}
     return BracketReport(domain, index, rows, extrapolated, residuals, certified)

@@ -28,7 +28,7 @@ METHODS = {"fem-p1": ("P1", BCS, "polygon"),
            "bie": (None, ("steklov",), "smooth-curves"),
            "mps": (None, ("dirichlet",), "polygon")}
 FEM_METHODS = tuple(m for m, (kind, _, _) in METHODS.items() if kind)
-EXTRAPOLATE_FROM = 3   # smallest --levels at which solve and compare extrapolate
+EXTRAPOLATE_FROM = 3   # smallest --levels at which results extrapolate
 
 COMPAT_MATRIX = "method / boundary-condition / domain compatibility:\n" + "".join(
     f"  {m:8} {' '.join(bcs):36} {kind} domains\n"
@@ -66,11 +66,14 @@ def _positive_finite(text):
 
 
 def _span(text):
-    """a:b -> (a, b)"""
+    """a:b -> (a, b) with 0 < a < b"""
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected a:b")
-    return _finite(parts[0]), _finite(parts[1])
+    a, b = _finite(parts[0]), _finite(parts[1])
+    if not 0 < a < b:
+        raise argparse.ArgumentTypeError("need 0 < a < b")
+    return a, b
 
 
 def _grid(text):
@@ -82,6 +85,34 @@ def _grid(text):
     if n < 2 or b <= a:
         raise argparse.ArgumentTypeError("need stop > start and count >= 2")
     return np.linspace(a, b, n)
+
+
+def _lambda_grid(text):
+    grid = _grid(text)
+    if grid[0] <= 0:
+        raise argparse.ArgumentTypeError("need start > 0")
+    return grid
+
+
+def _offset_grid(text):
+    """Hole offsets from 0 up to a stop at which the annulus still builds."""
+    grid = _grid(text)
+    if grid[0] < 0:
+        raise argparse.ArgumentTypeError("need start >= 0")
+    try:
+        geometry.annulus_domain(grid[-1])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"offset {grid[-1]:g}: {exc}")
+    return grid
+
+
+def _extrapolation_levels(text):
+    """A finest level from which the last three levels extrapolate."""
+    v = _positive_int(text)
+    if v < EXTRAPOLATE_FROM:
+        raise argparse.ArgumentTypeError(f"must be at least {EXTRAPOLATE_FROM} "
+                                         "to extrapolate")
+    return v
 
 
 def _node_count(text):
@@ -148,7 +179,7 @@ def build_parser():
                        help="quadrature nodes per boundary curve (bie)")
     solve.add_argument("--bracket", type=_span,
                        help="a:b eigenvalue bracket (mps)")
-    solve.add_argument("--grid", type=_grid,
+    solve.add_argument("--grid", type=_lambda_grid,
                        help="start:stop:count indicator sweep grid (mps)")
     solve.add_argument("--basis-size", type=_positive_int, default=14)
     solve.add_argument("--corners", type=_corners, default="auto",
@@ -169,11 +200,11 @@ def build_parser():
     comp.add_argument("--method", choices=FEM_METHODS, default="fem-p2")
     comp.add_argument("--bc", default="dirichlet", choices=BCS)
     comp.add_argument("--count", type=_positive_int, default=10)
-    comp.add_argument("--levels", type=_positive_int, default=5)
+    comp.add_argument("--levels", type=_extrapolation_levels, default=5)
     common(comp)
 
     swp = sub.add_parser("sweep", help="eccentric-annulus Steklov sweep")
-    swp.add_argument("--eps", type=_grid, required=True,
+    swp.add_argument("--eps", type=_offset_grid, required=True,
                      help="start:stop:count eccentricity grid")
     swp.add_argument("--n", type=_node_total, default=660,
                      help="total quadrature nodes, split evenly over the "
@@ -185,7 +216,7 @@ def build_parser():
     bnd = sub.add_parser("bounds", help="two-sided bracket report")
     bnd.add_argument("--domain", required=True)
     bnd.add_argument("--index", type=_positive_int, default=1)
-    bnd.add_argument("--levels", type=_positive_int, default=5,
+    bnd.add_argument("--levels", type=_extrapolation_levels, default=5,
                      help="schedule 1..levels")
     common(bnd)
 
@@ -281,6 +312,8 @@ def cmd_solve(args):
         raise UsageError(f"lapspec solve: --modes index {max(args.modes)} "
                          f"exceeds --count {args.count}")
     dom = _load_domain(args.method, args.bc, args.domain, args.scale)
+    if args.method == "mps":
+        return _solve_mps(dom, args)
     out = _outdir(args)
 
     if args.method == "bie":
@@ -288,9 +321,6 @@ def cmd_solve(args):
         n_used = spectrum.flags["n_per_curve"][0]   # all curves alike
         _write_spectrum(out, spectrum.eigenvalues, "bie", f"n={n_used}", dom.name)
         return EXIT_OK
-
-    if args.method == "mps":
-        return _solve_mps(dom, args, out)
 
     top = args.levels
     spec = fem.EigenProblemSpec(args.bc, args.count, kind=METHODS[args.method][0],
@@ -309,10 +339,14 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _solve_mps(dom, args, out):
+def _solve_mps(dom, args):
     if args.bracket is None and args.grid is None:
         raise UsageError("mps needs --bracket a:b and/or --grid a:b:n")
-    basis = mps.corner_basis(dom, args.basis_size, corners=args.corners)
+    try:
+        basis = mps.corner_basis(dom, args.basis_size, corners=args.corners)
+    except ValueError as exc:
+        raise UsageError(f"lapspec solve: invalid --basis-size or --corners: {exc}")
+    out = _outdir(args)
     if args.grid is not None:
         rows = mps.sigma_min_sweep(dom, basis, args.grid, offset=args.seed)
         csv = "lambda,smin\n" + "".join(f"{l!r},{s!r}\n" for l, s in rows)
@@ -362,9 +396,6 @@ def compare_domains(dom_a, dom_b, bc, count, top_level, kind="P2"):
 
 
 def cmd_compare(args):
-    if args.levels < EXTRAPOLATE_FROM:
-        raise UsageError(f"lapspec compare: --levels must be at least {EXTRAPOLATE_FROM}"
-                         " (the verdict extrapolates over levels levels-2..levels)")
     dom_a = _load_domain(args.method, args.bc, args.domain_a)
     dom_b = _load_domain(args.method, args.bc, args.domain_b)
     out = _outdir(args)
@@ -459,11 +490,11 @@ def _validation_checks():
         ok = lo <= 2 * np.pi**2 <= lam_p1
         return (0.0 if ok else 1.0), 0.5
 
-    def bessel_zeros():
-        import scipy.special as sp
-        errs = [abs(specfun.bessel_j_zero(n, k) - sp.jn_zeros(n, k)[-1])
-                for n in (0, 1, 3) for k in (1, 4)]
-        return float(max(errs)), 1e-10
+    def bessel_half_order():
+        # J_{1/2}(x) = sqrt(2/(pi x)) sin x
+        x = np.linspace(0.5, 60.0, 400)
+        closed = np.sqrt(2.0 / (np.pi * x)) * np.sin(x)
+        return float(np.abs(specfun.bessel_j(0.5, x) - closed).max()), 1e-12
 
     return [("bie disk steklov vs closed form", disk_bie),
             ("bie concentric annulus vs closed form", annulus_bie),
@@ -472,7 +503,7 @@ def _validation_checks():
             ("fem p2 square neumann quadruple", square_neumann),
             ("mps square lowest eigenvalue", square_mps),
             ("bounds square two-sided bracket", square_bracket),
-            ("specfun bessel zeros vs scipy", bessel_zeros)]
+            ("specfun half-order bessel vs closed form", bessel_half_order)]
 
 
 def cmd_validate(args):
@@ -508,13 +539,9 @@ def _vertex_values(spectrum, column):
     if space.kind in ("P1", "P2"):
         return vec[:nv]
     # edge-midpoint dofs: average onto vertices for display
-    vals = np.zeros(nv)
-    hits = np.zeros(nv)
-    for (a, b), v in zip(mesh.edges, vec):
-        vals[a] += v
-        vals[b] += v
-        hits[a] += 1
-        hits[b] += 1
+    ends = mesh.edges.ravel()
+    vals = np.bincount(ends, weights=np.repeat(vec, 2), minlength=nv)
+    hits = np.bincount(ends, minlength=nv)
     return vals / np.maximum(hits, 1)
 
 

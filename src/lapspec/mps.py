@@ -31,7 +31,9 @@ class CornerBasis:
             raise ValueError("corner bases are defined on polygons")
         verts = domain.vertices
         n = len(verts)
-        corner = int(corner) % n
+        corner = int(corner)
+        if not 0 <= corner < n:
+            raise ValueError(f"corner index {corner} outside 0..{n - 1}")
         fwd = verts[(corner + 1) % n] - verts[corner]
         phi_f = np.arctan2(fwd[1], fwd[0])
         angle = corner_angles(domain)[corner]
@@ -105,18 +107,19 @@ def corner_basis(domain, size, corners=None):
     With corners=None the corner with the largest interior angle is used;
     corners="singular" places a fan at every corner that is not an exact
     pi-over-integer; corners="reentrant" takes the reflex corners only;
-    otherwise pass explicit corner indices.
+    otherwise pass explicit corner indices, each at most once.
     """
+    widest = [int(np.argmax(corner_angles(domain)))]
     if corners is None:
-        corners = [int(np.argmax(corner_angles(domain)))]
+        corners = widest
     elif corners == "reentrant":
         corners = reentrant_corners(domain)
         if not corners:
             raise ValueError("polygon has no reflex corners")
     elif corners == "singular":
-        corners = singular_corners(domain)
-        if not corners:
-            corners = [int(np.argmax(corner_angles(domain)))]
+        corners = singular_corners(domain) or widest
+    elif len(set(corners)) < len(corners):
+        raise ValueError(f"corner indices {list(corners)} repeat a corner")
     return [CornerBasis(domain, c, size) for c in corners]
 
 
@@ -332,7 +335,7 @@ class Enclosure:
 def _boundary_samples(domain, per_piece):
     if domain.kind == "polygon":
         verts = domain.vertices
-        s = (np.arange(per_piece) + 0.5) / per_piece
+        s = np.linspace(0.0, 1.0, per_piece)  # both vertices included
         for j in range(len(verts)):
             a, b = verts[j], verts[(j + 1) % len(verts)]
             yield a + s[:, None] * (b - a)

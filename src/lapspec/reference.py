@@ -3,11 +3,11 @@
 Disk Dirichlet/Neumann/Steklov, rectangle Dirichlet/Neumann/mixed, the
 concentric-annulus Steklov spectrum, and merged unions of analytic lists.
 Everything here comes from separation of variables; the only numerics are
-Bessel zero brackets (specfun) and stable quadratic roots.
+scipy's integer-order Bessel zero tables (`jn_zeros`, `jnp_zeros`) and
+stable quadratic roots.
 """
 import numpy as np
-
-from . import specfun
+from scipy.special import jn_zeros, jnp_zeros
 
 
 class AnalyticSpectrum:
@@ -61,24 +61,18 @@ def disk_spectra(kind, radius=1.0, count=20):
     if kind not in ("dirichlet", "neumann"):
         raise ValueError(f"unknown disk problem {kind!r}")
 
-    zero = specfun.bessel_j_zero if kind == "dirichlet" else specfun.bessel_jp_zero
+    # jnp_zeros(0, k) counts j'_{0,1} = j_{1,1} first, as the Neumann disk needs
+    table = jn_zeros if kind == "dirichlet" else jnp_zeros
     # Weyl: about (R^2/4)*Lambda eigenvalues below Lambda on the disk
     j_cut = np.sqrt(4.5 * (count + 5)) + 4.0
     for _ in range(12):
-        vals = []
-        if kind == "neumann":
-            vals.append((0.0, 1))
-        n = 0
-        while n <= j_cut:
+        # zero k of J_n or J'_n exceeds j_{0,k-1} > (k - 5/4) pi: zero per_order > j_cut
+        per_order = int(j_cut / np.pi) + 3
+        vals = [(0.0, 1)] if kind == "neumann" else []
+        for n in range(int(j_cut) + 1):
             mult = 1 if n == 0 else 2
-            k = 1
-            while True:
-                z = zero(float(n), k)
-                if z > j_cut:
-                    break
-                vals.append(((z / radius) ** 2, mult))
-                k += 1
-            n += 1
+            zeros = table(n, per_order)
+            vals.extend(((z / radius) ** 2, mult) for z in zeros[zeros <= j_cut])
         expanded = _trim(vals, count)
         if expanded is not None:
             return AnalyticSpectrum(expanded)

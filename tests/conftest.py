@@ -70,14 +70,16 @@ def shared_square_mps(size=14):
 
 
 def shared_gww_mps(size=14):
-    """One located eigenvalue near the drum's tenth, with its enclosure."""
+    """One located eigenvalue near the drum's tenth: (lambda_h, enclosure,
+    coefficients, basis)."""
     from lapspec import mps
     key = ("gww-mps", size)
     if key not in _SOLVE_CACHE:
         dom = geometry.load_domain("gww-a")
         basis = mps.corner_basis(dom, size, corners="singular")
         lam, coeff = mps.refine_minimum(dom, basis, (103.5, 105.5))
-        _SOLVE_CACHE[key] = (lam, mps.fhm_enclosure(dom, lam, coeff, basis))
+        _SOLVE_CACHE[key] = (lam, mps.fhm_enclosure(dom, lam, coeff, basis),
+                             coeff, basis)
     return _SOLVE_CACHE[key]
 
 

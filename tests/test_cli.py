@@ -166,6 +166,41 @@ def test_non_finite_or_non_positive_flag_is_usage_error(argv, flag, capsys, tmp_
     assert not list(tmp_path.iterdir())
 
 
+MPS_SQUARE = ["solve", "--domain", "unit-square", "--method", "mps", "--bracket",
+              "19:21"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--eps", "0:0.95:3"], "--eps"),
+    (["sweep", "--eps", "0:0.9:3"], "--eps"),
+    (["sweep", "--eps=-0.2:0.5:3"], "--eps"),
+    (["solve", "--domain", "gww-a", "--method", "mps", "--bracket", "27:25"],
+     "--bracket"),
+    (["solve", "--domain", "gww-a", "--method", "mps", "--bracket", "0:27"],
+     "--bracket"),
+    (["solve", "--domain", "gww-a", "--method", "mps", "--grid=-5:5:3"], "--grid"),
+    (["solve", "--domain", "gww-a", "--method", "mps", "--grid", "0:5:3"], "--grid"),
+    (["bounds", "--domain", "unit-square", "--index", "1", "--levels", "1"],
+     "--levels"),
+    (["bounds", "--domain", "unit-square", "--index", "1", "--levels", "2"],
+     "--levels"),
+    (MPS_SQUARE + ["--basis-size", "101"], "--basis-size"),
+    (MPS_SQUARE + ["--corners", "reentrant"], "--corners"),
+    (MPS_SQUARE + ["--corners", "9"], "--corners"),
+    (["solve", "--domain", "gww-a", "--method", "mps", "--bracket", "25:27",
+      "--corners=-1"], "--corners"),
+    (MPS_SQUARE + ["--corners", "1,1"], "--corners"),
+], ids=["eps-0.95", "eps-0.9", "eps-negative", "bracket-reversed", "bracket-zero",
+        "grid-negative", "grid-zero", "bounds-levels-1", "bounds-levels-2",
+        "basis-size-above-bessel-domain", "corners-no-reflex", "corner-9",
+        "corner-minus-1", "corner-repeated"])
+def test_out_of_range_flag_is_usage_error(argv, flag, capsys, tmp_path):
+    # rejected before any solve: exit 1, the flag named, nothing written
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("method, domain", [
     ("bie", "annulus:eps=nan"),
     ("bie", "c 0 0 1 ccw\nc 0 nan 0.1 cw\n"),

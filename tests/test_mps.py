@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jn_zeros
 
 from lapspec import mps, specfun
 from lapspec.geometry import load_domain
@@ -10,7 +11,7 @@ from lapspec.mps import (CornerBasis, Enclosure, boundary_collocation,
                          interior_points, refine_minimum, reentrant_corners,
                          sigma_min_sweep, singular_corners)
 
-from conftest import shared_square_mps
+from conftest import shared_gww_mps, shared_square_mps
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,23 @@ def test_corner_basis_selection(square, gww_a):
     # a polygon whose corners are all pi/integer falls back to the widest one
     fallback = corner_basis(square, 5, corners="singular")
     assert len(fallback) == 1
+
+
+@pytest.mark.parametrize("corner", [4, 9, -1])
+def test_corner_index_outside_the_polygon_is_rejected(square, corner):
+    # an index is not taken modulo the vertex count
+    with pytest.raises(ValueError, match="outside 0..3"):
+        CornerBasis(square, corner, 6)
+    with pytest.raises(ValueError, match="outside 0..3"):
+        corner_basis(square, 6, corners=[0, corner])
+
+
+def test_repeated_corner_index_is_rejected(gww_a):
+    # two fans at one corner would span the same functions twice
+    with pytest.raises(ValueError, match="repeat a corner"):
+        corner_basis(gww_a, 5, corners=[1, 1])
+    with pytest.raises(ValueError, match="repeat a corner"):
+        corner_basis(gww_a, 5, corners=[2, 6, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +248,7 @@ def test_square_enclosures_contain_true_eigenvalues():
 
 
 def test_disk_enclosure_with_analytic_radial_mode(disk):
-    j01 = specfun.bessel_j_zero(0, 1)
+    j01 = jn_zeros(0, 1)[0]
     norm = np.sqrt(np.pi) * abs(specfun.bessel_j(1.0, j01))
 
     class RadialMode:
@@ -245,6 +263,18 @@ def test_disk_enclosure_with_analytic_radial_mode(disk):
     assert encl.epsilon < 1e-10
     assert j01**2 in encl
     assert encl.radius < 1e-8
+
+
+def test_boundary_sup_is_taken_at_the_vertices():
+    # on drum a the boundary sup of |u| sits at vertex 3, which carries no
+    # fan; every vertex is a sample, so epsilon is sqrt|Omega| times the
+    # largest vertex value
+    lam, enc, coeff, basis = shared_gww_mps()
+    dom = load_domain("gww-a")
+    at_vertices = np.abs(mps.evaluate_solution(basis, lam, coeff, dom.vertices))
+    assert int(np.argmax(at_vertices)) == 3
+    assert enc.epsilon == pytest.approx(np.sqrt(dom.area()) * at_vertices.max(),
+                                        rel=1e-12)
 
 
 def _relative_radius(domain, bracket):

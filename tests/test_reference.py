@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from lapspec import reference, specfun
+from lapspec import reference
 from lapspec.reference import (annulus_mode_pair, concentric_annulus_steklov,
                                disk_spectra, rectangle_spectra, union_spectrum)
 
@@ -15,9 +15,8 @@ def test_disk_steklov_small_radius():
 
 def test_disk_dirichlet_head():
     spec = disk_spectra("dirichlet", count=6)
-    j01 = specfun.bessel_j_zero(0, 1)
-    j11 = specfun.bessel_j_zero(1, 1)
-    j21 = specfun.bessel_j_zero(2, 1)
+    # first zeros of J_0, J_1, J_2 (DLMF §10.21)
+    j01, j11, j21 = 2.404825557695773, 3.831705970207512, 5.135622301840683
     assert spec[0] == pytest.approx(j01**2, abs=1e-12)
     assert spec[1] == spec[2] == pytest.approx(j11**2, abs=1e-12)
     assert spec[3] == spec[4] == pytest.approx(j21**2, abs=1e-12)
@@ -26,7 +25,7 @@ def test_disk_dirichlet_head():
 def test_disk_neumann_starts_at_zero():
     spec = disk_spectra("neumann", count=4)
     assert spec[0] == 0.0
-    jp11 = specfun.bessel_jp_zero(1, 1)
+    jp11 = 1.841183781340659   # first zero of J'_1 (DLMF §10.21)
     assert spec[1] == spec[2] == pytest.approx(jp11**2, abs=1e-12)
 
 

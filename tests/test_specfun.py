@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import jn_zeros
 
-from lapspec import specfun
+from lapspec import reference, specfun
+
+# first zeros of J_0, J_1 and J'_1 (DLMF §10.21)
+J01 = 2.404825557695773
+J11 = 3.831705970207512
+JP11 = 1.841183781340659
 
 
 def test_first_zero_of_j0():
-    assert abs(specfun.bessel_j_zero(0, 1) - 2.404825557695773) < 1e-10
+    # the unit-disk Dirichlet ground state is j_{0,1}^2
+    lam = reference.disk_spectra("dirichlet", count=1)[0]
+    assert abs(np.sqrt(lam) - J01) < 1e-10
 
 
 def test_j0_at_origin():
@@ -21,32 +27,11 @@ def test_domain_violations_raise(nu, x):
         specfun.bessel_j(nu, x)
 
 
-def test_zero_finder_matches_scipy_tables():
-    # independent check against scipy's dedicated integer-order zero tables
-    for n in (0, 1, 3, 7):
-        ours = [specfun.bessel_j_zero(n, k) for k in range(1, 9)]
-        ref = jn_zeros(n, 8)
-        assert np.max(np.abs(np.asarray(ours) - ref)) < 1e-10
-
-
-def test_fractional_order_zero_is_a_zero():
-    for nu in (0.5, 2.0 / 3.0, 4.0 / 3.0, 17.25):
-        for k in (1, 2, 5):
-            z = specfun.bessel_j_zero(nu, k)
-            assert abs(specfun.bessel_j(nu, z)) <= 1e-10
-
-
 def test_half_order_closed_form():
-    # J_{1/2}(x) = sqrt(2/(pi x)) sin x, so its zeros are k*pi
-    for k in (1, 2, 3, 4):
-        assert abs(specfun.bessel_j_zero(0.5, k) - k * np.pi) < 1e-10
-
-
-def test_zeros_interlace():
-    z0 = [specfun.bessel_j_zero(2.3, k) for k in range(1, 7)]
-    z1 = [specfun.bessel_j_zero(3.3, k) for k in range(1, 7)]
-    for a, b, c in zip(z0[:-1], z1, z0[1:]):
-        assert a < b < c
+    # J_{1/2}(x) = sqrt(2/(pi x)) sin x
+    x = np.linspace(0.5, 60.0, 200)
+    closed = np.sqrt(2.0 / (np.pi * x)) * np.sin(x)
+    assert np.max(np.abs(specfun.bessel_j(0.5, x) - closed)) < 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -81,6 +66,10 @@ def test_broadcasting_matches_scalar_loop():
 
 
 def test_deriv_zero_finder():
-    # j'_{0,1} coincides with j_{1,1}; j'_{1,1} = 1.8411837813406593
-    assert abs(specfun.bessel_jp_zero(0, 1) - specfun.bessel_j_zero(1, 1)) < 1e-10
-    assert abs(specfun.bessel_jp_zero(1, 1) - 1.8411837813406593) < 1e-10
+    # unit-disk Neumann: 0, j'_{1,1}^2 twice, j'_{2,1}^2 twice, then the n = 0
+    # value j'_{0,1}^2 = j_{1,1}^2 once (x = 0 is not counted as a zero)
+    pairs = reference.disk_spectra("neumann", count=7).pairs()
+    assert abs(np.sqrt(pairs[1][0]) - JP11) < 1e-10
+    assert pairs[1][1] == 2
+    assert abs(np.sqrt(pairs[3][0]) - J11) < 1e-10
+    assert pairs[3][1] == 1
