@@ -12,8 +12,9 @@ from collections import namedtuple
 import numpy as np
 from scipy.special import jn_zeros
 
-from .fem import (EigenProblemSpec, assemble_mass, assemble_stiffness,
-                  build_mesh, solve_fem)
+from .fem import (KINDS, EigenProblemSpec, FemSpace, _constrained_markers,
+                  assemble_mass, assemble_stiffness, build_mesh, solve_fem)
+from .geometry import refine
 
 _J11 = float(jn_zeros(1, 1)[0])
 KAPPA_SQ = 0.125 + 1.0 / _J11**2
@@ -165,6 +166,19 @@ class BracketReport:
         lo, hi = self.enclosure
         return (f"BracketReport({self.domain!r}, index={self.index}, "
                 f"levels={len(self.rows)}, enclosure=[{lo:.6g}, {hi:.6g}])")
+
+
+def first_level(domain, index, finest):
+    """The coarsest level in 1..finest at which the CR, P1 and P2 spaces
+    each have at least `index` free dofs, or None when no level does."""
+    markers = _constrained_markers(_infer_bc(domain))
+    mesh = build_mesh(domain, 0)
+    for lvl in range(1, finest + 1):
+        mesh = refine(mesh)
+        if all(len(FemSpace(kind, mesh, markers).free) >= index
+               for kind in KINDS):
+            return lvl
+    return None
 
 
 def bracket_report(domain, index, levels):

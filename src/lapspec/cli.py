@@ -51,6 +51,13 @@ def _positive_int(text):
     return v
 
 
+def _nonnegative_int(text):
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError("must be a nonnegative integer")
+    return v
+
+
 def _finite(text):
     v = float(text)
     if not np.isfinite(v):
@@ -189,7 +196,7 @@ def build_parser():
                        help="dilate the domain before solving")
     solve.add_argument("--modes", type=_index_list,
                        help="render these eigenfunction indices to modes.svg")
-    solve.add_argument("--seed", type=int, default=17,
+    solve.add_argument("--seed", type=_nonnegative_int, default=17,
                        help="offset of the low-discrepancy interior sequence "
                             "(mps)")
     common(solve)
@@ -217,7 +224,9 @@ def build_parser():
     bnd.add_argument("--domain", required=True)
     bnd.add_argument("--index", type=_positive_int, default=1)
     bnd.add_argument("--levels", type=_extrapolation_levels, default=5,
-                     help="schedule 1..levels")
+                     help="finest level; the schedule runs up to it from the "
+                          "coarsest level at which every element space has "
+                          "--index free dofs (level 1 for low indices)")
     common(bnd)
 
     val = sub.add_parser("validate", help="run the analytic-oracle suite")
@@ -436,8 +445,16 @@ def cmd_bounds(args):
     if "steklov" in dom.markers:
         raise UsageError("lapspec bounds: the domain has a 'steklov' edge marker; "
                          "bracket reports cover dirichlet and neumann edges only")
+    first = bounds.first_level(dom, args.index, args.levels)
+    if first is None or args.levels - first + 1 < EXTRAPOLATE_FROM:
+        reached = (f"first at level {first}" if first else
+                   f"at no level up to {args.levels}")
+        raise UsageError(f"lapspec bounds: --index {args.index} needs {args.index} "
+                         f"free dofs in each of the CR, P1 and P2 spaces, {reached}; "
+                         f"--levels {args.levels} must leave at least "
+                         f"{EXTRAPOLATE_FROM} levels from there")
     out = _outdir(args)
-    report = bounds.bracket_report(dom, args.index, range(1, args.levels + 1))
+    report = bounds.bracket_report(dom, args.index, range(first, args.levels + 1))
     _write(os.path.join(out, "bracket.csv"), report.to_csv())
     print(report)
     return EXIT_OK

@@ -155,7 +155,10 @@ def _halton(index, base):
 
 
 def interior_points(domain, count, offset=17):
-    """Deterministic low-discrepancy points strictly inside the polygon."""
+    """Deterministic low-discrepancy points strictly inside the polygon,
+    from the Halton sequence starting at index `offset` (at least 0)."""
+    if offset < 0:
+        raise ValueError(f"interior point offset must be nonnegative, got {offset}")
     verts = domain.vertices
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     pts = []

@@ -1,7 +1,11 @@
 """Generalized eigenvalue pencils: solvers, and the clustering the CLI prints.
 
 Sparse definite pencils (every FEM problem) go through one shift-invert
-Lanczos path (ARPACK) with a residual gate. General pencils with a
+Lanczos path (ARPACK) with a residual gate. Every caller shifts below the
+spectrum, so C = A - shift*B is symmetric positive definite and needs no
+pivoting for stability: SuperLU factors C once in symmetric mode
+(minimum-degree ordering of C^T + C, diagonal pivots), and that factor
+serves every Lanczos step. General pencils with a
 well-conditioned B (the BIE Steklov problems) take one of two routes, chosen
 by size: when a few values of smallest modulus are wanted (8 (count + PAD)
 <= n), shift-invert Arnoldi (ARPACK) runs on A^-1 B from one LU of A, and its
@@ -169,7 +173,12 @@ def solve_lowest(A, B, k, shift):
     Needs A - shift*B symmetric positive definite and B symmetric positive
     semidefinite. Lanczos (ARPACK) runs on the definite pencil
     B v = nu (A - shift*B) v for its largest nu, and lambda = shift + 1/nu;
-    directions in the null space of B have nu = 0 and drop out. A few more
+    directions in the null space of B have nu = 0 and drop out. Each step
+    solves with C = A - shift*B through one sparse LU of C in SuperLU's
+    symmetric mode (minimum-degree ordering of C^T + C, diagonal pivots).
+    C is SPD, so its pivots stay positive without row exchanges, and the
+    factor holds about half the fill of SuperLU's default (COLAMD, partial
+    pivoting), which eigsh would build without `Minv`. A few more
     pairs than k are computed so that a cluster is not split at the cutoff.
     When the pencil is too small for ARPACK (k + PAD >= n - 1), a dense eigh
     solves the same pencil. Every returned pair must pass the residual gate.
@@ -181,9 +190,12 @@ def solve_lowest(A, B, k, shift):
     if k + PAD >= n - 1:
         nu, V = la.eigh(B.toarray(), C.toarray())
     else:
+        lu = spla.splu(C, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                       options={"SymmetricMode": True})
+        Cinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         rng = np.random.default_rng(LANCZOS_SEED)
         try:
-            nu, V = spla.eigsh(B, k + PAD, M=C, which="LA",
+            nu, V = spla.eigsh(B, k + PAD, M=C, Minv=Cinv, which="LA",
                                v0=rng.uniform(-1.0, 1.0, n), rng=rng)
         except spla.ArpackNoConvergence as exc:
             raise ValueError(f"Lanczos did not converge: {exc}")

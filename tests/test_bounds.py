@@ -251,3 +251,17 @@ def test_bracket_report_validation(square, disk):
     steklov = geometry.Domain("polygon", square.vertices, ["steklov"] * 4)
     with pytest.raises(ValueError):
         bracket_report(steklov, 1, [1, 2, 3])
+
+
+def test_first_level_counts_the_free_dofs_of_every_space(square):
+    # the Dirichlet square has (2^L - 1)^2 free P1 dofs at level L, the
+    # fewest of the three spaces
+    assert bounds.first_level(square, 1, 5) == 1
+    assert bounds.first_level(square, 2, 5) == 2
+    assert bounds.first_level(square, 9, 5) == 2
+    assert bounds.first_level(square, 10, 5) == 3
+    assert bounds.first_level(square, 50, 3) is None
+    neumann = geometry.Domain("polygon", square.vertices, ["neumann"] * 4)
+    # with nothing eliminated, P1 has (2^L + 1)^2 dofs
+    assert bounds.first_level(neumann, 9, 5) == 1
+    assert bounds.first_level(neumann, 10, 5) == 2

@@ -190,10 +190,11 @@ MPS_SQUARE = ["solve", "--domain", "unit-square", "--method", "mps", "--bracket"
     (["solve", "--domain", "gww-a", "--method", "mps", "--bracket", "25:27",
       "--corners=-1"], "--corners"),
     (MPS_SQUARE + ["--corners", "1,1"], "--corners"),
+    (MPS_SQUARE + ["--seed=-100"], "--seed"),
 ], ids=["eps-0.95", "eps-0.9", "eps-negative", "bracket-reversed", "bracket-zero",
         "grid-negative", "grid-zero", "bounds-levels-1", "bounds-levels-2",
         "basis-size-above-bessel-domain", "corners-no-reflex", "corner-9",
-        "corner-minus-1", "corner-repeated"])
+        "corner-minus-1", "corner-repeated", "seed-negative"])
 def test_out_of_range_flag_is_usage_error(argv, flag, capsys, tmp_path):
     # rejected before any solve: exit 1, the flag named, nothing written
     assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -404,6 +405,30 @@ def test_bounds_report(tmp_path, capsys):
     enc = next(l for l in text.split("\n") if l.startswith("# enclosure"))
     lo, hi = float(enc.split(",")[1]), float(enc.split(",")[2])
     assert lo <= 2 * np.pi**2 <= hi
+
+
+def test_bounds_schedule_starts_where_the_index_fits(tmp_path, capsys):
+    # index 9 exceeds the single free P1 dof of level 1; the schedule runs 2..4
+    assert main(["bounds", "--domain", "unit-square", "--index", "9",
+                 "--levels", "4", "--out", str(tmp_path)]) == 0
+    text = _read(tmp_path / "bracket.csv")
+    rows = [l for l in text.split("\n") if l[:2] in ("2,", "3,", "4,")]
+    assert [int(r.split(",")[0]) for r in rows] == [2, 3, 4]
+    enc = next(l for l in text.split("\n") if l.startswith("# enclosure"))
+    lo, hi = float(enc.split(",")[1]), float(enc.split(",")[2])
+    assert lo <= 17 * np.pi**2 <= hi
+
+
+@pytest.mark.parametrize("index, levels", [(40, 3), (40, 4), (10**6, 3)])
+def test_bounds_index_beyond_the_schedule_is_usage_error(index, levels, tmp_path,
+                                                         capsys):
+    # index 40 first fits at level 3 (49 free P1 dofs): fewer than three
+    # levels remain up to --levels, checked before any solve
+    assert main(["bounds", "--domain", "unit-square", "--index", str(index),
+                 "--levels", str(levels), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"--index {index}" in err and f"--levels {levels}" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("markers", [("steklov",) * 4, ("neumann", "steklov")])

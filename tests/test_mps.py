@@ -124,6 +124,14 @@ def test_interior_points_deterministic_and_inside(gww_a):
         assert mps._point_in_polygon(p, gww_a.vertices)
 
 
+def test_interior_points_reject_a_negative_offset(square):
+    # the Halton radical inverse is 0 at every index <= 0, so a negative
+    # offset would repeat one corner point
+    with pytest.raises(ValueError, match="offset must be nonnegative"):
+        interior_points(square, 10, offset=-1)
+    assert len(interior_points(square, 10, offset=0)) == 10
+
+
 def test_boundary_collocation_skips_fan_edges(square):
     fan = CornerBasis(square, 0, 6)
     pts = boundary_collocation(square, fan, 24)

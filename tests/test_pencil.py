@@ -1,11 +1,15 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapspec import pencil
+from lapspec import fem, pencil
+from conftest import shared_mesh
 from lapspec.pencil import Pencil, cluster, solve_general, solve_lowest, solve_symdef
 
 
@@ -260,6 +264,41 @@ def test_solve_lowest_matches_dense(rng):
     vals, V, residual = solve_lowest(A, B, n - 1, shift=0.0)
     ref = solve_symdef(Pencil(A.toarray(), B.toarray())).eigenvalues[:n - 1]
     assert np.max(np.abs(vals - ref) / ref) < 1e-12
+    assert residual <= 1e-9
+
+
+def test_solve_lowest_factors_the_p2_drum_pencil_once_in_symmetric_mode(monkeypatch):
+    # gww-a, P2 Dirichlet at level 4, shifted as solve_fem shifts it
+    mesh = shared_mesh("gww-a", 4)
+    space = fem.FemSpace("P2", mesh, fem._constrained_markers("dirichlet"))
+    free = space.free
+    A = fem.assemble_stiffness(space)[free][:, free]
+    B = fem.assemble_mass(space)[free][:, free]
+    shift = -1.0 / mesh.areas().sum()
+    # reference: ARPACK's own shift-invert mode, before the spy is in place
+    ref = np.sort(spla.eigsh(A, 10, M=B, sigma=shift, which="LM")[0])
+
+    factor = spla.splu
+    calls = []
+
+    def spy(C, *args, **kwargs):
+        lu = factor(C, *args, **kwargs)
+        calls.append((args, kwargs, lu.nnz, C))
+        return lu
+
+    # the module eigsh lives in factors M itself when handed no Minv
+    monkeypatch.setattr(spla, "splu", spy)
+    monkeypatch.setattr(sys.modules[spla.eigsh.__module__], "splu", spy)
+    vals, _, residual = solve_lowest(A, B, 10, shift)
+    monkeypatch.undo()
+
+    assert len(calls) == 1
+    args, kwargs, nnz, C = calls[0]
+    assert args == () and kwargs == {"permc_spec": "MMD_AT_PLUS_A",
+                                     "diag_pivot_thresh": 0,
+                                     "options": {"SymmetricMode": True}}
+    assert nnz < spla.splu(C).nnz
+    assert np.max(np.abs(vals - ref) / ref) < 1e-10
     assert residual <= 1e-9
 
 
