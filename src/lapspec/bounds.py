@@ -48,8 +48,10 @@ def richardson_extrapolate(values, hs):
     Fits v(h) = v* + C h^r on the finest three levels: r from the log2
     ratio of consecutive differences, v* by Aitken elimination. The
     asymptotic flag is set when at least two rate windows exist and
-    successive estimates agree within 10%. Non-monotone differences in the
-    finest window leave the data un-extrapolated (last value, rate nan).
+    successive estimates agree within 10%. Differences in the finest window
+    that change sign or do not shrink (a rate of zero or less, which Aitken
+    would extrapolate away from the data) leave it un-extrapolated (last
+    value, rate nan).
     """
     v = np.asarray(values, dtype=float)
     h = np.asarray(hs, dtype=float)
@@ -61,7 +63,7 @@ def richardson_extrapolate(values, hs):
     rates = []
     for a, b, c in zip(v, v[1:], v[2:]):
         p, q = b - a, c - b
-        rates.append(np.log2(p / q) if p * q > 0 and p != q else np.nan)
+        rates.append(np.log2(p / q) if p * q > 0 and abs(p) > abs(q) else np.nan)
     if np.isnan(rates[-1]):
         return Extrapolation(float(v[-1]), float("nan"), False)
     a, b, c = v[-3:]

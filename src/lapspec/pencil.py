@@ -5,14 +5,16 @@ Lanczos path (ARPACK) with a residual gate. Every caller shifts below the
 spectrum, so C = A - shift*B is symmetric positive definite and needs no
 pivoting for stability: SuperLU factors C once in symmetric mode
 (minimum-degree ordering of C^T + C, diagonal pivots), and that factor
-serves every Lanczos step. General pencils with a
-well-conditioned B (the BIE Steklov problems) take one of two routes, chosen
-by size: when a few values of smallest modulus are wanted (8 (count + PAD)
-<= n), shift-invert Arnoldi (ARPACK) runs on A^-1 B from one LU of A, and its
-pairs pass the residual gate; otherwise one LU solve reduces the pencil to the
-standard problem B^-1 A, solved whole by Hessenberg QR (geev) without vectors
-and without the gate. An eigenvalue whose imaginary part is at most REAL_RTOL
-of its modulus counts as real.
+serves every Lanczos step. General pencils (the BIE Steklov problems)
+first factor B by LU; its 1-norm condition estimate (gecon) admits a
+well-conditioned B, and only a B near the gate costs an exact 2-norm
+condition number. They then take one of two routes, chosen by size: when a
+few values of smallest modulus are wanted (8 (count + PAD) <= n),
+shift-invert Arnoldi (ARPACK) runs on A^-1 B from one LU of A, and its pairs
+pass the residual gate; otherwise B's LU reduces the pencil to the standard
+problem B^-1 A, solved whole by Hessenberg QR (geev) without vectors and
+without the gate. An eigenvalue whose imaginary part is at most REAL_RTOL of
+its modulus counts as real.
 `solve_symdef`, a dense Cholesky-reduction solve (sygvd), is the dense
 reference: no solver path calls it, the tests compare against it and the
 benchmark tracer wraps it by name.
@@ -121,21 +123,30 @@ def solve_general(pencil, count=None):
 
     B must have a 2-norm condition number of at most COND_GATE, otherwise
     IllConditionedError is raised; B is then nonsingular and no infinite
-    eigenvalues arise. With `count` given and 8 (count + PAD) <= n, Arnoldi
-    (ARPACK) on x -> A^-1 B x, from one LU of A and a fixed start vector,
-    returns the count + PAD values of smallest modulus as sigma = 1/mu, and
-    its real pairs must pass the residual gate. Otherwise eigvals of B^-1 A
-    returns all n values, ungated. The values are real and ascending when
-    every imaginary part is at most REAL_RTOL of its modulus, else sorted by
-    modulus. flags["solver"] is "arnoldi" or "lu-eigvals"; the Arnoldi route
-    also records its largest relative residual in flags["residual"].
+    eigenvalues arise. The gate reads LAPACK's estimate rcond of
+    1 / kappa_1(B) from one LU of B: since kappa_2 <= n kappa_1, B passes
+    when 100 n / rcond <= COND_GATE, which errs only if the estimate is over
+    100 times low. Any other B takes its exact condition number from its
+    singular values, and IllConditionedError carries that value. With
+    `count` given and 8 (count + PAD) <= n, Arnoldi (ARPACK) on
+    x -> A^-1 B x, from one LU of A and a fixed start vector, returns the
+    count + PAD values of smallest modulus as sigma = 1/mu, and its real
+    pairs must pass the residual gate. Otherwise eigvals of B^-1 A, formed
+    from B's LU, returns all n values, ungated. The values are real
+    and ascending when every imaginary part is at most REAL_RTOL of its
+    modulus, else sorted by modulus. flags["solver"] is "arnoldi" or
+    "lu-eigvals"; the Arnoldi route also records its largest relative
+    residual in flags["residual"].
     """
     A, B, n = pencil.A, pencil.B, pencil.n
-    # scipy's LAPACK, like the LUs below, not numpy's separate OpenBLAS
-    sv = la.svdvals(B)
-    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-    if not np.isfinite(cond) or cond > COND_GATE:
-        raise IllConditionedError(cond)
+    # getrf itself: lu_factor warns on an exactly zero pivot (info > 0)
+    luB, piv, info = la.lapack.dgetrf(B)
+    rcond = 0.0 if info else la.lapack.dgecon(luB, np.abs(B).sum(axis=0).max())[0]
+    if not (rcond > 0 and 100 * n / rcond <= COND_GATE):
+        sv = la.svdvals(B)
+        cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+        if not np.isfinite(cond) or cond > COND_GATE:
+            raise IllConditionedError(cond)
     # Arnoldi pays only for a few values: 205 of n = 879 took 2.1 s against
     # 0.8 s for the dense route
     if count is not None and 8 * (count + PAD) <= n:
@@ -152,7 +163,7 @@ def solve_general(pencil, count=None):
         flags = {"solver": "arnoldi",
                  "residual": _residual_gate(A, B, vals[real], V[:, real])}
     else:
-        vals = la.eigvals(la.solve(B, A), overwrite_a=True)
+        vals = la.eigvals(la.lu_solve((luB, piv), A), overwrite_a=True)
         flags = {"solver": "lu-eigvals"}
     if np.all(is_real(vals)):
         out = np.sort(vals.real)

@@ -1,10 +1,25 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from lapspec import bounds, fem, geometry
 
 _MESH_CACHE = {}
 _SOLVE_CACHE = {}
+
+
+@pytest.fixture
+def svdvals_calls(monkeypatch):
+    """List that gains one entry per scipy.linalg.svdvals call."""
+    calls = []
+    svdvals = la.svdvals
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svdvals(*args, **kwargs)
+
+    monkeypatch.setattr(la, "svdvals", counting)
+    return calls
 
 
 def shared_mesh(name, level):

@@ -240,19 +240,35 @@ def test_arnoldi_route_passes_the_residual_gate(monkeypatch):
         pencil.solve_general(pen, count=2)
 
 
-def test_ill_conditioned_pencil_halves_the_nodes(monkeypatch):
+@pytest.mark.parametrize("n_per_curve, count, route",
+                         [(660, 2, "arnoldi"), (330, None, "lu-eigvals")])
+def test_default_gate_accepts_the_annulus_without_an_svd(n_per_curve, count, route,
+                                                          svdvals_calls):
+    spec = solve_steklov_bie(annulus_domain(0.88), n_per_curve, count=count)
+    assert spec.flags["solver"] == route
+    assert svdvals_calls == []
+
+
+@pytest.mark.parametrize("n_per_curve", [330, 660])
+def test_condition_estimate_bounds_the_exact_condition(n_per_curve):
+    # solve_general accepts B without an SVD when 100 n / rcond <= COND_GATE;
+    # that bound must cover the exact 2-norm condition, so the estimate
+    # accepts only what the exact gate accepts
+    pen = _annulus_pencil(0.88, n_per_curve)
+    lu, _, info = la.lapack.dgetrf(pen.B)
+    rcond, _ = la.lapack.dgecon(lu, np.abs(pen.B).sum(axis=0).max())
+    sv = la.svdvals(pen.B)
+    assert info == 0
+    assert 100 * pen.n / rcond >= sv[0] / sv[-1]
+    assert 100 * pen.n / rcond <= pencil.COND_GATE
+
+
+def test_ill_conditioned_pencil_halves_the_nodes(monkeypatch, svdvals_calls):
     # the projected single layer of the concentric annulus has condition
-    # 1.66e3 at 330 nodes per curve and 8.2e2 at 164; each attempt takes one
-    # exact condition number from the singular values of B
-    calls = []
-    svdvals = la.svdvals
-
-    def counting_svdvals(*args, **kwargs):
-        calls.append(1)
-        return svdvals(*args, **kwargs)
-
+    # 1.66e3 at 330 nodes per curve and 8.2e2 at 164; under the lowered gate
+    # the estimate's bound 100 n / rcond exceeds 1.2e3 at both sizes, so each
+    # attempt takes one exact condition number from the singular values of B
     monkeypatch.setattr(pencil, "COND_GATE", 1.2e3)
-    monkeypatch.setattr(la, "svdvals", counting_svdvals)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         spec = solve_steklov_bie(annulus_domain(0.0), 330, count=20)
@@ -261,7 +277,7 @@ def test_ill_conditioned_pencil_halves_the_nodes(monkeypatch):
     assert spec.flags["n_per_curve"] == [164, 164]
     assert spec.param == 328
     assert spec.flags["solver"] == "arnoldi"
-    assert len(calls) == 2
+    assert len(svdvals_calls) == 2
     exact = reference.concentric_annulus_steklov(0.1, count=20).values
     assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-10
 

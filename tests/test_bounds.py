@@ -82,6 +82,15 @@ def test_extrapolation_nonmonotone_tail_unextrapolated():
     assert ex.asymptotic is False
 
 
+def test_extrapolation_growing_increments_unextrapolated():
+    # increments 48.1 then 52.7: a negative rate, whose Aitken limit (-480)
+    # would lie below every level
+    ex = richardson_extrapolate([29.8, 77.9, 130.6], [0.4, 0.2, 0.1])
+    assert ex.limit == 130.6
+    assert np.isnan(ex.rate)
+    assert ex.asymptotic is False
+
+
 def test_extrapolation_two_windows_must_agree():
     # rates 1.0 then 2.0: defined everywhere, but not settled
     hs = [0.8, 0.4, 0.2, 0.1]

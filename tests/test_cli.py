@@ -417,6 +417,12 @@ def test_bounds_schedule_starts_where_the_index_fits(tmp_path, capsys):
     enc = next(l for l in text.split("\n") if l.startswith("# enclosure"))
     lo, hi = float(enc.split(",")[1]), float(enc.split(",")[2])
     assert lo <= 17 * np.pi**2 <= hi
+    # cr_lower rises by growing increments: the column is left at its finest
+    # value, not extrapolated below every level
+    ex = next(l for l in text.split("\n") if l.startswith("extrapolated,cr_lower,"))
+    finest = float(rows[-1].split(",")[3])
+    assert float(ex.split(",")[2]) == finest
+    assert ex.split(",")[3] == "nan"
 
 
 @pytest.mark.parametrize("index, levels", [(40, 3), (40, 4), (10**6, 3)])

@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -196,12 +197,29 @@ def test_general_reports_reals_by_the_one_realness_rule():
     assert np.allclose(sorted(got.imag), [-1e-5, 1e-5], rtol=1e-9, atol=0)
 
 
-def test_general_ill_conditioned_error_carries_the_condition_number():
+def test_general_ill_conditioned_error_carries_the_condition_number(svdvals_calls):
     B = np.diag([1.0, 1e-13])
     with pytest.raises(pencil.IllConditionedError) as info:
         solve_general(Pencil(np.eye(2), B))
     assert info.value.cond == pytest.approx(1e13)
     assert isinstance(info.value, ValueError)
+    assert len(svdvals_calls) == 1
+
+
+def test_general_estimate_near_the_gate_takes_the_exact_condition(svdvals_calls):
+    # the estimate's bound 100 n / rcond = 2e13 exceeds the gate, but the
+    # exact condition 1e11 does not, so B is accepted after one SVD
+    spec = solve_general(Pencil(np.diag([2.0, 3.0]), np.diag([1.0, 1e-11])))
+    assert np.allclose(spec.eigenvalues, [2.0, 3e11], rtol=1e-12, atol=0)
+    assert len(svdvals_calls) == 1
+
+
+def test_general_singular_b_is_ill_conditioned_without_a_scipy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pencil.IllConditionedError) as info:
+            solve_general(Pencil(np.eye(2), np.diag([1.0, 0.0])))
+    assert info.value.cond == np.inf
 
 
 @pytest.mark.parametrize("n,route", [(40, "arnoldi"), (39, "lu-eigvals")])
