@@ -16,6 +16,7 @@ from .fem import _Q5_BARY, _Q5_W, build_mesh
 
 REFINE_RTOL = 1e-9    # relative bracket width at which the golden section stops
 SUP_SAMPLES = 1200    # boundary sup samples per polygon edge or circle
+SUP_TOL = 1e-9        # width in the edge parameter at which sup refinement stops
 
 
 class CornerBasis:
@@ -57,13 +58,19 @@ class CornerBasis:
         return self.alpha * np.arange(1, self.size + 1)
 
     def evaluate(self, lam, points):
-        """Matrix of basis values, one row per point."""
+        """Matrix of basis values, one row per point.
+
+        The Bessel factors come from one `specfun.bessel_j_orders` table:
+        orders alpha*k that differ by integers share a downward recurrence,
+        so a rational alpha = p/q needs at most 2q seed values per point (one
+        class per residue of k mod q); an irrational alpha needs all of them.
+        """
         d = np.atleast_2d(points) - self.vertex
         r = np.hypot(d[:, 0], d[:, 1])
         theta = self._cut + (np.arctan2(d[:, 1], d[:, 0])
                              - self._phi0 - self._cut) % (2 * np.pi)
         nus = self.orders()
-        vals = specfun.bessel_j(nus[None, :], np.sqrt(lam) * r[:, None])
+        vals = specfun.bessel_j_orders(nus, np.sqrt(lam) * r)
         return vals * np.sin(theta[:, None] * nus[None, :])
 
 
@@ -247,6 +254,29 @@ def sigma_min_sweep(domain, basis, lambda_grid, oversample=2, offset=17):
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 
 
+def _golden_section(f, lo, hi, done):
+    """Golden-section descent of f on every bracket [lo[i], hi[i]] at once.
+
+    f maps an array of abscissae, one per bracket, to values; each step
+    calls it once with the new point of every bracket. The brackets shrink
+    until done(lo, hi) holds for all of them. Returns (lo, hi, least), with
+    least the smallest value of f seen in each bracket.
+    """
+    x1 = hi - _GOLD * (hi - lo)
+    x2 = lo + _GOLD * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    least = np.minimum(f1, f2)
+    while not np.all(done(lo, hi)):
+        left = f1 <= f2
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        x = np.where(left, hi - _GOLD * (hi - lo), lo + _GOLD * (hi - lo))
+        fx = f(x)
+        least = np.minimum(least, fx)
+        x1, f1, x2, f2 = (np.where(left, x, x2), np.where(left, fx, f2),
+                          np.where(left, x1, x), np.where(left, f1, fx))
+    return lo, hi, least
+
+
 def refine_minimum(domain, basis, bracket, oversample=2, offset=17):
     """Golden-section descent of s(lambda) inside a bracket.
 
@@ -261,24 +291,13 @@ def refine_minimum(domain, basis, bracket, oversample=2, offset=17):
         raise ValueError("bracket must be positive and increasing")
     s = _indicator(domain, basis, oversample, offset)
 
-    def s_of(lam):
-        return s(lam)[0]
+    def s_of(lams):
+        return np.array([s(lam)[0] for lam in lams])
 
-    sa, sb = s_of(a), s_of(b)
-    x1 = b - _GOLD * (b - a)
-    x2 = a + _GOLD * (b - a)
-    f1, f2 = s_of(x1), s_of(x2)
-    lo, hi = a, b
-    while hi - lo > REFINE_RTOL * hi:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLD * (hi - lo)
-            f1 = s_of(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLD * (hi - lo)
-            f2 = s_of(x2)
-    lam_h = float(0.5 * (lo + hi))
+    sa, sb = s_of([a, b])
+    lo, hi, _ = _golden_section(s_of, np.array([a]), np.array([b]),
+                               lambda lo, hi: hi - lo <= REFINE_RTOL * hi)
+    lam_h = float(0.5 * (lo[0] + hi[0]))
     s_min, coeff = s(lam_h, want_vector=True)
     if s_min >= min(sa, sb) - 1e-12:
         raise ValueError(f"no interior minimum of s in [{a:g}, {b:g}] "
@@ -335,17 +354,43 @@ class Enclosure:
                 f"eps={self.epsilon:.3g}, caveat={self.caveat})")
 
 
-def _boundary_samples(domain, per_piece):
+def _boundary_pieces(domain):
+    """(count, at): at(piece, t) maps piece indices and parameters t in
+    [0, 1] to boundary points; a piece is a polygon edge or a whole circle."""
     if domain.kind == "polygon":
-        verts = domain.vertices
-        s = np.linspace(0.0, 1.0, per_piece)  # both vertices included
-        for j in range(len(verts)):
-            a, b = verts[j], verts[(j + 1) % len(verts)]
-            yield a + s[:, None] * (b - a)
-    else:
-        t = 2 * np.pi * (np.arange(per_piece) + 0.5) / per_piece
-        for c, r, _ in domain.circles:
-            yield c + r * np.column_stack([np.cos(t), np.sin(t)])
+        a = domain.vertices
+        step = np.roll(a, -1, axis=0) - a
+        return len(a), lambda k, t: a[k] + t[:, None] * step[k]
+    c = np.array([c for c, _, _ in domain.circles])
+    r = np.array([r for _, r, _ in domain.circles])
+    return len(c), lambda k, t: c[k] + r[k, None] * np.column_stack(
+        [np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)])
+
+
+def _boundary_sup(domain, basis, lam, coeff):
+    """Largest |u| over SUP_SAMPLES samples per piece, both ends included,
+    with every sampled local maximum of at least half the sampled sup
+    refined by golden section to a width of SUP_TOL in the piece parameter.
+
+    A lower local maximum is left alone: |u| cannot double between two
+    neighbouring samples where the samples resolve it at all.
+    """
+    count, at = _boundary_pieces(domain)
+    t = np.linspace(0.0, 1.0, SUP_SAMPLES)
+    u = np.abs([evaluate_solution(basis, lam, coeff, at(np.full(t.size, k), t))
+                for k in range(count)])
+    sup = float(u.max())
+    pad = np.pad(u, ((0, 0), (1, 1)), constant_values=-1.0)
+    peak = (pad[:, 1:-1] > pad[:, :-2]) & (pad[:, 1:-1] >= pad[:, 2:])
+    pieces, peaks = np.nonzero(peak & (u >= 0.5 * sup))
+
+    def minus_u(ts):
+        return -np.abs(evaluate_solution(basis, lam, coeff, at(pieces, ts)))
+
+    _, _, least = _golden_section(minus_u, t[np.maximum(peaks - 1, 0)],
+                                  t[np.minimum(peaks + 1, t.size - 1)],
+                                  lambda a, b: b - a <= SUP_TOL)
+    return max(sup, float(-least.min()))
 
 
 def fhm_enclosure(domain, lambda_h, coeff, basis):
@@ -355,11 +400,7 @@ def fhm_enclosure(domain, lambda_h, coeff, basis):
     |u|, which does not change when the domain is dilated.
     """
     basis = _as_basis_list(basis)
-    sup = 0.0
-    for pts in _boundary_samples(domain, SUP_SAMPLES):
-        u = evaluate_solution(basis, lambda_h, coeff, pts)
-        sup = max(sup, float(np.abs(u).max()))
-    eps = np.sqrt(domain.area()) * sup
+    eps = np.sqrt(domain.area()) * _boundary_sup(domain, basis, lambda_h, coeff)
     if eps >= 1.0:
         raise ValueError(f"sqrt|Omega| * boundary sup = {eps:.3g} is not below 1; "
                          "candidate is not eigenfunction-like")

@@ -22,6 +22,22 @@ def svdvals_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def jv_orders(monkeypatch):
+    """List that gains, per scipy.special.jv call made by lapspec.specfun,
+    the number of orders in that call."""
+    from lapspec import specfun
+    calls = []
+    jv = specfun.jv
+
+    def counting(nu, x):
+        calls.append(np.size(nu))
+        return jv(nu, x)
+
+    monkeypatch.setattr(specfun, "jv", counting)
+    return calls
+
+
 def shared_mesh(name, level):
     key = (name, level)
     if key not in _MESH_CACHE:

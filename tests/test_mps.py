@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
 from lapspec import mps, specfun
-from lapspec.geometry import load_domain
+from lapspec.geometry import Domain, load_domain
 from lapspec.mps import (CornerBasis, Enclosure, boundary_collocation,
                          corner_angles, corner_basis, fhm_enclosure,
                          interior_points, refine_minimum, reentrant_corners,
@@ -37,6 +37,24 @@ def test_fan_orders_and_alpha(square):
     fan = CornerBasis(square, 0, 6)
     assert fan.alpha == pytest.approx(2.0, abs=1e-14)
     assert np.allclose(fan.orders(), [2, 4, 6, 8, 10, 12])
+
+
+def test_fans_take_two_jv_seeds_per_class_of_orders(square, gww_a, jv_orders):
+    # alpha = 4/3 or 2/3 at gww-a's singular corners: three classes of
+    # orders, two seeds each; alpha = 2 on the square: one class; an
+    # irrational alpha: one seed per order
+    pts = interior_points(gww_a, 30)
+    for fan in corner_basis(gww_a, 14, corners="singular"):
+        jv_orders.clear()
+        fan.evaluate(50.0, pts)
+        assert sum(jv_orders) == 6
+    jv_orders.clear()
+    CornerBasis(square, 0, 14).evaluate(50.0, interior_points(square, 30))
+    assert sum(jv_orders) == 2
+    triangle = Domain("polygon", [(0, 0), (1, 0), (0.3, 0.7)])
+    jv_orders.clear()
+    CornerBasis(triangle, 0, 14).evaluate(50.0, interior_points(triangle, 30))
+    assert sum(jv_orders) == 14
 
 
 def test_fan_vanishes_on_incident_edges(gww_a):
@@ -283,6 +301,22 @@ def test_boundary_sup_is_taken_at_the_vertices():
     assert int(np.argmax(at_vertices)) == 3
     assert enc.epsilon == pytest.approx(np.sqrt(dom.area()) * at_vertices.max(),
                                         rel=1e-12)
+
+
+def test_boundary_sup_refines_a_maximum_between_samples(square):
+    # a bump on the bottom edge peaks 0.3 of a sample spacing past a
+    # sample, so the samples alone miss its height by about 6e-6
+    peak = (mps.SUP_SAMPLES // 2 + 0.3) / (mps.SUP_SAMPLES - 1)
+
+    class Bump:
+        size = 1
+
+        def evaluate(self, lam, points):
+            p = np.atleast_2d(points)
+            return 0.5 * np.exp(-((p[:, 0] - peak)**2 + p[:, 1]**2) / 0.01)[:, None]
+
+    enc = fhm_enclosure(square, 10.0, np.array([1.0]), Bump())
+    assert enc.epsilon == pytest.approx(0.5 * np.sqrt(square.area()), rel=1e-12)
 
 
 def _relative_radius(domain, bracket):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lapspec import reference, specfun
@@ -73,3 +73,44 @@ def test_deriv_zero_finder():
     assert pairs[1][1] == 2
     assert abs(np.sqrt(pairs[3][0]) - J11) < 1e-10
     assert pairs[3][1] == 1
+
+
+_ALPHAS = st.one_of(
+    st.builds(lambda p, q: p / q, st.integers(1, 12), st.integers(1, 4)),
+    st.sampled_from([np.sqrt(2.0), np.e / 2, 2.0 / 3.0 + 1e-9]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(alpha=_ALPHAS, fill=st.floats(0.0, 1.0),
+       log_xmax=st.floats(-30.0, np.log10(specfun.X_MAX)))
+@example(alpha=2.0 / 3.0, fill=1.0, log_xmax=-20.0)     # top seed underflows
+@example(alpha=4.0 / 3.0, fill=0.07, log_xmax=-25.0)    # 14-term fan, tiny x
+@example(alpha=0.25, fill=1.0, log_xmax=4.0)             # 800 orders to x = 1e4
+@example(alpha=2.0 / 3.0 + 1e-9, fill=0.05, log_xmax=2.0)
+def test_order_table_matches_per_order_values(alpha, fill, log_xmax):
+    # a fan alpha*k, k = 1..size, with top order up to NU_MAX, on a grid
+    # from x = 0 to 10^log_xmax
+    size = max(1, int(fill * (specfun.NU_MAX - 1e-6) / alpha))
+    orders = alpha * np.arange(1, size + 1)
+    x = np.linspace(0.0, 10.0 ** log_xmax, 40)
+    per_order = specfun.bessel_j(orders[None, :], x[:, None])
+    gap = np.abs(specfun.bessel_j_orders(orders, x) - per_order)
+    assert np.all(gap <= 1e-12 * np.abs(per_order).max(axis=0))
+
+
+def test_order_table_at_zero_argument():
+    table = specfun.bessel_j_orders(np.array([0.0, 1.0, 2.0, 2.5]), np.zeros(3))
+    assert np.array_equal(table, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
+
+
+@pytest.mark.parametrize("alpha,seeds", [(2.0 / 3.0, 6), (2.0 / 3.0 + 1e-9, 14)])
+def test_near_rational_orders_do_not_share_a_recurrence(jv_orders, alpha, seeds):
+    specfun.bessel_j_orders(alpha * np.arange(1, 15), np.linspace(0.0, 30.0, 7))
+    assert sum(jv_orders) == seeds
+
+
+def test_order_table_checks_the_domain():
+    with pytest.raises(ValueError):
+        specfun.bessel_j_orders(np.array([150.0, 250.0]), np.array([1.0]))
+    with pytest.raises(ValueError):
+        specfun.bessel_j_orders(np.array([1.0, 2.0]), np.array([-1.0]))
