@@ -13,7 +13,7 @@ from .mps import (CornerBasis, Enclosure, corner_basis, fhm_enclosure,
                   refine_minimum, sigma_min_sweep)
 from .pencil import Pencil, Spectrum, cluster, solve_general, solve_symdef
 from .reference import (AnalyticSpectrum, concentric_annulus_steklov,
-                        disk_spectra, rectangle_spectra, union_spectrum)
+                        disk_spectra, rectangle_spectra)
 
 __all__ = [
     "bie", "bounds", "fem", "geometry", "mps", "pencil", "reference",
@@ -26,5 +26,5 @@ __all__ = [
     "refine_minimum", "sigma_min_sweep",
     "Pencil", "Spectrum", "cluster", "solve_general", "solve_symdef",
     "AnalyticSpectrum", "concentric_annulus_steklov", "disk_spectra",
-    "rectangle_spectra", "union_spectrum",
+    "rectangle_spectra",
 ]

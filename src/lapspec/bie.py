@@ -111,9 +111,11 @@ def solve_steklov_bie(domain, n_per_curve, count=None):
     """Steklov spectrum of a smooth-curves domain by collocation.
 
     Returns ascending real eigenvalues with the zero mode prepended and
-    flagged. Complex pencil eigenvalues among the requested leading block
-    signal under-resolution and are rejected; an ill-conditioned projected
-    single-layer matrix triggers a halving of the node counts with a warning.
+    flagged, the lowest `count` when given; fewer than `count` real values
+    raise a ValueError that names the node counts. Complex pencil
+    eigenvalues among the requested leading block signal under-resolution
+    and are rejected; an ill-conditioned projected single-layer matrix
+    triggers a halving of the node counts with a warning.
     The flags copy the pencil solve's `solver` route and, when it was gated,
     its largest relative `residual`.
     """
@@ -151,6 +153,9 @@ def solve_steklov_bie(domain, n_per_curve, count=None):
                          "discretization inconsistency")
     vals = np.concatenate([[0.0], np.clip(vals, 0.0, None)])
     if count is not None:
+        if len(vals) < count:
+            raise ValueError(f"only {len(vals)} Steklov values at nodes {n_per_curve}: "
+                             f"cannot return {count} (increase the node counts)")
         vals = vals[:count]
     return pen.Spectrum(vals, "bie", sum(n_per_curve), domain.name,
                         flags={"zero_mode": True,

@@ -39,54 +39,50 @@ def cr_lower_bound(lam_cr, h):
     return lam_cr / (1.0 + KAPPA_SQ * h**2 * lam_cr)
 
 
-Extrapolation = namedtuple("Extrapolation", "limit rate asymptotic")
+EXTRAPOLATE_FROM = 3   # levels behind every extrapolated value: Aitken takes three
+Extrapolation = namedtuple("Extrapolation", "limit rate")
 
 
 def richardson_extrapolate(values, hs):
     """Limit estimate from values on a halving mesh sequence.
 
-    Fits v(h) = v* + C h^r on the finest three levels: r from the log2
-    ratio of consecutive differences, v* by Aitken elimination. The
-    asymptotic flag is set when at least two rate windows exist and
-    successive estimates agree within 10%. Differences in the finest window
-    that change sign or do not shrink (a rate of zero or less, which Aitken
-    would extrapolate away from the data) leave it un-extrapolated (last
-    value, rate nan).
+    Fits v(h) = v* + C h^r on the finest three levels (a, b, c): r is the
+    log2 ratio of the increments b - a and c - b, and v* follows by Aitken
+    elimination. Coarser levels only have to halve the mesh size. When the
+    two increments differ in sign or do not shrink (a rate of zero or less,
+    which Aitken would extrapolate away from the data), the result is the
+    finest value un-extrapolated, with rate nan.
     """
     v = np.asarray(values, dtype=float)
     h = np.asarray(hs, dtype=float)
-    if v.shape != h.shape or v.ndim != 1 or len(v) < 3:
-        raise ValueError("need matching 1-d arrays with at least 3 levels")
+    if v.shape != h.shape or v.ndim != 1 or len(v) < EXTRAPOLATE_FROM:
+        raise ValueError("need matching 1-d arrays with at least "
+                         f"{EXTRAPOLATE_FROM} levels")
     ratios = h[:-1] / h[1:]
     if np.any(h <= 0) or np.any(np.abs(ratios - 2.0) > 0.02):
         raise ValueError("mesh sizes must halve between consecutive levels")
-    rates = []
-    for a, b, c in zip(v, v[1:], v[2:]):
-        p, q = b - a, c - b
-        rates.append(np.log2(p / q) if p * q > 0 and abs(p) > abs(q) else np.nan)
-    if np.isnan(rates[-1]):
-        return Extrapolation(float(v[-1]), float("nan"), False)
     a, b, c = v[-3:]
-    limit = c - (c - b) ** 2 / ((c - b) - (b - a))
-    asymptotic = (len(rates) >= 2
-                  and not any(np.isnan(r) for r in rates)
-                  and all(abs(r2 - r1) <= 0.1 * abs(r1)
-                          for r1, r2 in zip(rates, rates[1:])))
-    return Extrapolation(float(limit), float(rates[-1]), asymptotic)
+    p, q = b - a, c - b
+    if not (p * q > 0 and abs(p) > abs(q)):
+        return Extrapolation(float(c), float("nan"))
+    return Extrapolation(float(c - q ** 2 / (q - p)), float(np.log2(p / q)))
 
 
 def extrapolated_spectrum(domain, spec):
-    """Solve `spec` at levels spec.level-2 .. spec.level and extrapolate.
+    """Solve `spec` at the EXTRAPOLATE_FROM levels up to spec.level and
+    extrapolate.
 
     Returns (limits, spectra): the Richardson limit of each of the
-    spec.count eigenvalues over the three levels, and the Spectrum of each
+    spec.count eigenvalues over those levels, and the Spectrum of each
     level, coarsest first.
     """
-    if spec.level < 2:
-        raise ValueError("three-level extrapolation needs spec.level >= 2")
+    first = spec.level - EXTRAPOLATE_FROM + 1
+    if first < 0:
+        raise ValueError("three-level extrapolation needs spec.level >= "
+                         f"{EXTRAPOLATE_FROM - 1}")
     spectra = [solve_fem(domain, EigenProblemSpec(spec.bc, spec.count,
                                                   kind=spec.kind, level=lvl))
-               for lvl in range(spec.level - 2, spec.level + 1)]
+               for lvl in range(first, spec.level + 1)]
     values = np.array([sp.eigenvalues for sp in spectra])
     hs = [sp.param for sp in spectra]
     limits = np.array([richardson_extrapolate(values[:, j], hs).limit
@@ -191,8 +187,9 @@ def bracket_report(domain, index, levels):
     columns. Levels must be consecutive so the mesh size halves.
     """
     levels = [int(l) for l in levels]
-    if len(levels) < 3 or any(b - a != 1 for a, b in zip(levels, levels[1:])):
-        raise ValueError("need at least 3 consecutive refinement levels")
+    if (len(levels) < EXTRAPOLATE_FROM
+            or any(b - a != 1 for a, b in zip(levels, levels[1:]))):
+        raise ValueError(f"need at least {EXTRAPOLATE_FROM} consecutive refinement levels")
     if index < 1:
         raise ValueError("eigenvalue index is 1-based")
     bc = _infer_bc(domain)

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__, bie, bounds, fem, geometry, mps, pencil, reference, specfun
+from .bounds import EXTRAPOLATE_FROM
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -28,7 +29,6 @@ METHODS = {"fem-p1": ("P1", BCS, "polygon"),
            "bie": (None, ("steklov",), "smooth-curves"),
            "mps": (None, ("dirichlet",), "polygon")}
 FEM_METHODS = tuple(m for m, (kind, _, _) in METHODS.items() if kind)
-EXTRAPOLATE_FROM = 3   # smallest --levels at which results extrapolate
 
 COMPAT_MATRIX = "method / boundary-condition / domain compatibility:\n" + "".join(
     f"  {m:8} {' '.join(bcs):36} {kind} domains\n"
@@ -154,8 +154,7 @@ def _index_list(text):
 
 
 def _corners(text):
-    # "auto" means the singular-corner set; corner_basis falls back to the
-    # largest-angle corner on polygons where every corner is regular.
+    # "auto" is corner_basis's default rule, "singular"
     if text in ("auto", "singular", "reentrant"):
         return "singular" if text == "auto" else text
     return _int_list(text)
@@ -196,7 +195,7 @@ def build_parser():
                        help="dilate the domain before solving")
     solve.add_argument("--modes", type=_index_list,
                        help="render these eigenfunction indices to modes.svg")
-    solve.add_argument("--seed", type=_nonnegative_int, default=17,
+    solve.add_argument("--seed", type=_nonnegative_int, default=mps.HALTON_OFFSET,
                        help="offset of the low-discrepancy interior sequence "
                             "(mps)")
     common(solve)
@@ -317,6 +316,9 @@ def _write_spectrum(out, values, method, param, domain):
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args):
+    if args.modes and args.method not in FEM_METHODS:
+        raise UsageError("lapspec solve: --modes renders FEM eigenfunctions; "
+                         f"--method {args.method} computes none")
     if args.modes and max(args.modes) > args.count:
         raise UsageError(f"lapspec solve: --modes index {max(args.modes)} "
                          f"exceeds --count {args.count}")
@@ -340,7 +342,8 @@ def cmd_solve(args):
     else:
         vals, spectra = bounds.extrapolated_spectrum(dom, spec)
         finest = spectra[-1]
-        param = f"levels={top - 2}-{top};h={float(finest.param)!r};extrapolated"
+        param = (f"levels={spectra[0].flags['level']}-{top};"
+                 f"h={float(finest.param)!r};extrapolated")
     _write_spectrum(out, vals, finest.method, param, dom.name)
     if args.modes:
         svg = render_modes_svg(finest, args.modes)
@@ -582,8 +585,9 @@ def _nodal_segments(mesh, values):
     return segs
 
 
-def render_modes_svg(spectrum, indices, size=240):
+def render_modes_svg(spectrum, indices):
     """Nodal lines of the selected modes, one panel per index."""
+    size = 240   # side of one panel, in pixels
     mesh = spectrum.space.mesh
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)

@@ -218,7 +218,7 @@ def load_domain(path_or_name):
             if tok[0] == "v" and len(tok) == 3:
                 verts.append(tuple(nums))
             elif tok[0] == "e" and len(tok) == 4:
-                edges.append((int(tok[1]), int(tok[2]), tok[3]))
+                edges.append((ln, int(tok[1]), int(tok[2]), tok[3]))
             elif tok[0] == "c" and len(tok) == 5:
                 o = {"ccw": +1, "outer-ccw": +1, "cw": -1, "inner-cw": -1}[tok[4]]
                 circles.append((tuple(nums[:2]), nums[2], o))
@@ -236,7 +236,10 @@ def load_domain(path_or_name):
         raise ValueError(f"{path_or_name}: no geometry found")
     n = len(verts)
     markers = ["dirichlet"] * n
-    for i, j, m in edges:
+    for ln, i, j, m in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"{path_or_name}:{ln}: edge ({i},{j}) names a vertex "
+                             f"outside 0..{n - 1}")
         if j != (i + 1) % n:
             raise ValueError(f"{path_or_name}: edge ({i},{j}) does not follow the vertex cycle")
         markers[i] = m

@@ -17,6 +17,9 @@ from .fem import _Q5_BARY, _Q5_W, build_mesh
 REFINE_RTOL = 1e-9    # relative bracket width at which the golden section stops
 SUP_SAMPLES = 1200    # boundary sup samples per polygon edge or circle
 SUP_TOL = 1e-9        # width in the edge parameter at which sup refinement stops
+OVERSAMPLE = 2        # boundary collocation points per basis function
+HALTON_OFFSET = 17    # first Halton index of the interior points (CLI --seed)
+L2_LEVEL = 3          # refinement level of the L2-normalization quadrature mesh
 
 
 class CornerBasis:
@@ -108,36 +111,23 @@ def singular_corners(domain):
     return out
 
 
-def corner_basis(domain, size, corners=None):
-    """Build the default single-corner basis or a union over given corners.
+def corner_basis(domain, size, corners="singular"):
+    """The list of fans, one per chosen corner, that every MPS function takes.
 
-    With corners=None the corner with the largest interior angle is used;
-    corners="singular" places a fan at every corner that is not an exact
-    pi-over-integer; corners="reentrant" takes the reflex corners only;
-    otherwise pass explicit corner indices, each at most once.
+    corners="singular" (the default) places a fan at every corner that is
+    not an exact pi-over-integer, or at the corner with the largest interior
+    angle when every corner is one; corners="reentrant" takes the reflex
+    corners only; otherwise pass explicit corner indices, each at most once.
     """
-    widest = [int(np.argmax(corner_angles(domain)))]
-    if corners is None:
-        corners = widest
-    elif corners == "reentrant":
+    if corners == "reentrant":
         corners = reentrant_corners(domain)
         if not corners:
             raise ValueError("polygon has no reflex corners")
     elif corners == "singular":
-        corners = singular_corners(domain) or widest
+        corners = singular_corners(domain) or [int(np.argmax(corner_angles(domain)))]
     elif len(set(corners)) < len(corners):
         raise ValueError(f"corner indices {list(corners)} repeat a corner")
     return [CornerBasis(domain, c, size) for c in corners]
-
-
-def _as_basis_list(basis):
-    # a fan has evaluate(lam, points); the indicator also reads size and edges
-    if hasattr(basis, "evaluate"):
-        return [basis]
-    basis = list(basis)
-    if not basis:
-        raise ValueError("empty basis")
-    return basis
 
 
 def _point_in_polygon(p, verts):
@@ -161,7 +151,7 @@ def _halton(index, base):
     return r
 
 
-def interior_points(domain, count, offset=17):
+def interior_points(domain, count, offset=HALTON_OFFSET):
     """Deterministic low-discrepancy points strictly inside the polygon,
     from the Halton sequence starting at index `offset` (at least 0)."""
     if offset < 0:
@@ -187,7 +177,8 @@ def boundary_collocation(domain, basis, total):
     Edges on which every basis fan vanishes identically (all fans share the
     corner the edge touches) carry no information and are skipped.
     """
-    basis = _as_basis_list(basis)
+    if not basis:
+        raise ValueError("empty basis")
     verts = domain.vertices
     n = len(verts)
     edges = [(j, (j + 1) % n) for j in range(n)]
@@ -229,9 +220,9 @@ def _subspace_smin(M, nb, want_vector=False):
     return float(s[-1]), coeff
 
 
-def _indicator(domain, basis, oversample, offset):
+def _indicator(domain, basis, offset):
     """s(lam, want_vector=False) -> (s, coeff) at fixed sample points."""
-    total = oversample * sum(fan.size for fan in basis)
+    total = OVERSAMPLE * sum(fan.size for fan in basis)
     bpts = boundary_collocation(domain, basis, total)
     ipts = interior_points(domain, len(bpts), offset=offset)
 
@@ -241,13 +232,17 @@ def _indicator(domain, basis, oversample, offset):
     return s
 
 
-def sigma_min_sweep(domain, basis, lambda_grid, oversample=2, offset=17):
-    """Subspace-angle indicator s(lambda) over a grid; minima mark eigenvalues."""
-    basis = _as_basis_list(basis)
+def sigma_min_sweep(domain, basis, lambda_grid, offset=HALTON_OFFSET):
+    """Subspace-angle indicator s(lambda) over a grid; minima mark eigenvalues.
+
+    `basis` is a list of fans (`corner_basis`). The indicator collocates
+    OVERSAMPLE points per basis function on the boundary and as many
+    interior points, from the Halton sequence starting at index `offset`.
+    """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if np.any(lambda_grid <= 0) or np.any(np.diff(lambda_grid) <= 0):
         raise ValueError("lambda grid must be positive and ascending")
-    s = _indicator(domain, basis, oversample, offset)
+    s = _indicator(domain, basis, offset)
     return [(float(lam), s(lam)[0]) for lam in lambda_grid]
 
 
@@ -277,19 +272,18 @@ def _golden_section(f, lo, hi, done):
     return lo, hi, least
 
 
-def refine_minimum(domain, basis, bracket, oversample=2, offset=17):
+def refine_minimum(domain, basis, bracket, offset=HALTON_OFFSET):
     """Golden-section descent of s(lambda) inside a bracket.
 
-    Returns (lambda_h, coefficients) where the coefficient vector is
-    normalized to unit L2 norm over the polygon (degree-5 quadrature on a
-    level-3 triangulation). A bracket without an interior minimum of s is
-    rejected.
+    `basis` and `offset` fix the indicator as in `sigma_min_sweep`. Returns
+    (lambda_h, coefficients) where the coefficient vector is normalized to
+    unit L2 norm over the polygon (degree-5 quadrature on a level-L2_LEVEL
+    triangulation). A bracket without an interior minimum of s is rejected.
     """
-    basis = _as_basis_list(basis)
     a, b = float(bracket[0]), float(bracket[1])
     if not 0 < a < b:
         raise ValueError("bracket must be positive and increasing")
-    s = _indicator(domain, basis, oversample, offset)
+    s = _indicator(domain, basis, offset)
 
     def s_of(lams):
         return np.array([s(lam)[0] for lam in lams])
@@ -308,13 +302,14 @@ def refine_minimum(domain, basis, bracket, oversample=2, offset=17):
 
 def evaluate_solution(basis, lam, coeff, points):
     """Trial function value at arbitrary points."""
-    basis = _as_basis_list(basis)
+    if not basis:
+        raise ValueError("empty basis")
     blocks = np.hstack([fan.evaluate(lam, points) for fan in basis])
     return blocks @ coeff
 
 
-def _l2_norm(domain, basis, lam, coeff, level=3):
-    mesh = build_mesh(domain, level)
+def _l2_norm(domain, basis, lam, coeff):
+    mesh = build_mesh(domain, L2_LEVEL)
     p = mesh.vertices[mesh.triangles]
     areas = mesh.areas()
     total = 0.0
@@ -399,7 +394,6 @@ def fhm_enclosure(domain, lambda_h, coeff, basis):
     The FHM theorem takes epsilon = sqrt|Omega| * sup over the boundary of
     |u|, which does not change when the domain is dilated.
     """
-    basis = _as_basis_list(basis)
     eps = np.sqrt(domain.area()) * _boundary_sup(domain, basis, lambda_h, coeff)
     if eps >= 1.0:
         raise ValueError(f"sqrt|Omega| * boundary sup = {eps:.3g} is not below 1; "

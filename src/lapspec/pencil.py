@@ -24,7 +24,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-DEFAULT_CLUSTER_RTOL = 1e-6
+CLUSTER_RTOL = 1e-6    # relative gap up to which cluster() merges neighbors
 RESIDUAL_GATE = 1e-9   # largest relative residual accepted from any solver
 PAD = 4                # extra Lanczos pairs beyond the k requested
 LANCZOS_SEED = 1234
@@ -62,11 +62,11 @@ def _is_symmetric(M):
     return np.abs(M - M.T).max() <= 1e-12 * scale
 
 
-def cluster(values, rtol=DEFAULT_CLUSTER_RTOL):
+def cluster(values):
     """Group an ascending array into multiplicity clusters.
 
     Two neighbors belong to one cluster when their gap is at most
-    rtol * max(1, |value|); returns (cluster sizes, cluster means).
+    CLUSTER_RTOL * max(1, |value|); returns (cluster sizes, cluster means).
     """
     values = np.asarray(values)
     if len(values) == 0:
@@ -75,7 +75,7 @@ def cluster(values, rtol=DEFAULT_CLUSTER_RTOL):
     start = 0
     for i in range(1, len(values) + 1):
         if i == len(values) or (values[i] - values[i - 1]
-                                > rtol * max(1.0, abs(values[i]))):
+                                > CLUSTER_RTOL * max(1.0, abs(values[i]))):
             sizes.append(i - start)
             means.append(values[start:i].mean())
             start = i

@@ -1,7 +1,7 @@
 """Closed-form eigenvalue lists used as oracles for the discrete solvers.
 
-Disk Dirichlet/Neumann/Steklov, rectangle Dirichlet/Neumann/mixed, the
-concentric-annulus Steklov spectrum, and merged unions of analytic lists.
+Disk Dirichlet/Neumann/Steklov, rectangle Dirichlet/Neumann/mixed, and
+the concentric-annulus Steklov spectrum.
 Everything here comes from separation of variables; the only numerics are
 scipy's integer-order Bessel zero tables (`jn_zeros`, `jnp_zeros`) and
 stable quadratic roots.
@@ -162,10 +162,3 @@ def concentric_annulus_steklov(r_inner, r_outer=1.0, count=20):
     expanded = _trim(vals, count)
     return AnalyticSpectrum(expanded)
 
-
-def union_spectrum(spec_a, spec_b, count):
-    """Merge two analytic spectra ascending; exact ties add multiplicities."""
-    merged = np.sort(np.concatenate([spec_a.values, spec_b.values]))
-    if len(merged) < count:
-        raise ValueError("inputs too short for the requested count")
-    return AnalyticSpectrum(merged[:count])

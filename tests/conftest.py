@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from lapspec import bounds, fem, geometry
+from lapspec import bounds, fem, geometry, reference
 
 _MESH_CACHE = {}
 _SOLVE_CACHE = {}
@@ -36,6 +36,15 @@ def jv_orders(monkeypatch):
 
     monkeypatch.setattr(specfun, "jv", counting)
     return calls
+
+
+def union_spectrum(spec_a, spec_b, count):
+    """Oracle: merge two analytic spectra ascending; exact ties add
+    multiplicities."""
+    merged = np.sort(np.concatenate([spec_a.values, spec_b.values]))
+    if len(merged) < count:
+        raise ValueError("inputs too short for the requested count")
+    return reference.AnalyticSpectrum(merged[:count])
 
 
 def shared_mesh(name, level):

@@ -15,7 +15,7 @@ from scipy.special import jn_zeros
 
 from lapspec import bie, bounds, cli, fem, geometry, pencil, reference
 from conftest import (shared_bie, shared_extrapolated, shared_gww_mps,
-                      shared_solve, shared_square_mps)
+                      shared_solve, shared_square_mps, union_spectrum)
 
 PI2 = np.pi**2
 
@@ -66,7 +66,7 @@ def test_c02_concentric_annulus_closed_form():
     assert np.max(np.abs(computed - ref.values)) <= 1e-9
     radial = -(1.0 + 10.0) / np.log(0.1)
     assert np.min(np.abs(computed - radial)) <= 1e-9
-    sizes, _ = pencil.cluster(computed, rtol=1e-6)
+    sizes, _ = pencil.cluster(computed)
     assert list(sizes) == [m for _, m in ref.pairs()]
 
 
@@ -85,7 +85,7 @@ def test_c08_quasimode_union_agreement():
     the two boundary circles to rel 1e-3 (they agree far better; the
     bound is the claimed super-algebraic closeness at finite k)."""
     sp = shared_bie(0.4, 440)
-    union = reference.union_spectrum(
+    union = union_spectrum(
         reference.disk_spectra("steklov", radius=1.0, count=260),
         reference.disk_spectra("steklov", radius=0.1, count=40),
         count=220)

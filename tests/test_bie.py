@@ -282,6 +282,13 @@ def test_ill_conditioned_pencil_halves_the_nodes(monkeypatch, svdvals_calls):
     assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-10
 
 
+def test_count_beyond_the_real_values_is_rejected(disk):
+    # 16 nodes give 15 pencil values plus the zero mode
+    assert len(solve_steklov_bie(disk, 16, count=16)) == 16
+    with pytest.raises(ValueError, match=r"only 16 Steklov values at nodes \[16\]"):
+        solve_steklov_bie(disk, 16, count=17)
+
+
 def test_polygon_domain_rejected(square):
     with pytest.raises(ValueError):
         solve_steklov_bie(square, 64)

@@ -65,21 +65,18 @@ def test_extrapolation_recovers_quadratic_model():
     ex = richardson_extrapolate(vals, hs)
     assert ex.limit == pytest.approx(5.0, abs=1e-12)
     assert ex.rate == pytest.approx(2.0, abs=1e-10)
-    assert ex.asymptotic is True
 
 
 def test_extrapolation_constant_sequence_unextrapolated():
     ex = richardson_extrapolate([3.0, 3.0, 3.0], [0.4, 0.2, 0.1])
     assert ex.limit == 3.0
     assert np.isnan(ex.rate)
-    assert ex.asymptotic is False
 
 
 def test_extrapolation_nonmonotone_tail_unextrapolated():
     ex = richardson_extrapolate([5.3, 5.1, 5.2], [0.4, 0.2, 0.1])
     assert ex.limit == 5.2
     assert np.isnan(ex.rate)
-    assert ex.asymptotic is False
 
 
 def test_extrapolation_growing_increments_unextrapolated():
@@ -88,16 +85,18 @@ def test_extrapolation_growing_increments_unextrapolated():
     ex = richardson_extrapolate([29.8, 77.9, 130.6], [0.4, 0.2, 0.1])
     assert ex.limit == 130.6
     assert np.isnan(ex.rate)
-    assert ex.asymptotic is False
 
 
 def test_extrapolation_two_windows_must_agree():
-    # rates 1.0 then 2.0: defined everywhere, but not settled
+    # rates 1.0 then 2.0: the finest three levels alone give the limit
+    # 2.5 - 0.25 / 1.5 and the rate 2
     hs = [0.8, 0.4, 0.2, 0.1]
     vals = [9.0, 5.0, 3.0, 2.5]
     ex = richardson_extrapolate(vals, hs)
-    assert ex.asymptotic is False
     assert np.isfinite(ex.limit)
+    assert ex == richardson_extrapolate(vals[1:], hs[1:])
+    assert ex.limit == pytest.approx(7.0 / 3.0, rel=1e-14)
+    assert ex.rate == pytest.approx(2.0, rel=1e-14)
 
 
 def test_extrapolation_rejects_bad_schedules():
@@ -120,7 +119,6 @@ def test_extrapolation_recovers_synthetic_models(limit, c, rate):
     assert ex.rate == pytest.approx(rate, rel=1e-6)
     # Aitken leaves an O(h^{2r}) remainder, so compare against that scale
     assert abs(ex.limit - limit) <= max(1e-9, 0.5 * c * hs[-1] ** min(2 * rate, 8))
-    assert ex.asymptotic is True
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +226,6 @@ def test_improvement_with_refinement_for_flagged_columns(square_report):
     exact = 2 * np.pi**2
     for col in ("cr", "p1", "p2"):
         ex = square_report.extrapolated[col]
-        if not ex.asymptotic:
-            continue
         vals = {"cr": [r[2] for r in square_report.rows],
                 "p1": [r[4] for r in square_report.rows],
                 "p2": [r[5] for r in square_report.rows]}[col]

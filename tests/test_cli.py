@@ -1,3 +1,5 @@
+import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -92,6 +94,22 @@ def test_readme_command_lines_parse(tmp_path):
                                 for key, value in zip(flags[::2], flags[1::2])))
         from_config = cli.parse_args(["--config", str(conf), command])
         assert _plain(from_config) == _plain(typed), line
+
+
+def test_readme_quick_start_imports_exist():
+    # the quick start is parsed, not run: every name it imports from
+    # lapspec must exist, so removing one cannot leave the README stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    imports = [node for node in ast.walk(ast.parse(code))
+               if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        assert node.module.split(".")[0] == "lapspec"
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
 
 
 def test_compare_levels_too_few_to_extrapolate_is_usage_error(capsys, tmp_path):
@@ -208,9 +226,11 @@ def test_out_of_range_flag_is_usage_error(argv, flag, capsys, tmp_path):
     ("fem-p1", "v 0 0\nv nan 1\nv 1 1\n"),
     ("fem-p1", "v 0 0\nv inf 1\nv 1 1\n"),
     ("fem-p1", "v 0 0\nv 0 1\nv 1 0\n"),
+    ("fem-p1", "v 0 0\nv 1 0\nv 1 1\nv 0 1\ne 5 2 neumann\n"),
+    ("fem-p1", "v 0 0\nv 1 0\nv 1 1\nv 0 1\ne -1 0 neumann\n"),
     ("fem-p1", None),
 ], ids=["annulus-nan", "centre-nan", "vertex-nan", "vertex-inf", "clockwise",
-        "missing-file"])
+        "edge-past-the-end", "edge-negative", "missing-file"])
 def test_invalid_domain_is_usage_error(method, domain, capsys, tmp_path):
     # rejected where the domain enters, before the output directory is made
     if domain is None or "\n" in domain:
@@ -224,6 +244,33 @@ def test_invalid_domain_is_usage_error(method, domain, capsys, tmp_path):
                  "--out", str(out)]) == 1
     assert "invalid domain" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--domain", "unit-disk", "--method", "bie", "--bc", "steklov",
+     "--count", "3"],
+    ["solve", "--domain", "unit-square", "--method", "mps", "--bracket", "19:21"],
+], ids=["bie", "mps"])
+def test_modes_for_a_method_without_eigenfunctions_is_usage_error(argv, capsys,
+                                                                  tmp_path):
+    # only the FEM methods return the eigenfunctions modes.svg draws
+    assert main(argv + ["--modes", "1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    method = argv[argv.index("--method") + 1]
+    assert "--modes" in err and f"--method {method}" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--domain", "unit-disk", "--method", "bie", "--bc", "steklov",
+     "--n", "16", "--count", "40"],
+    ["sweep", "--eps", "0:0.5:3", "--n", "16", "--k", "20"],
+], ids=["solve", "sweep"])
+def test_bie_count_beyond_the_nodes_is_quality_error(argv, capsys, tmp_path):
+    # 16 nodes give 16 Steklov values; asking for more writes no short CSV
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "only 16 Steklov values at nodes" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_grid_syntax(capsys):

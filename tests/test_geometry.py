@@ -176,6 +176,17 @@ def test_domain_file_parse_error_carries_line_number(tmp_path):
         load_domain(str(f))
 
 
+@pytest.mark.parametrize("edge", ["e 5 2 neumann", "e -1 0 neumann"],
+                         ids=["past-the-end", "negative"])
+def test_domain_file_edge_index_outside_the_polygon(edge, tmp_path):
+    # an index is not taken modulo the vertex count: "e -1 0" would mark
+    # edge 3, and "e 5 2" would index past the markers
+    f = tmp_path / "square.dom"
+    f.write_text(f"v 0 0\nv 1 0\nv 1 1\nv 0 1\n{edge}\n")
+    with pytest.raises(ValueError, match=r"square\.dom:5: .*outside 0\.\.3"):
+        load_domain(str(f))
+
+
 # ---------------------------------------------------------------------------
 # meshes
 # ---------------------------------------------------------------------------

@@ -88,8 +88,8 @@ def test_fan_size_and_order_guards(square):
 
 
 def test_corner_basis_selection(square, gww_a):
-    default = corner_basis(square, 5)
-    assert len(default) == 1 and default[0].corner == 0
+    default = corner_basis(gww_a, 5)
+    assert [f.corner for f in default] == [1, 2, 4, 6]
     sing = corner_basis(gww_a, 5, corners="singular")
     assert [f.corner for f in sing] == [1, 2, 4, 6]
     reen = corner_basis(gww_a, 5, corners="reentrant")
@@ -99,8 +99,9 @@ def test_corner_basis_selection(square, gww_a):
     with pytest.raises(ValueError):
         corner_basis(square, 5, corners="reentrant")
     # a polygon whose corners are all pi/integer falls back to the widest one
-    fallback = corner_basis(square, 5, corners="singular")
-    assert len(fallback) == 1
+    fallback = corner_basis(square, 5)
+    assert len(fallback) == 1 and fallback[0].corner == 0
+    assert [f.corner for f in corner_basis(square, 5, corners="singular")] == [0]
 
 
 @pytest.mark.parametrize("corner", [4, 9, -1])
@@ -152,7 +153,7 @@ def test_interior_points_reject_a_negative_offset(square):
 
 def test_boundary_collocation_skips_fan_edges(square):
     fan = CornerBasis(square, 0, 6)
-    pts = boundary_collocation(square, fan, 24)
+    pts = boundary_collocation(square, [fan], 24)
     # the two edges meeting corner 0 carry no information; nodes live on
     # x = 1 and y = 1 only
     on_far = (np.abs(pts[:, 0] - 1) < 1e-14) | (np.abs(pts[:, 1] - 1) < 1e-14)
@@ -230,10 +231,21 @@ def test_refine_rejects_bracket_without_minimum(square):
         refine_minimum(square, basis, (-3.0, 5.0))
 
 
-def test_located_value_stable_under_denser_collocation(square):
+def test_empty_basis_is_rejected(square):
+    with pytest.raises(ValueError, match="empty basis"):
+        sigma_min_sweep(square, [], [19.0, 20.0])
+    with pytest.raises(ValueError, match="empty basis"):
+        refine_minimum(square, [], (19.0, 21.0))
+    with pytest.raises(ValueError, match="empty basis"):
+        fhm_enclosure(square, 19.7, np.array([]), [])
+
+
+def test_located_value_stable_under_denser_collocation(square, monkeypatch):
     basis = corner_basis(square, 12)
-    lam2, coeff2 = refine_minimum(square, basis, (19.0, 21.0), oversample=2)
-    lam4, _ = refine_minimum(square, basis, (19.0, 21.0), oversample=4)
+    assert mps.OVERSAMPLE == 2
+    lam2, coeff2 = refine_minimum(square, basis, (19.0, 21.0))
+    monkeypatch.setattr(mps, "OVERSAMPLE", 4)
+    lam4, _ = refine_minimum(square, basis, (19.0, 21.0))
     encl = fhm_enclosure(square, lam2, coeff2, basis)
     assert abs(lam2 - lam4) < encl.radius
 
@@ -285,7 +297,7 @@ def test_disk_enclosure_with_analytic_radial_mode(disk):
             r = np.hypot(pts[:, 0], pts[:, 1])
             return (specfun.bessel_j(0.0, np.sqrt(lam) * r) / norm)[:, None]
 
-    encl = fhm_enclosure(disk, j01**2, np.array([1.0]), RadialMode())
+    encl = fhm_enclosure(disk, j01**2, np.array([1.0]), [RadialMode()])
     assert encl.epsilon < 1e-10
     assert j01**2 in encl
     assert encl.radius < 1e-8
@@ -315,7 +327,7 @@ def test_boundary_sup_refines_a_maximum_between_samples(square):
             p = np.atleast_2d(points)
             return 0.5 * np.exp(-((p[:, 0] - peak)**2 + p[:, 1]**2) / 0.01)[:, None]
 
-    enc = fhm_enclosure(square, 10.0, np.array([1.0]), Bump())
+    enc = fhm_enclosure(square, 10.0, np.array([1.0]), [Bump()])
     assert enc.epsilon == pytest.approx(0.5 * np.sqrt(square.area()), rel=1e-12)
 
 

@@ -121,10 +121,12 @@ def test_cluster_groups_near_duplicates():
 
 
 def test_cluster_threshold_scales_with_magnitude():
-    # gap 5e-5 merges at value 1e2 (rtol*|v| = 1e-4) but separates at value 1
-    sizes, _ = cluster(np.array([100.0, 100.0 + 5e-5]), rtol=1e-6)
+    # gap 5e-5 merges at value 1e2 (CLUSTER_RTOL*|v| = 1e-4) but separates
+    # at value 1
+    assert pencil.CLUSTER_RTOL == 1e-6
+    sizes, _ = cluster(np.array([100.0, 100.0 + 5e-5]))
     assert list(sizes) == [2]
-    sizes, _ = cluster(np.array([1.0, 1.0 + 5e-5]), rtol=1e-6)
+    sizes, _ = cluster(np.array([1.0, 1.0 + 5e-5]))
     assert list(sizes) == [1, 1]
 
 

@@ -4,7 +4,9 @@ import scipy.linalg as la
 
 from lapspec import reference
 from lapspec.reference import (annulus_mode_pair, concentric_annulus_steklov,
-                               disk_spectra, rectangle_spectra, union_spectrum)
+                               disk_spectra, rectangle_spectra)
+
+from conftest import union_spectrum
 
 
 def test_disk_steklov_small_radius():

@@ -114,3 +114,41 @@ def test_order_table_checks_the_domain():
         specfun.bessel_j_orders(np.array([150.0, 250.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         specfun.bessel_j_orders(np.array([1.0, 2.0]), np.array([-1.0]))
+
+
+# measured against 40-digit mpmath on the samples below: at most 7.3e-13 of
+# max(|J|, sqrt(2/(pi x))) for x <= RECUR_X_MAX, where the order table
+# recurs, and 1.01e-11 beyond it, where it takes jv's own values (1.8e-12
+# at nu = 192, x = 1e4); each bound is about three times the measurement
+_MPMATH_RTOL = {True: 2e-12, False: 3e-11}
+_MPMATH_X = np.array([0.01, 0.5, 3.0, 30.0, 150.0, 199.0, 201.0, 999.0,
+                      1001.0, 5000.0, 9999.0, 1e4])
+
+
+def _mpmath_gap(values, orders, x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = np.array([[float(mpmath.besselj(mpmath.mpf(float(nu)),
+                                                mpmath.mpf(float(xi))))
+                           for nu in orders] for xi in x])
+    scale = np.maximum(np.abs(exact), np.sqrt(2.0 / (np.pi * x))[:, None])
+    gap = np.abs(values - exact) / scale
+    for low in (True, False):
+        rows = (x <= specfun.RECUR_X_MAX) == low
+        assert gap[rows].max() <= _MPMATH_RTOL[low], (low, gap[rows].max())
+
+
+def test_bessel_j_matches_mpmath_across_the_accuracy_domain():
+    orders = np.array([0.0, 0.5, 1.0, 7.3, 25.0, 60.5, 100.0, 137.9, 150.0,
+                       175.2, 192.0, 199.5, 200.0])
+    _mpmath_gap(specfun.bessel_j(orders[None, :], _MPMATH_X[:, None]),
+                orders, _MPMATH_X)
+
+
+@pytest.mark.parametrize("alpha", [2.0 / 3.0, 2.0, np.pi / 2.2])
+def test_order_table_matches_mpmath_across_the_accuracy_domain(alpha):
+    # every sixth order of a fan that reaches NU_MAX, and its top order
+    orders = alpha * np.arange(1, int(specfun.NU_MAX / alpha) + 1)
+    cols = np.r_[0:orders.size:6, orders.size - 1]
+    table = specfun.bessel_j_orders(orders, _MPMATH_X)
+    _mpmath_gap(table[:, cols], orders[cols], _MPMATH_X)
