@@ -10,7 +10,7 @@ on mean-free densities; the shared one-dimensional kernel of both sides is
 deflated by an orthogonal reflection before the eigensolve, so no spurious
 eigenvalues appear even though the outer circle has unit radius (its
 equilibrium density makes the raw single-layer matrix singular).
-`pencil.solve_general` solves it and `pencil.REAL_RTOL` picks the real values.
+`pencil.solve_general` solves it and returns its real values.
 """
 import warnings
 
@@ -107,18 +107,21 @@ def _deflated_pencil(S0, Khalf):
     return reflect(Khalf), reflect(S0)
 
 
-def solve_steklov_bie(domain, n_per_curve, count=None):
-    """Steklov spectrum of a smooth-curves domain by collocation.
+def solve_steklov_bie(domain, n_per_curve, count):
+    """The lowest `count` Steklov eigenvalues of a smooth-curves domain by
+    collocation, ascending, with the zero mode prepended and flagged.
 
-    Returns ascending real eigenvalues with the zero mode prepended and
-    flagged, the lowest `count` when given; fewer than `count` real values
-    raise a ValueError that names the node counts. Complex pencil
-    eigenvalues among the requested leading block signal under-resolution
-    and are rejected; an ill-conditioned projected single-layer matrix
-    triggers a halving of the node counts with a warning.
-    The flags copy the pencil solve's `solver` route and, when it was gated,
-    its largest relative `residual`.
+    `pencil.solve_general` returns the real pencil values and rejects a
+    complex one among the requested leading block, a sign of
+    under-resolution. A negative value raises ValueError, and so do fewer
+    than `count` values, naming the node counts. An ill-conditioned
+    projected single-layer matrix triggers a halving of the node counts with
+    a warning. The domain must have the unit weight. The flags copy the
+    pencil solve's `solver` route and, when it was gated, its largest
+    relative `residual`.
     """
+    if domain.weight != "unit":
+        raise ValueError(f"BIE Steklov solves need the unit weight, not {domain.weight}")
     for attempt in range(MAX_HALVINGS + 1):
         quad = boundary_quadrature(domain, n_per_curve)
         n_per_curve = [c.n for c in quad.curves]
@@ -136,28 +139,14 @@ def solve_steklov_bie(domain, n_per_curve, count=None):
         raise ValueError("single-layer matrix stayed ill-conditioned after halvings")
 
     vals = spec.eigenvalues
-    if np.iscomplexobj(vals):
-        realish = pen.is_real(vals)
-        m_req = count if count is not None else len(vals)
-        kept = np.sort(vals[realish].real)
-        bad = vals[~realish]
-        cutoff = kept[min(m_req, len(kept)) - 1] if len(kept) else 0.0
-        offending = bad[np.abs(bad) <= abs(cutoff)]
-        if len(offending):
-            raise ValueError(
-                "complex pencil eigenvalues inside the requested range "
-                f"(worst {offending[0]:.6g}); increase the node counts")
-        vals = kept
     if np.any(vals < -1e-8):
         raise ValueError(f"negative Steklov value {vals.min():.3e}: "
                          "discretization inconsistency")
     vals = np.concatenate([[0.0], np.clip(vals, 0.0, None)])
-    if count is not None:
-        if len(vals) < count:
-            raise ValueError(f"only {len(vals)} Steklov values at nodes {n_per_curve}: "
-                             f"cannot return {count} (increase the node counts)")
-        vals = vals[:count]
-    return pen.Spectrum(vals, "bie", sum(n_per_curve), domain.name,
+    if len(vals) < count:
+        raise ValueError(f"only {len(vals)} Steklov values at nodes {n_per_curve}: "
+                         f"cannot return {count} (increase the node counts)")
+    return pen.Spectrum(vals[:count], "bie", sum(n_per_curve), domain.name,
                         flags={"zero_mode": True,
                                "n_per_curve": list(n_per_curve), **spec.flags})
 

@@ -279,7 +279,8 @@ def _outdir(args):
 def _load_domain(method, bc, name, scale=1.0):
     """The named domain, if METHODS lists `bc` and its kind for `method`;
     the boundary condition is checked before the domain file is read. A
-    domain that cannot be loaded, validated or scaled is a usage error."""
+    domain that cannot be loaded, validated or scaled is a usage error, and
+    so is a non-unit weight for MPS or a Steklov problem."""
     _, bcs, kind = METHODS[method]
     if bc not in bcs:
         raise UsageError(f"{method} computes {' '.join(bcs)} spectra only\n"
@@ -288,6 +289,9 @@ def _load_domain(method, bc, name, scale=1.0):
         dom = geometry.load_domain(name)
         if dom.kind != kind:
             raise UsageError(f"{method} needs a {kind} domain\n" + COMPAT_MATRIX)
+        if dom.weight != "unit" and (method == "mps" or bc == "steklov"):
+            raise UsageError(f"lapspec: {name} has weight {dom.weight}; --method "
+                             f"{method} with --bc {bc} solves the unit weight only")
         return dom.scaled(scale) if scale != 1.0 else dom
     except ValueError as exc:
         raise UsageError(f"lapspec: invalid domain {name}: {exc}")

@@ -190,7 +190,8 @@ def annulus_domain(eps):
 def load_domain(path_or_name):
     """Resolve a built-in domain name, or parse a domain file.
 
-    File grammar (UTF-8, line oriented, '#' starts a comment):
+    File grammar (UTF-8, line oriented, '#' starts a comment; at most one `e`
+    line per edge, one `weight` line, and no `e` line in a circle file):
         v x y                 polygon vertex
         e i j marker          polygon edge, 0-based vertex indices
         c cx cy r orientation circle, orientation ccw|cw
@@ -199,8 +200,7 @@ def load_domain(path_or_name):
     dom = _builtin(str(path_or_name))
     if dom is not None:
         return dom
-    verts, edges, circles = [], [], []
-    weight = "unit"
+    verts, edges, circles, weights = [], [], [], []
     try:
         with open(path_or_name, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -223,25 +223,36 @@ def load_domain(path_or_name):
                 o = {"ccw": +1, "outer-ccw": +1, "cw": -1, "inner-cw": -1}[tok[4]]
                 circles.append((tuple(nums[:2]), nums[2], o))
             elif tok[0] == "weight" and len(tok) == 2:
-                weight = tok[1]
+                weights.append((ln, tok[1]))
             else:
                 raise ValueError("unrecognized line")
         except (ValueError, KeyError, IndexError) as exc:
             raise ValueError(f"{path_or_name}:{ln}: cannot parse {raw.strip()!r} ({exc})")
     if verts and circles:
         raise ValueError(f"{path_or_name}: mixed polygon and circle sections")
+    if len(weights) > 1:
+        raise ValueError(f"{path_or_name}:{weights[1][0]}: second weight line "
+                         f"(first at {path_or_name}:{weights[0][0]})")
+    weight = weights[0][1] if weights else "unit"
+    if circles and edges:
+        raise ValueError(f"{path_or_name}:{edges[0][0]}: edge line in a circle file")
     if circles:
         return Domain("smooth-curves", circles=circles, weight=weight, name=str(path_or_name))
     if not verts:
         raise ValueError(f"{path_or_name}: no geometry found")
     n = len(verts)
     markers = ["dirichlet"] * n
+    marked = {}
     for ln, i, j, m in edges:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"{path_or_name}:{ln}: edge ({i},{j}) names a vertex "
                              f"outside 0..{n - 1}")
         if j != (i + 1) % n:
             raise ValueError(f"{path_or_name}: edge ({i},{j}) does not follow the vertex cycle")
+        if i in marked:
+            raise ValueError(f"{path_or_name}:{ln}: edge ({i},{j}) is marked again "
+                             f"(first at {path_or_name}:{marked[i]})")
+        marked[i] = ln
         markers[i] = m
     return Domain("polygon", verts, markers, weight=weight, name=str(path_or_name))
 

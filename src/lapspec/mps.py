@@ -33,6 +33,8 @@ class CornerBasis:
     def __init__(self, domain, corner, size):
         if domain.kind != "polygon":
             raise ValueError("corner bases are defined on polygons")
+        if domain.weight != "unit":
+            raise ValueError(f"corner bases solve the unit weight, not {domain.weight}")
         verts = domain.vertices
         n = len(verts)
         corner = int(corner)

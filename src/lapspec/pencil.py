@@ -13,8 +13,8 @@ few values of smallest modulus are wanted (8 (count + PAD) <= n),
 shift-invert Arnoldi (ARPACK) runs on A^-1 B from one LU of A, and its pairs
 pass the residual gate; otherwise B's LU reduces the pencil to the standard
 problem B^-1 A, solved whole by Hessenberg QR (geev) without vectors and
-without the gate. An eigenvalue whose imaginary part is at most REAL_RTOL of
-its modulus counts as real.
+without the gate. Either way solve_general returns only the values that
+are real to REAL_RTOL, and rejects a non-real one inside the requested range.
 `solve_symdef`, a dense Cholesky-reduction solve (sygvd), is the dense
 reference: no solver path calls it, the tests compare against it and the
 benchmark tracer wraps it by name.
@@ -118,8 +118,8 @@ def solve_symdef(pencil):
                     flags={"residual": residual})
 
 
-def solve_general(pencil, count=None):
-    """Eigenvalues of a general square pencil A v = sigma B v.
+def solve_general(pencil, count):
+    """Real eigenvalues of a general square pencil A v = sigma B v, ascending.
 
     B must have a 2-norm condition number of at most COND_GATE, otherwise
     IllConditionedError is raised; B is then nonsingular and no infinite
@@ -127,16 +127,16 @@ def solve_general(pencil, count=None):
     1 / kappa_1(B) from one LU of B: since kappa_2 <= n kappa_1, B passes
     when 100 n / rcond <= COND_GATE, which errs only if the estimate is over
     100 times low. Any other B takes its exact condition number from its
-    singular values, and IllConditionedError carries that value. With
-    `count` given and 8 (count + PAD) <= n, Arnoldi (ARPACK) on
-    x -> A^-1 B x, from one LU of A and a fixed start vector, returns the
-    count + PAD values of smallest modulus as sigma = 1/mu, and its real
-    pairs must pass the residual gate. Otherwise eigvals of B^-1 A, formed
-    from B's LU, returns all n values, ungated. The values are real
-    and ascending when every imaginary part is at most REAL_RTOL of its
-    modulus, else sorted by modulus. flags["solver"] is "arnoldi" or
-    "lu-eigvals"; the Arnoldi route also records its largest relative
-    residual in flags["residual"].
+    singular values, and IllConditionedError carries that value. When
+    8 (count + PAD) <= n, Arnoldi (ARPACK) on x -> A^-1 B x, from one LU of
+    A and a fixed start vector, computes the count + PAD values of smallest
+    modulus as sigma = 1/mu, and its real pairs must pass the residual gate.
+    Otherwise eigvals of B^-1 A, formed from B's LU, computes all n values,
+    ungated. Of these, a non-real value (`is_real`) no larger in modulus than
+    the count-th real value, or the largest when fewer are real, raises
+    ValueError, which names the smallest one; the others are dropped.
+    flags["solver"] is "arnoldi" or "lu-eigvals"; the Arnoldi route also
+    records its largest relative residual in flags["residual"].
     """
     A, B, n = pencil.A, pencil.B, pencil.n
     # getrf itself: lu_factor warns on an exactly zero pivot (info > 0)
@@ -149,7 +149,7 @@ def solve_general(pencil, count=None):
             raise IllConditionedError(cond)
     # Arnoldi pays only for a few values: 205 of n = 879 took 2.1 s against
     # 0.8 s for the dense route
-    if count is not None and 8 * (count + PAD) <= n:
+    if 8 * (count + PAD) <= n:
         lu = la.lu_factor(A)
         op = spla.LinearOperator((n, n), dtype=float,
                                  matvec=lambda x: la.lu_solve(lu, B @ x))
@@ -165,10 +165,14 @@ def solve_general(pencil, count=None):
     else:
         vals = la.eigvals(la.lu_solve((luB, piv), A), overwrite_a=True)
         flags = {"solver": "lu-eigvals"}
-    if np.all(is_real(vals)):
-        out = np.sort(vals.real)
-    else:
-        out = vals[np.argsort(np.abs(vals))]
+    vals = vals[np.argsort(np.abs(vals))]
+    real = is_real(vals)
+    out = np.sort(vals[real].real)
+    cutoff = abs(out[min(count, len(out)) - 1]) if len(out) else 0.0
+    inside = vals[~real & (np.abs(vals) <= cutoff)]
+    if len(inside):
+        raise ValueError("complex pencil eigenvalues inside the requested range "
+                         f"(worst {inside[0]:.6g}); increase the node counts")
     return Spectrum(out, "pencil", None, None, flags=flags)
 
 

@@ -80,9 +80,9 @@ def shared_extrapolated(name, bc, count, level, scale=1.0):
     return _SOLVE_CACHE[key]
 
 
-def shared_bie(eps, n_per_curve, count=None):
-    """Memoized off-center-annulus spectrum at n nodes per curve: the full
-    spectrum, or its lowest `count` values."""
+def shared_bie(eps, n_per_curve, count):
+    """Memoized off-center-annulus spectrum at n nodes per curve: its lowest
+    `count` values (2 n_per_curve, the node total, is the whole spectrum)."""
     from lapspec import bie
     key = ("bie", float(eps), int(n_per_curve), count)
     if key not in _SOLVE_CACHE:

@@ -61,7 +61,7 @@ def test_c02_concentric_annulus_closed_form():
     """Centered hole: first 20 eigenvalues match the separated solution
     to 1e-9 absolute, and clustering recovers the multiplicity pattern
     (zero mode and radial log mode simple, everything else double)."""
-    computed = shared_bie(0.0, 256).eigenvalues[:20]
+    computed = shared_bie(0.0, 256, count=512).eigenvalues[:20]
     ref = reference.concentric_annulus_steklov(0.1, count=20)
     assert np.max(np.abs(computed - ref.values)) <= 1e-9
     radial = -(1.0 + 10.0) / np.log(0.1)
@@ -84,7 +84,7 @@ def test_c08_quasimode_union_agreement():
     """Offset 0.4: eigenvalues 50..200 agree with the merged spectra of
     the two boundary circles to rel 1e-3 (they agree far better; the
     bound is the claimed super-algebraic closeness at finite k)."""
-    sp = shared_bie(0.4, 440)
+    sp = shared_bie(0.4, 440, count=880)
     union = union_spectrum(
         reference.disk_spectra("steklov", radius=1.0, count=260),
         reference.disk_spectra("steklov", radius=0.1, count=40),

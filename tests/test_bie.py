@@ -140,27 +140,27 @@ def test_concentric_annulus_matches_separated_variables():
 
 
 def test_off_center_spectrum_rotation_invariant():
-    base = solve_steklov_bie(annulus_domain(0.4), 128).eigenvalues[:30]
+    base = solve_steklov_bie(annulus_domain(0.4), 128, count=256).eigenvalues[:30]
     phi = np.pi / 6
     c = (0.4 * -np.sin(phi), 0.4 * np.cos(phi))
     rot = Domain("smooth-curves",
                  circles=[((0.0, 0.0), 1.0, +1), (c, 0.1, -1)],
                  name="rotated")
-    vals = solve_steklov_bie(rot, 128).eigenvalues[:30]
+    vals = solve_steklov_bie(rot, 128, count=256).eigenvalues[:30]
     assert np.max(np.abs(vals - base)) < 1e-10
 
 
 def test_off_center_spectrum_reflection_invariant():
-    base = solve_steklov_bie(annulus_domain(0.3), 96).eigenvalues[:25]
+    base = solve_steklov_bie(annulus_domain(0.3), 96, count=192).eigenvalues[:25]
     refl = Domain("smooth-curves",
                   circles=[((0.0, 0.0), 1.0, +1), ((0.0, -0.3), 0.1, -1)],
                   name="reflected")
-    vals = solve_steklov_bie(refl, 96).eigenvalues[:25]
+    vals = solve_steklov_bie(refl, 96, count=192).eigenvalues[:25]
     assert np.max(np.abs(vals - base)) < 1e-12
 
 
 def test_spectrum_real_nonnegative_ascending():
-    spec = shared_bie(0.88, 260)
+    spec = shared_bie(0.88, 260, count=520)
     v = spec.eigenvalues
     assert np.isrealobj(v)
     assert v[0] == 0.0
@@ -185,7 +185,7 @@ def _annulus_pencil(eps, n_per_curve):
 def test_lu_reduced_solve_matches_qz_on_the_deflated_annulus():
     pen = _annulus_pencil(0.85, 330)
     ref = np.sort(la.eig(pen.A, pen.B, right=False).real)[:201]
-    got = pencil.solve_general(pen).eigenvalues
+    got = pencil.solve_general(pen, count=pen.n).eigenvalues
     assert np.isrealobj(got)
     assert np.max(np.abs(got[:201] - ref) / np.abs(ref)) < 1e-10
 
@@ -193,7 +193,7 @@ def test_lu_reduced_solve_matches_qz_on_the_deflated_annulus():
 @pytest.mark.parametrize("eps", [0.0, 0.5, 0.88])
 def test_arnoldi_matches_the_dense_route_on_the_deflated_annulus(eps):
     pen = _annulus_pencil(eps, 330)
-    dense = pencil.solve_general(pen)
+    dense = pencil.solve_general(pen, count=pen.n)
     got = pencil.solve_general(pen, count=20)
     assert dense.flags == {"solver": "lu-eigvals"}
     assert got.flags["solver"] == "arnoldi"
@@ -217,6 +217,22 @@ def test_size_switch_routes_the_sweep_and_the_high_index_solve():
     assert len(high) == 201
 
 
+def test_dense_route_returns_a_near_real_pair_as_real_values():
+    # the concentric annulus at 64 nodes per curve takes the dense route
+    # (n = 127); its eigvals hold one pair 10 +- 3.6e-15 i, the double
+    # value sigma_20 = sigma_21 = 10, which the realness rule keeps
+    pen = _annulus_pencil(0.0, 64)
+    raw = la.eigvals(la.lu_solve(la.lu_factor(pen.B), pen.A))
+    pair = raw[raw.imag != 0]
+    assert len(pair) == 2 and np.allclose(pair, 10.0, rtol=1e-12, atol=0)
+    spec = solve_steklov_bie(annulus_domain(0.0), 64, count=22)
+    assert spec.flags["solver"] == "lu-eigvals"
+    assert np.isrealobj(spec.eigenvalues)
+    assert np.allclose(spec.eigenvalues[20:22], 10.0, rtol=1e-12, atol=0)
+    exact = reference.concentric_annulus_steklov(0.1, count=22).values
+    assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-9
+
+
 def test_arnoldi_route_rejects_a_small_complex_pair(monkeypatch, disk):
     # sigma = 1 +- 0.5i below the real values 3, 4, ..., 63, hidden by a
     # similarity so that neither matrix is structured
@@ -225,9 +241,13 @@ def test_arnoldi_route_rejects_a_small_complex_pair(monkeypatch, disk):
     D[0, 1], D[1, 0], D[1, 1] = -0.5, 0.5, 1.0
     P = np.eye(n) + 0.1 * np.random.default_rng(7).standard_normal((n, n))
     A, B = P @ D @ np.linalg.inv(P), np.eye(n)
-    spec = pencil.solve_general(pencil.Pencil(A, B), count=3)
-    assert spec.flags["solver"] == "arnoldi"
-    assert np.allclose(sorted(spec.eigenvalues[:2].imag), [-0.5, 0.5])
+    eigs, calls = pencil.spla.eigs, []
+    monkeypatch.setattr(pencil.spla, "eigs",
+                        lambda *a, **kw: calls.append(1) or eigs(*a, **kw))
+    with pytest.raises(ValueError, match=r"inside the requested range "
+                                         r"\(worst 1[+-]0\.5j\)"):
+        pencil.solve_general(pencil.Pencil(A, B), count=3)
+    assert calls == [1]
     monkeypatch.setattr(bie, "_deflated_pencil", lambda S0, Khalf: (A, B))
     with pytest.raises(ValueError, match="complex pencil eigenvalues inside"):
         solve_steklov_bie(disk, 64, count=3)
@@ -241,7 +261,7 @@ def test_arnoldi_route_passes_the_residual_gate(monkeypatch):
 
 
 @pytest.mark.parametrize("n_per_curve, count, route",
-                         [(660, 2, "arnoldi"), (330, None, "lu-eigvals")])
+                         [(660, 2, "arnoldi"), (330, 660, "lu-eigvals")])
 def test_default_gate_accepts_the_annulus_without_an_svd(n_per_curve, count, route,
                                                           svdvals_calls):
     spec = solve_steklov_bie(annulus_domain(0.88), n_per_curve, count=count)
@@ -289,9 +309,15 @@ def test_count_beyond_the_real_values_is_rejected(disk):
         solve_steklov_bie(disk, 16, count=17)
 
 
+def test_weighted_domain_rejected(disk):
+    weighted = Domain("smooth-curves", circles=disk.circles, weight="genus2")
+    with pytest.raises(ValueError, match="need the unit weight, not genus2"):
+        solve_steklov_bie(weighted, 64, count=4)
+
+
 def test_polygon_domain_rejected(square):
     with pytest.raises(ValueError):
-        solve_steklov_bie(square, 64)
+        solve_steklov_bie(square, 64, count=4)
 
 
 # ---------------------------------------------------------------------------

@@ -228,9 +228,13 @@ def test_out_of_range_flag_is_usage_error(argv, flag, capsys, tmp_path):
     ("fem-p1", "v 0 0\nv 0 1\nv 1 0\n"),
     ("fem-p1", "v 0 0\nv 1 0\nv 1 1\nv 0 1\ne 5 2 neumann\n"),
     ("fem-p1", "v 0 0\nv 1 0\nv 1 1\nv 0 1\ne -1 0 neumann\n"),
+    ("fem-p1", "v 0 0\nv 1 0\nv 1 1\nv 0 1\ne 0 1 neumann\ne 0 1 dirichlet\n"),
+    ("fem-p1", "v 0 0\nv 1 0\nv 1 1\nv 0 1\nweight genus2\nweight unit\n"),
+    ("bie", "c 0 0 1 ccw\ne 0 1 neumann\n"),
     ("fem-p1", None),
 ], ids=["annulus-nan", "centre-nan", "vertex-nan", "vertex-inf", "clockwise",
-        "edge-past-the-end", "edge-negative", "missing-file"])
+        "edge-past-the-end", "edge-negative", "edge-twice", "weight-twice",
+        "edge-in-circle-file", "missing-file"])
 def test_invalid_domain_is_usage_error(method, domain, capsys, tmp_path):
     # rejected where the domain enters, before the output directory is made
     if domain is None or "\n" in domain:
@@ -244,6 +248,41 @@ def test_invalid_domain_is_usage_error(method, domain, capsys, tmp_path):
                  "--out", str(out)]) == 1
     assert "invalid domain" in capsys.readouterr().err
     assert not out.exists()
+
+
+WEIGHTED_SQUARE = "v 0 0\nv 1 0\nv 1 1\nv 0 1\nweight genus2\n"
+WEIGHTED_DISK = "c 0 0 1 ccw\nweight genus2\n"
+
+
+@pytest.mark.parametrize("text, argv", [
+    (WEIGHTED_SQUARE, ["solve", "--method", "mps", "--bc", "dirichlet",
+                       "--bracket", "19:21"]),
+    (WEIGHTED_DISK, ["solve", "--method", "bie", "--bc", "steklov"]),
+    (WEIGHTED_SQUARE, ["solve", "--method", "fem-p1", "--bc", "steklov",
+                       "--levels", "1"]),
+    (WEIGHTED_SQUARE, ["compare", "--bc", "steklov", "--domain-b", "unit-square"]),
+], ids=["mps", "bie", "fem-steklov", "compare-steklov"])
+def test_weight_without_a_unit_weight_solver_is_usage_error(text, argv, capsys,
+                                                              tmp_path):
+    # the MPS fans and bound, and every Steklov solve, hold for the unit
+    # weight only: MPS would locate the unit-weight 2 pi^2 on this square
+    path = tmp_path / "weighted.dom"
+    path.write_text(text)
+    flag = "--domain-a" if argv[0] == "compare" else "--domain"
+    out = tmp_path / "out"
+    assert main(argv + [flag, str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "weight genus2" in err and "unit weight" in err
+    assert not out.exists()
+
+
+def test_weighted_dirichlet_fem_still_solves(tmp_path):
+    path = tmp_path / "weighted.dom"
+    path.write_text(WEIGHTED_SQUARE)
+    assert main(["solve", "--domain", str(path), "--method", "fem-p1", "--bc",
+                 "dirichlet", "--levels", "2", "--count", "3",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "spectrum.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -187,6 +187,31 @@ def test_domain_file_edge_index_outside_the_polygon(edge, tmp_path):
         load_domain(str(f))
 
 
+SQUARE = "v 0 0\nv 1 0\nv 1 1\nv 0 1\n"
+DISK = "c 0 0 1 ccw\n"
+
+
+@pytest.mark.parametrize("text, match", [
+    (SQUARE + "e 0 1 neumann\ne 1 2 neumann\ne 0 1 dirichlet\n",
+     r"shape\.dom:7: edge \(0,1\) is marked again \(first at .*shape\.dom:5\)"),
+    (SQUARE + "e 2 3 neumann\ne 2 3 neumann\n",
+     r"shape\.dom:6: edge \(2,3\) is marked again \(first at .*shape\.dom:5\)"),
+    (SQUARE + "weight genus2\n# unit after all\nweight unit\n",
+     r"shape\.dom:7: second weight line \(first at .*shape\.dom:5\)"),
+    (DISK + "weight unit\nweight unit\n",
+     r"shape\.dom:3: second weight line \(first at .*shape\.dom:2\)"),
+    (DISK + "e 0 1 neumann\n", r"shape\.dom:2: edge line in a circle file"),
+], ids=["edge-remarked", "edge-repeated", "weight-twice", "circle-weight-twice",
+        "edge-in-circle-file"])
+def test_domain_file_says_each_thing_once(text, match, tmp_path):
+    # a second line would silently override the first, and a circle file has
+    # no polygon edges for an `e` line to mark
+    f = tmp_path / "shape.dom"
+    f.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        load_domain(str(f))
+
+
 # ---------------------------------------------------------------------------
 # meshes
 # ---------------------------------------------------------------------------

@@ -113,6 +113,15 @@ def test_corner_index_outside_the_polygon_is_rejected(square, corner):
         corner_basis(square, 6, corners=[0, corner])
 
 
+def test_weighted_polygon_is_rejected(square):
+    # the fans solve Delta u + lambda u = 0, the unit weight's equation
+    weighted = Domain("polygon", square.vertices, weight="genus2")
+    with pytest.raises(ValueError, match="unit weight, not genus2"):
+        CornerBasis(weighted, 0, 6)
+    with pytest.raises(ValueError, match="unit weight, not genus2"):
+        corner_basis(weighted, 6)
+
+
 def test_repeated_corner_index_is_rejected(gww_a):
     # two fans at one corner would span the same functions twice
     with pytest.raises(ValueError, match="repeat a corner"):

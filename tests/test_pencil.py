@@ -98,15 +98,26 @@ def _match_each(got, ref, rtol):
         remaining.pop(j)
 
 
+def _real_spectrum_pencil(r, n, noise):
+    """Nonsymmetric (A, B) whose eigenvalues are -n/2 + 1/2, ..., n/2 - 1/2:
+    B^-1 A is a similarity-transformed diagonal."""
+    P = np.eye(n) + 0.1 * r.standard_normal((n, n))
+    B = np.eye(n) + noise * r.standard_normal((n, n))
+    D = np.diag(np.arange(n) - (n - 1) / 2)
+    return B @ P @ D @ np.linalg.inv(P), B
+
+
 def test_general_against_companion_matrix_roots(rng):
     n = 12
-    A = rng.standard_normal((n, n))
-    B = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+    A, B = _real_spectrum_pencil(rng, n, 0.1)
     ref = _charpoly_roots(A, B)
-    spec = solve_general(Pencil(A, B))
-    got = np.asarray(spec.eigenvalues, dtype=complex)
-    assert len(got) == n
+    got = solve_general(Pencil(A, B), count=n).eigenvalues
+    assert np.isrealobj(got) and len(got) == n
     _match_each(got, ref, 1e-7)
+    # a random pencil has complex pairs below its largest real value
+    A = rng.standard_normal((n, n))
+    with pytest.raises(ValueError, match="complex pencil eigenvalues inside"):
+        solve_general(Pencil(A, B), count=n)
 
 
 # ---------------------------------------------------------------------------
@@ -167,22 +178,27 @@ def test_symdef_rejects_nonsymmetric():
 def test_general_rejects_singular_b():
     B = np.diag([1.0, 0.0])
     with pytest.raises(ValueError):
-        solve_general(Pencil(np.eye(2), B))
+        solve_general(Pencil(np.eye(2), B), count=2)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_general_matches_qz_on_nonsymmetric_pencils(seed):
     r = np.random.default_rng(seed)
     n = 40
-    A = r.standard_normal((n, n))
-    B = np.eye(n) + 0.2 * r.standard_normal((n, n))
+    A, B = _real_spectrum_pencil(r, n, 0.2)
     ref = la.eig(A, B, right=False)
-    got = solve_general(Pencil(A, B)).eigenvalues
-    # a random nonsymmetric pencil has complex-conjugate pairs
-    assert np.iscomplexobj(got) and np.sum(np.abs(got.imag) > 1e-3) >= 2
-    assert len(got) == n
-    assert np.all(np.diff(np.abs(got)) >= 0)
+    got = solve_general(Pencil(A, B), count=n).eigenvalues
+    assert np.isrealobj(got) and len(got) == n
+    assert np.all(np.diff(got) > 0)
     _match_each(got, ref, 1e-10)
+    # a random nonsymmetric pencil has complex-conjugate pairs, and QZ
+    # places some of them below its largest real value
+    A = r.standard_normal((n, n))
+    ref = la.eig(A, B, right=False)
+    real = np.abs(ref.imag) <= pencil.REAL_RTOL * np.abs(ref)
+    assert np.any(~real & (np.abs(ref) <= np.abs(ref[real]).max()))
+    with pytest.raises(ValueError, match="complex pencil eigenvalues inside"):
+        solve_general(Pencil(A, B), count=n)
 
 
 def test_general_reports_reals_by_the_one_realness_rule():
@@ -191,18 +207,24 @@ def test_general_reports_reals_by_the_one_realness_rule():
     def rotation(t):
         return np.array([[1.0, -t], [t, 1.0]])
 
-    got = solve_general(Pencil(rotation(1e-7), np.eye(2))).eigenvalues
+    got = solve_general(Pencil(rotation(1e-7), np.eye(2)), count=2).eigenvalues
     assert np.isrealobj(got)
     assert np.array_equal(got, [1.0, 1.0])
-    got = solve_general(Pencil(rotation(1e-5), np.eye(2))).eigenvalues
-    assert np.iscomplexobj(got)
-    assert np.allclose(sorted(got.imag), [-1e-5, 1e-5], rtol=1e-9, atol=0)
+    # the pair lies below the first real value 3: inside the requested range
+    A = la.block_diag(rotation(1e-5), 3.0)
+    with pytest.raises(ValueError, match=r"inside the requested range "
+                                         r"\(worst 1[+-]1e-05j\)"):
+        solve_general(Pencil(A, np.eye(3)), count=1)
+    # above the first real value 0.5 it is outside, and dropped
+    A = la.block_diag(0.5, rotation(1e-5))
+    got = solve_general(Pencil(A, np.eye(3)), count=1).eigenvalues
+    assert np.array_equal(got, [0.5])
 
 
 def test_general_ill_conditioned_error_carries_the_condition_number(svdvals_calls):
     B = np.diag([1.0, 1e-13])
     with pytest.raises(pencil.IllConditionedError) as info:
-        solve_general(Pencil(np.eye(2), B))
+        solve_general(Pencil(np.eye(2), B), count=2)
     assert info.value.cond == pytest.approx(1e13)
     assert isinstance(info.value, ValueError)
     assert len(svdvals_calls) == 1
@@ -211,7 +233,8 @@ def test_general_ill_conditioned_error_carries_the_condition_number(svdvals_call
 def test_general_estimate_near_the_gate_takes_the_exact_condition(svdvals_calls):
     # the estimate's bound 100 n / rcond = 2e13 exceeds the gate, but the
     # exact condition 1e11 does not, so B is accepted after one SVD
-    spec = solve_general(Pencil(np.diag([2.0, 3.0]), np.diag([1.0, 1e-11])))
+    spec = solve_general(Pencil(np.diag([2.0, 3.0]), np.diag([1.0, 1e-11])),
+                         count=2)
     assert np.allclose(spec.eigenvalues, [2.0, 3e11], rtol=1e-12, atol=0)
     assert len(svdvals_calls) == 1
 
@@ -220,7 +243,7 @@ def test_general_singular_b_is_ill_conditioned_without_a_scipy_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(pencil.IllConditionedError) as info:
-            solve_general(Pencil(np.eye(2), np.diag([1.0, 0.0])))
+            solve_general(Pencil(np.eye(2), np.diag([1.0, 0.0])), count=2)
     assert info.value.cond == np.inf
 
 
