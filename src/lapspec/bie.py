@@ -112,8 +112,8 @@ def solve_steklov_bie(domain, n_per_curve, count):
     collocation, ascending, with the zero mode prepended and flagged.
 
     `pencil.solve_general` returns the real pencil values and rejects a
-    complex one among the requested leading block, a sign of
-    under-resolution. A negative value raises ValueError, and so do fewer
+    complex one among the count - 1 it is asked for (at least one), a sign
+    of under-resolution. A negative value raises ValueError, and so do fewer
     than `count` values, naming the node counts. An ill-conditioned
     projected single-layer matrix triggers a halving of the node counts with
     a warning. The domain must have the unit weight. The flags copy the
@@ -122,12 +122,14 @@ def solve_steklov_bie(domain, n_per_curve, count):
     """
     if domain.weight != "unit":
         raise ValueError(f"BIE Steklov solves need the unit weight, not {domain.weight}")
+    if count < 1:
+        raise ValueError("the Steklov count includes the zero mode: at least 1")
     for attempt in range(MAX_HALVINGS + 1):
         quad = boundary_quadrature(domain, n_per_curve)
         n_per_curve = [c.n for c in quad.curves]
         A, B = _deflated_pencil(*assemble_kernels(quad))
         try:
-            spec = pen.solve_general(pen.Pencil(A, B), count=count)
+            spec = pen.solve_general(pen.Pencil(A, B), count=max(count - 1, 1))
             break
         except pen.IllConditionedError as exc:
             halved = [max(8, n // 2 - (n // 2) % 2) for n in n_per_curve]

@@ -449,9 +449,6 @@ def cmd_sweep(args):
 def cmd_bounds(args):
     # the report solves dirichlet problems with CR, P1 and P2 alike
     dom = _load_domain("fem-p2", "dirichlet", args.domain)
-    if "steklov" in dom.markers:
-        raise UsageError("lapspec bounds: the domain has a 'steklov' edge marker; "
-                         "bracket reports cover dirichlet and neumann edges only")
     first = bounds.first_level(dom, args.index, args.levels)
     if first is None or args.levels - first + 1 < EXTRAPOLATE_FROM:
         reached = (f"first at level {first}" if first else

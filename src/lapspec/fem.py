@@ -192,7 +192,7 @@ def build_mesh(domain, level):
 
 def _constrained_markers(bc):
     if bc == "dirichlet":
-        return ("dirichlet", "neumann", "steklov")
+        return ("dirichlet", "neumann")
     if bc == "mixed":
         return ("dirichlet",)
     return ()
@@ -207,7 +207,8 @@ def solve_fem(domain, spec, mesh=None):
     goes through one Lanczos solve, shifted by -1/|Omega_h| (-1/|dOmega_h|
     for Steklov) so that the shift scales with the spectrum. Neumann and
     Steklov values within 1e-9 of that shift's size are the zero mode.
-    The mass weight is `domain.weight`.
+    The mass weight is `domain.weight`. flags["pair_residuals"] holds each
+    pair's own-term residual from the gate, taken before the zero mode is 0.
     """
     if domain.weight == "genus2" and spec.bc == "steklov":
         raise ValueError("the radial weight applies to volume mass terms only")
@@ -235,7 +236,7 @@ def solve_fem(domain, spec, mesh=None):
             raise ValueError(f"only {len(free)} free dofs at level {mesh.level}: "
                              f"cannot return {spec.count} eigenvalues")
 
-    vals, vfree, flags["residual"] = pen.solve_lowest(
+    vals, vfree, flags["residual"], flags["pair_residuals"] = pen.solve_lowest(
         K[free][:, free], B[free][:, free], spec.count, shift)
     if spec.bc in ("neumann", "steklov"):
         vals[np.abs(vals) <= 1e-9 * abs(shift)] = 0.0

@@ -1,7 +1,7 @@
 """Domains (polygons and circle chains), triangulations, boundary quadrature."""
 import numpy as np
 
-MARKERS = ("dirichlet", "neumann", "steklov")
+MARKERS = ("dirichlet", "neumann")
 
 # Shortest polygon edge accepted, as a fraction of the polygon's diameter.
 # A shorter edge is in practice a duplicated vertex; the orientation tests
@@ -193,7 +193,8 @@ def load_domain(path_or_name):
     File grammar (UTF-8, line oriented, '#' starts a comment; at most one `e`
     line per edge, one `weight` line, and no `e` line in a circle file):
         v x y                 polygon vertex
-        e i j marker          polygon edge, 0-based vertex indices
+        e i j marker          polygon edge, 0-based vertex indices, marker
+                              dirichlet|neumann
         c cx cy r orientation circle, orientation ccw|cw
         weight unit|genus2
     """
@@ -252,6 +253,8 @@ def load_domain(path_or_name):
         if i in marked:
             raise ValueError(f"{path_or_name}:{ln}: edge ({i},{j}) is marked again "
                              f"(first at {path_or_name}:{marked[i]})")
+        if m not in MARKERS:
+            raise ValueError(f"{path_or_name}:{ln}: unknown edge marker {m!r}")
         marked[i] = ln
         markers[i] = m
     return Domain("polygon", verts, markers, weight=weight, name=str(path_or_name))

@@ -113,7 +113,7 @@ def solve_symdef(pencil):
         vals, vecs = la.eigh(pencil.A, pencil.B)
     except la.LinAlgError as exc:
         raise ValueError(f"B is not positive definite to working precision: {exc}")
-    residual = _residual_gate(pencil.A, pencil.B, vals, vecs)
+    residual, _ = _residual_gate(pencil.A, pencil.B, vals, vecs)
     return Spectrum(vals, "pencil", None, None, vectors=vecs,
                     flags={"residual": residual})
 
@@ -134,10 +134,13 @@ def solve_general(pencil, count):
     Otherwise eigvals of B^-1 A, formed from B's LU, computes all n values,
     ungated. Of these, a non-real value (`is_real`) no larger in modulus than
     the count-th real value, or the largest when fewer are real, raises
-    ValueError, which names the smallest one; the others are dropped.
-    flags["solver"] is "arnoldi" or "lu-eigvals"; the Arnoldi route also
-    records its largest relative residual in flags["residual"].
+    ValueError, which names the smallest one; the others are dropped. A
+    count below 1 raises ValueError. flags["solver"] is "arnoldi" or
+    "lu-eigvals"; the Arnoldi route also records its largest relative
+    residual in flags["residual"].
     """
+    if count < 1:
+        raise ValueError("solve_general needs a count of at least 1")
     A, B, n = pencil.A, pencil.B, pencil.n
     # getrf itself: lu_factor warns on an exactly zero pivot (info > 0)
     luB, piv, info = la.lapack.dgetrf(B)
@@ -161,7 +164,7 @@ def solve_general(pencil, count):
         vals = 1.0 / mu
         real = is_real(vals)
         flags = {"solver": "arnoldi",
-                 "residual": _residual_gate(A, B, vals[real], V[:, real])}
+                 "residual": _residual_gate(A, B, vals[real], V[:, real])[0]}
     else:
         vals = la.eigvals(la.lu_solve((luB, piv), A), overwrite_a=True)
         flags = {"solver": "lu-eigvals"}
@@ -197,8 +200,8 @@ def solve_lowest(A, B, k, shift):
     pairs than k are computed so that a cluster is not split at the cutoff.
     When the pencil is too small for ARPACK (k + PAD >= n - 1), a dense eigh
     solves the same pencil. Every returned pair must pass the residual gate.
-    Returns (values ascending, B-normalized vectors, largest relative
-    residual).
+    Returns (values ascending, B-normalized vectors, and the largest and the
+    per-pair residuals of `_residual_gate`).
     """
     n = A.shape[0]
     C = sp.csc_matrix(A - shift * B)
@@ -223,20 +226,22 @@ def solve_lowest(A, B, k, shift):
     vals = shift + 1.0 / nu
     # V is (A - shift B)-orthonormal, so v^T B v = nu
     V = V / np.sqrt(nu)
-    return vals, V, _residual_gate(A, B, vals, V)
+    return (vals, V, *_residual_gate(A, B, vals, V))
 
 
 def _residual_gate(A, B, vals, V):
     """Largest ||Av - lambda Bv|| / ((||A||_1 + |lambda| ||B||_1) ||v||) over
-    the pairs; raises ValueError when a pair exceeds RESIDUAL_GATE."""
+    the pairs, raising ValueError when a pair exceeds RESIDUAL_GATE, and each
+    pair's own-term ||Av - lambda Bv|| / (||Av|| + |lambda| ||Bv||), 0 if 0/0."""
     def norm1(M):
         return float(abs(M).sum(axis=0).max())
 
-    R = A @ V - (B @ V) * vals
-    scale = (norm1(A) + np.abs(vals) * norm1(B)) * np.linalg.norm(V, axis=0)
-    rel = np.linalg.norm(R, axis=0) / scale
+    AV, BV = A @ V, B @ V
+    r = np.linalg.norm(AV - BV * vals, axis=0)
+    rel = r / ((norm1(A) + np.abs(vals) * norm1(B)) * np.linalg.norm(V, axis=0))
     if np.any(rel > RESIDUAL_GATE):
         j = int(np.argmax(rel))
         raise ValueError(f"eigenpair {j} relative residual {rel[j]:.2e} exceeds "
                          f"gate {RESIDUAL_GATE:.0e}")
-    return float(rel.max(initial=0.0))
+    own = np.linalg.norm(AV, axis=0) + np.abs(vals) * np.linalg.norm(BV, axis=0)
+    return float(rel.max(initial=0.0)), r / np.where(own > 0, own, 1.0)

@@ -169,7 +169,7 @@ def test_c04_neumann_tenth_magnitude():
     - the lower bound holds for the exact discrete eigenvalue. The CR
       mass is diagonal with condition 4 on these meshes, so a relative
       pencil residual r puts the computed value within 4 lambda r
-      (about 45 r) of a discrete eigenvalue; the residual is 2.7e-6,
+      (about 45 r) of a discrete eigenvalue; the residual is 1.3e-11,
       and the gate at 1e-5 keeps that distance under 5e-4, far inside
       the margins above.
     """

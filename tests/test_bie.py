@@ -253,6 +253,24 @@ def test_arnoldi_route_rejects_a_small_complex_pair(monkeypatch, disk):
         solve_steklov_bie(disk, 64, count=3)
 
 
+def test_zero_mode_is_not_counted_among_the_pencil_values(monkeypatch, disk):
+    # sigma = 2 +- 0.5i lies above sigma_1 = 1 (real values 1, 4, 5, ..., 63):
+    # count=2 asks for sigma_0 = 0 and sigma_1 only, so the pair is not in
+    # the requested range
+    n = 63
+    D = np.diag(np.r_[1.0, 2.0, 2.0, np.arange(4.0, n + 1.0)])
+    D[1, 2], D[2, 1] = -0.5, 0.5
+    P = np.eye(n) + 0.1 * np.random.default_rng(7).standard_normal((n, n))
+    A, B = P @ D @ np.linalg.inv(P), np.eye(n)
+    monkeypatch.setattr(bie, "_deflated_pencil", lambda S0, Khalf: (A, B))
+    spec = solve_steklov_bie(disk, 64, count=2)
+    assert spec.flags["solver"] == "arnoldi"
+    assert np.allclose(spec.eigenvalues, [0.0, 1.0], rtol=0, atol=1e-10)
+    assert np.array_equal(solve_steklov_bie(disk, 64, count=1).eigenvalues, [0.0])
+    with pytest.raises(ValueError, match="complex pencil eigenvalues inside"):
+        solve_steklov_bie(disk, 64, count=3)
+
+
 def test_arnoldi_route_passes_the_residual_gate(monkeypatch):
     pen = _annulus_pencil(0.5, 64)
     monkeypatch.setattr(pencil, "RESIDUAL_GATE", 1e-20)
@@ -307,6 +325,13 @@ def test_count_beyond_the_real_values_is_rejected(disk):
     assert len(solve_steklov_bie(disk, 16, count=16)) == 16
     with pytest.raises(ValueError, match=r"only 16 Steklov values at nodes \[16\]"):
         solve_steklov_bie(disk, 16, count=17)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_count_below_one_is_rejected(disk, count):
+    # the pencil is asked for max(count - 1, 1) values, which would hide it
+    with pytest.raises(ValueError, match="at least 1"):
+        solve_steklov_bie(disk, 16, count=count)
 
 
 def test_weighted_domain_rejected(disk):

@@ -7,6 +7,8 @@ from lapspec import bounds, fem, geometry, reference
 from lapspec.bounds import (KAPPA_SQ, bracket_report, cr_lower_bound,
                             richardson_extrapolate)
 
+from conftest import shared_solve
+
 
 def test_kappa_constant():
     j11 = 3.8317059702075125
@@ -203,6 +205,35 @@ def test_square_bracket_residuals_small(square_report):
     assert max(square_report.cr_residuals) < 1e-10
 
 
+def _reassembled_residual(spectrum, index):
+    """Reference: ||Kv - lam Mv|| / (||Kv|| + |lam| ||Mv||) for pair `index`,
+    with K and M assembled anew and applied to the stored vector."""
+    space = spectrum.space
+    K = fem.assemble_stiffness(space)
+    M = fem.assemble_mass(space, spectrum.flags["weight"])
+    free = space.free
+    lam = spectrum.eigenvalues[index - 1]
+    vec = spectrum.vectors[free, index - 1]
+    kv = K[free][:, free] @ vec
+    mv = M[free][:, free] @ vec
+    denom = np.linalg.norm(kv) + abs(lam) * np.linalg.norm(mv)
+    return 0.0 if denom == 0 else float(np.linalg.norm(kv - lam * mv) / denom)
+
+
+@pytest.mark.parametrize("name, bc, level",
+                         [("unit-square", "dirichlet", lvl) for lvl in range(1, 6)]
+                         + [("dn-square", "mixed", 3)])
+def test_recorded_residual_matches_a_reassembled_one(name, bc, level):
+    # level 1 of the square has 8 free CR dofs, so four pairs take the
+    # dense path there; the other cases take Lanczos
+    spectrum = shared_solve(name, bc, "CR", level, 4)
+    for index in range(1, 5):
+        want = _reassembled_residual(spectrum, index)
+        assert want > 0
+        assert bounds._pencil_residual(spectrum, index) == pytest.approx(
+            want, rel=1e-12, abs=0)
+
+
 def test_bracket_csv_shape(square_report):
     text = square_report.to_csv()
     lines = text.strip().split("\n")
@@ -253,9 +284,8 @@ def test_bracket_report_validation(square, disk):
         bracket_report(square, 0, [1, 2, 3])
     with pytest.raises(ValueError):
         bracket_report(disk, 1, [1, 2, 3])
-    steklov = geometry.Domain("polygon", square.vertices, ["steklov"] * 4)
-    with pytest.raises(ValueError):
-        bracket_report(steklov, 1, [1, 2, 3])
+    with pytest.raises(ValueError, match="unknown edge marker 'steklov'"):
+        geometry.Domain("polygon", square.vertices, ["steklov"] * 4)
 
 
 def test_first_level_counts_the_free_dofs_of_every_space(square):

@@ -530,7 +530,8 @@ def test_bounds_rejects_a_steklov_marker(markers, tmp_path, capsys):
                     + "".join(f"e {i} {(i + 1) % 4} {m}\n" for i, m in enumerate(markers)))
     assert main(["bounds", "--domain", str(poly), "--levels", "3",
                  "--out", str(tmp_path)]) == 1
-    assert "'steklov' edge marker" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid domain" in err and "unknown edge marker 'steklov'" in err
     assert not (tmp_path / "bracket.csv").exists()
 
 

@@ -119,11 +119,11 @@ def test_domain_file_polygon(tmp_path):
         "v 0 0\nv 2 0\nv 0 2\n"
         "e 0 1 neumann\n"
         "e 1 2 dirichlet\n"
-        "e 2 0 steklov\n"
+        "e 2 0 neumann\n"
     )
     dom = load_domain(str(f))
     assert dom.kind == "polygon"
-    assert dom.markers == ["neumann", "dirichlet", "steklov"]
+    assert dom.markers == ["neumann", "dirichlet", "neumann"]
     assert dom.area() == pytest.approx(2.0)
 
 
@@ -144,9 +144,19 @@ def test_readme_domain_file_example_loads(tmp_path):
     f.write_text(example)
     dom = load_domain(str(f))
     assert dom.kind == "polygon"
-    assert dom.markers == ["dirichlet", "neumann", "steklov", "neumann"]
+    assert dom.markers == ["dirichlet", "neumann", "dirichlet", "neumann"]
     assert dom.weight == "unit"
     assert dom.area() == pytest.approx(1.0)
+
+
+def test_domain_file_steklov_marker_names_the_line(tmp_path):
+    # no solve reads a steklov edge marker: --bc steklov puts the condition
+    # on every edge, and any other bc would treat the edge as neumann
+    f = tmp_path / "square.dom"
+    f.write_text("v 0 0\nv 1 0\nv 1 1\nv 0 1\ne 1 2 neumann\ne 2 3 steklov\n")
+    with pytest.raises(ValueError,
+                       match=r"square\.dom:6: unknown edge marker 'steklov'"):
+        load_domain(str(f))
 
 
 def test_domain_file_mixed_sections_rejected(tmp_path):

@@ -221,6 +221,13 @@ def test_general_reports_reals_by_the_one_realness_rule():
     assert np.array_equal(got, [0.5])
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_general_rejects_a_count_below_one(count):
+    # no count falls back to the largest real value as its cutoff
+    with pytest.raises(ValueError, match="count of at least 1"):
+        solve_general(Pencil(np.diag([1.0, 2.0]), np.eye(2)), count=count)
+
+
 def test_general_ill_conditioned_error_carries_the_condition_number(svdvals_calls):
     B = np.diag([1.0, 1e-13])
     with pytest.raises(pencil.IllConditionedError) as info:
@@ -280,10 +287,11 @@ def test_solve_lowest_matches_dense(rng):
     n = 120
     A = _tridiagonal_spd(rng, n)
     B = sp.diags(rng.uniform(0.5, 1.5, n)).tocsr()
-    vals, V, residual = solve_lowest(A, B, 5, shift=-1.0)
+    vals, V, residual, pair_residuals = solve_lowest(A, B, 5, shift=-1.0)
     ref = solve_symdef(Pencil(A.toarray(), B.toarray())).eigenvalues[:5]
     assert np.max(np.abs(vals - ref) / ref) < 1e-10
     assert V.shape == (n, 5) and residual <= 1e-9
+    assert pair_residuals.shape == (5,) and np.all(pair_residuals <= 1e-9)
     assert np.max(np.abs(V.T @ (B @ V) - np.eye(5))) < 1e-10
 
     # PSD B with a Steklov-like null space: B lives on the first nb rows,
@@ -296,7 +304,7 @@ def test_solve_lowest_matches_dense(rng):
     Ad = A.toarray()
     S = Ad[:nb, :nb] - Ad[:nb, nb:] @ np.linalg.solve(Ad[nb:, nb:], Ad[nb:, :nb])
     ref = solve_symdef(Pencil((S + S.T) / 2, Bbb)).eigenvalues[:6]
-    vals, V, residual = solve_lowest(A, B, 6, shift=-0.5)
+    vals, V, residual, _ = solve_lowest(A, B, 6, shift=-0.5)
     assert np.max(np.abs(vals - ref) / ref) < 1e-10
     assert residual <= 1e-9
 
@@ -304,7 +312,7 @@ def test_solve_lowest_matches_dense(rng):
     n = 5
     A = _tridiagonal_spd(rng, n)
     B = sp.diags(rng.uniform(0.5, 1.5, n)).tocsr()
-    vals, V, residual = solve_lowest(A, B, n - 1, shift=0.0)
+    vals, V, residual, _ = solve_lowest(A, B, n - 1, shift=0.0)
     ref = solve_symdef(Pencil(A.toarray(), B.toarray())).eigenvalues[:n - 1]
     assert np.max(np.abs(vals - ref) / ref) < 1e-12
     assert residual <= 1e-9
@@ -332,7 +340,7 @@ def test_solve_lowest_factors_the_p2_drum_pencil_once_in_symmetric_mode(monkeypa
     # the module eigsh lives in factors M itself when handed no Minv
     monkeypatch.setattr(spla, "splu", spy)
     monkeypatch.setattr(sys.modules[spla.eigsh.__module__], "splu", spy)
-    vals, _, residual = solve_lowest(A, B, 10, shift)
+    vals, _, residual, _ = solve_lowest(A, B, 10, shift)
     monkeypatch.undo()
 
     assert len(calls) == 1
@@ -350,7 +358,7 @@ def test_solve_lowest_rejects_k_beyond_the_rank_of_b(rng, n):
     # two nonzero directions in B: the third value is infinite
     A = _tridiagonal_spd(rng, n)
     B = sp.diags(np.r_[1.0, 2.0, np.zeros(n - 2)]).tocsr()
-    vals, _, _ = solve_lowest(A, B, 2, shift=-1.0)
+    vals, _, _, _ = solve_lowest(A, B, 2, shift=-1.0)
     assert np.all(np.isfinite(vals))
     with pytest.raises(ValueError, match="null space"):
         solve_lowest(A, B, 3, shift=-1.0)

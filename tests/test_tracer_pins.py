@@ -1,8 +1,9 @@
 """The benchmark tracer's hold on the library: the names and argument shapes
 that bench/tracer.py wraps and sizes must stay as it reads them.
 
-bench/test_bench.py traces a `bounds` run only; this traces a BIE sweep,
-whose pencil span the tracer sizes by `args[0].n` (a `Pencil`).
+bench/test_bench.py traces a `bounds` run for its time partition; this
+traces the same run for its assembly traffic, and a BIE sweep, whose pencil
+span the tracer sizes by `args[0].n` (a `Pencil`).
 """
 import os
 import sys
@@ -35,3 +36,22 @@ def test_traced_sweep_sizes_the_general_pencil(tmp_path):
     assert m["pencil.general_calls"] == 2
     assert m["pencil.general_max_n"] == 127
     assert m["bie.solves"] == 2
+
+
+def test_traced_bracket_assembles_only_inside_the_solves(tmp_path):
+    t = tr.Tracer()
+    t.install(lapspec)
+    try:
+        t.start(tr.ROOT)
+        rc = cli.main(["bounds", "--domain", "unit-square", "--index", "1",
+                       "--levels", "3", "--out", str(tmp_path)])
+        t.stop()
+    finally:
+        t.restore()
+    assert rc == 0
+    m = tr.layer_metrics(t)
+    # CR, P1 and P2 at each of the levels 1-3, each solve assembling K and M
+    # once; the printed residual is read from the solve, not assembled again
+    assert m["fem.solves"] == 9
+    assert m["fem.assemble_calls"] == 18
+    assert m["bounds.residual_s"] > 0
