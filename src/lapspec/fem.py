@@ -208,7 +208,8 @@ def solve_fem(domain, spec, mesh=None):
     for Steklov) so that the shift scales with the spectrum. Neumann and
     Steklov values within 1e-9 of that shift's size are the zero mode.
     The mass weight is `domain.weight`. flags["pair_residuals"] holds each
-    pair's own-term residual from the gate, taken before the zero mode is 0.
+    pair's own-term residual from the gate, nan for the zero mode, where
+    that ratio divides two rounding-level norms.
     """
     if domain.weight == "genus2" and spec.bc == "steklov":
         raise ValueError("the radial weight applies to volume mass terms only")
@@ -239,7 +240,9 @@ def solve_fem(domain, spec, mesh=None):
     vals, vfree, flags["residual"], flags["pair_residuals"] = pen.solve_lowest(
         K[free][:, free], B[free][:, free], spec.count, shift)
     if spec.bc in ("neumann", "steklov"):
-        vals[np.abs(vals) <= 1e-9 * abs(shift)] = 0.0
+        zero = np.abs(vals) <= 1e-9 * abs(shift)
+        vals[zero] = 0.0
+        flags["pair_residuals"][zero] = np.nan
         flags["zero_mode"] = bool(vals[0] == 0.0)
     vecs = np.zeros((space.n_dofs, spec.count))
     vecs[free] = vfree

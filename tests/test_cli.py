@@ -535,6 +535,24 @@ def test_bounds_rejects_a_steklov_marker(markers, tmp_path, capsys):
     assert not (tmp_path / "bracket.csv").exists()
 
 
+def test_bounds_prints_no_residual_for_the_zero_mode(tmp_path, capsys):
+    # at lambda = 0 the own-term ratio divides two rounding-level norms
+    poly = tmp_path / "square.poly"
+    poly.write_text("v 0 0\nv 1 0\nv 1 1\nv 0 1\n"
+                    + "".join(f"e {i} {(i + 1) % 4} neumann\n" for i in range(4)))
+
+    def residuals(index):
+        out = tmp_path / f"index-{index}"
+        assert main(["bounds", "--domain", str(poly), "--index", str(index),
+                     "--levels", "3", "--out", str(out)]) == 0
+        return [l.split(",")[2] for l in _read(out / "bracket.csv").split("\n")
+                if l.startswith("# cr_pencil_residual")]
+
+    assert residuals(1) == ["nan"] * 3
+    second = [float(r) for r in residuals(2)]
+    assert len(second) == 3 and max(second) < 1e-10
+
+
 def test_validate_passes(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""Smoke test: every script in demos/ runs to completion.
+"""Smoke test: every script in demos/ runs to completion and reports no
+target outside its interval.
 
 Each demo is copied into a temporary directory and run from there, so
 files a demo writes next to itself stay out of the checkout.
@@ -22,3 +23,5 @@ def test_demo_runs(name, tmp_path):
     done = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    # certified_bracket.py reports a missed target as OUTSIDE and exits 0
+    assert "OUTSIDE" not in done.stdout, done.stdout

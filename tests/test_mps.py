@@ -249,6 +249,50 @@ def test_empty_basis_is_rejected(square):
         fhm_enclosure(square, 19.7, np.array([]), [])
 
 
+def test_refine_takes_at_most_twenty_indicator_calls(square, gww_a, monkeypatch):
+    # the count includes the two ends and the coefficient vector
+    calls = []
+    smin = mps._subspace_smin
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return smin(*args, **kwargs)
+
+    monkeypatch.setattr(mps, "_subspace_smin", counting)
+    cases = [(square, corner_basis(square, 14), (m2 * np.pi**2 - 1.5, m2 * np.pi**2 + 1.5))
+             for m2 in (2, 5, 8, 10, 13)]
+    cases.append((gww_a, corner_basis(gww_a, 14, corners="singular"), (103.5, 105.5)))
+    for domain, basis, bracket in cases:
+        calls.clear()
+        refine_minimum(domain, basis, bracket)
+        assert len(calls) <= 20, (bracket, len(calls))
+
+
+def test_minimizer_ends_within_the_width_at_its_best_point():
+    # a V with a floor (the indicator's shape at an eigenvalue), a
+    # parabola, and a monotone bracket whose least value sits at its upper
+    # end, all stepped at once
+    c = np.array([0.3, 0.7, 1.0])
+    seen = []
+
+    def shapes(x):
+        return np.array([abs(x[0] - c[0]) + 1e-16, (x[1] - c[1])**2, -(1.0 + x[2])])
+
+    def f(x):
+        seen.append(x.copy())
+        return shapes(x)
+
+    x, fx = mps._minimize(f, [0.0, 0.2, 0.0], [1.0, 0.9, 1.0], lambda lo, hi: 1e-9)
+    assert np.all(np.abs(x - c) <= 1e-9)
+    assert fx[2] == pytest.approx(-2.0, abs=1e-9)
+    # the returned point is the best one evaluated, not a bracket midpoint
+    seen = np.array(seen)
+    values = np.array([shapes(row) for row in seen])
+    for j in range(3):
+        assert fx[j] == values[:, j].min()
+        assert x[j] in seen[values[:, j] == fx[j], j]
+
+
 def test_located_value_stable_under_denser_collocation(square, monkeypatch):
     basis = corner_basis(square, 12)
     assert mps.OVERSAMPLE == 2

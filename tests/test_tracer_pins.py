@@ -55,3 +55,19 @@ def test_traced_bracket_assembles_only_inside_the_solves(tmp_path):
     assert m["fem.solves"] == 9
     assert m["fem.assemble_calls"] == 18
     assert m["bounds.residual_s"] > 0
+
+
+def test_traced_mps_solve_locates_lambda_in_few_indicator_calls(tmp_path):
+    t = tr.Tracer()
+    t.install(lapspec)
+    try:
+        t.start(tr.ROOT)
+        rc = cli.main(["solve", "--domain", "unit-square", "--method", "mps",
+                       "--bc", "dirichlet", "--bracket", "19:20.5",
+                       "--out", str(tmp_path)])
+        t.stop()
+    finally:
+        t.restore()
+    assert rc == 0
+    # parabolic steps on s^2 locate 2 pi^2 here in 13 indicator calls
+    assert tr.layer_metrics(t)["mps.indicator_evals"] <= 20
