@@ -12,14 +12,10 @@ eigenvalues appear even though the outer circle has unit radius (its
 equilibrium density makes the raw single-layer matrix singular).
 `pencil.solve_general` solves it and returns its real values.
 """
-import warnings
-
 import numpy as np
 
 from . import pencil as pen
 from .geometry import BoundaryQuadrature, annulus_domain, boundary_quadrature
-
-MAX_HALVINGS = 3   # node-count halvings tried on an ill-conditioned pencil
 
 
 def kress_log_weights(m):
@@ -113,32 +109,20 @@ def solve_steklov_bie(domain, n_per_curve, count):
 
     `pencil.solve_general` returns the real pencil values and rejects a
     complex one among the count - 1 it is asked for (at least one), a sign
-    of under-resolution. A negative value raises ValueError, and so do fewer
-    than `count` values, naming the node counts. An ill-conditioned
-    projected single-layer matrix triggers a halving of the node counts with
-    a warning. The domain must have the unit weight. The flags copy the
-    pencil solve's `solver` route and, when it was gated, its largest
-    relative `residual`.
+    of under-resolution, and an ill-conditioned projected single-layer
+    matrix. A negative value raises ValueError, and so do fewer than
+    `count` values, naming the node counts. The domain must have the unit
+    weight. The flags copy the pencil solve's `solver` route and, when it
+    was gated, its largest relative `residual`.
     """
     if domain.weight != "unit":
         raise ValueError(f"BIE Steklov solves need the unit weight, not {domain.weight}")
     if count < 1:
         raise ValueError("the Steklov count includes the zero mode: at least 1")
-    for attempt in range(MAX_HALVINGS + 1):
-        quad = boundary_quadrature(domain, n_per_curve)
-        n_per_curve = [c.n for c in quad.curves]
-        A, B = _deflated_pencil(*assemble_kernels(quad))
-        try:
-            spec = pen.solve_general(pen.Pencil(A, B), count=max(count - 1, 1))
-            break
-        except pen.IllConditionedError as exc:
-            halved = [max(8, n // 2 - (n // 2) % 2) for n in n_per_curve]
-            warnings.warn(f"projected single-layer condition {exc.cond:.2e} "
-                          f"exceeds {pen.COND_GATE:.2g}; retrying with nodes "
-                          f"{halved}")
-            n_per_curve = halved
-    else:
-        raise ValueError("single-layer matrix stayed ill-conditioned after halvings")
+    quad = boundary_quadrature(domain, n_per_curve)
+    n_per_curve = [c.n for c in quad.curves]
+    A, B = _deflated_pencil(*assemble_kernels(quad))
+    spec = pen.solve_general(pen.Pencil(A, B), count=max(count - 1, 1))
 
     vals = spec.eigenvalues
     if np.any(vals < -1e-8):
@@ -157,8 +141,8 @@ def sweep_annulus(eps_grid, n_per_curve, k_list):
     """sigma_k across a family of hole offsets, normalized by the centered case.
 
     Returns rows (eps, k, sigma, ratio_to_concentric, N_total), ordered by
-    eps then k; N_total is what the solve at eps used, which a halving
-    lowers. The centered spectrum is computed at the same node counts.
+    eps then k; N_total is the node total of the solve at eps. The centered
+    spectrum is computed at the same node counts.
     """
     eps_grid = [float(e) for e in eps_grid]
     if any(e < 0.0 for e in eps_grid):

@@ -112,12 +112,12 @@ class BracketReport:
 
     rows: one per level, (level, h, cr, cr_lower, p1, p2); cr_lower is nan
     when the lower-bound theorem does not apply (non-Dirichlet markers or a
-    non-unit weight). extrapolated maps each column name to an
-    Extrapolation; enclosure is [max lower bound, min conforming value];
-    cr_residuals records the algebraic pencil residual behind each bound.
+    non-unit weight). extrapolated maps each eigenvalue column (cr, p1, p2)
+    to an Extrapolation; cr_lower has none, since the Richardson limit of a
+    lower bound is not a bound. enclosure is [max lower bound, min
+    conforming value]; cr_residuals records the algebraic pencil residual
+    behind each bound.
     """
-
-    COLUMNS = ("cr", "cr_lower", "p1", "p2")
 
     def __init__(self, domain, index, rows, extrapolated, cr_residuals, certified):
         self.domain = getattr(domain, "name", str(domain))
@@ -143,8 +143,7 @@ class BracketReport:
         lines.append("level,h,cr,cr_lower,p1,p2")
         for lvl, h, cr, lo, p1, p2 in self.rows:
             lines.append(f"{lvl},{h!r},{cr!r},{lo!r},{p1!r},{p2!r}")
-        for col in self.COLUMNS:
-            ex = self.extrapolated[col]
+        for col, ex in self.extrapolated.items():
             lines.append(f"extrapolated,{col},{ex.limit!r},{ex.rate!r}")
         return "\n".join(lines) + "\n"
 
@@ -197,5 +196,5 @@ def bracket_report(domain, index, levels):
         residuals.append(_pencil_residual(per_kind["CR"], index))
     hs = [r[1] for r in rows]
     extrapolated = {name: richardson_extrapolate([r[j] for r in rows], hs)
-                    for j, name in enumerate(BracketReport.COLUMNS, 2)}
+                    for name, j in (("cr", 2), ("p1", 4), ("p2", 5))}
     return BracketReport(domain, index, rows, extrapolated, residuals, certified)

@@ -333,8 +333,7 @@ def cmd_solve(args):
 
     if args.method == "bie":
         spectrum = bie.solve_steklov_bie(dom, args.n, count=args.count)
-        n_used = spectrum.flags["n_per_curve"][0]   # all curves alike
-        _write_spectrum(out, spectrum.eigenvalues, "bie", f"n={n_used}", dom.name)
+        _write_spectrum(out, spectrum.eigenvalues, "bie", f"n={args.n}", dom.name)
         return EXIT_OK
 
     top = args.levels
@@ -502,13 +501,8 @@ def _validation_checks():
         return abs(lam_h - 2 * np.pi**2), 1e-6
 
     def square_bracket():
-        spec_cr = fem.EigenProblemSpec("dirichlet", 1, kind="CR", level=3)
-        spec_p1 = fem.EigenProblemSpec("dirichlet", 1, kind="P1", level=3)
-        mesh = fem.build_mesh(sq, 3)
-        lam_cr = fem.solve_fem(sq, spec_cr, mesh=mesh).eigenvalues[0]
-        lam_p1 = fem.solve_fem(sq, spec_p1, mesh=mesh).eigenvalues[0]
-        lo = bounds.cr_lower_bound(lam_cr, mesh.h)
-        ok = lo <= 2 * np.pi**2 <= lam_p1
+        lo, hi = bounds.bracket_report(sq, 1, [1, 2, 3]).enclosure
+        ok = lo <= 2 * np.pi**2 <= hi
         return (0.0 if ok else 1.0), 0.5
 
     def bessel_half_order():

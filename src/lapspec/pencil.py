@@ -33,15 +33,6 @@ COND_GATE = 1e12       # largest 2-norm condition number of B that solve_general
 REAL_RTOL = 1e-6       # |imag| at most this fraction of |value| counts as real
 
 
-class IllConditionedError(ValueError):
-    """B is too ill-conditioned for solve_general; `cond` is its 2-norm
-    condition number."""
-
-    def __init__(self, cond):
-        super().__init__(f"B condition number {cond:.2e} exceeds {COND_GATE:.2g}")
-        self.cond = cond
-
-
 class Pencil:
     """Pair (A, B) of square matrices for the problem A v = lambda B v."""
 
@@ -122,12 +113,12 @@ def solve_general(pencil, count):
     """Real eigenvalues of a general square pencil A v = sigma B v, ascending.
 
     B must have a 2-norm condition number of at most COND_GATE, otherwise
-    IllConditionedError is raised; B is then nonsingular and no infinite
+    ValueError is raised; B is then nonsingular and no infinite
     eigenvalues arise. The gate reads LAPACK's estimate rcond of
     1 / kappa_1(B) from one LU of B: since kappa_2 <= n kappa_1, B passes
     when 100 n / rcond <= COND_GATE, which errs only if the estimate is over
     100 times low. Any other B takes its exact condition number from its
-    singular values, and IllConditionedError carries that value. When
+    singular values, and the ValueError names that value. When
     8 (count + PAD) <= n, Arnoldi (ARPACK) on x -> A^-1 B x, from one LU of
     A and a fixed start vector, computes the count + PAD values of smallest
     modulus as sigma = 1/mu, and its real pairs must pass the residual gate.
@@ -149,7 +140,7 @@ def solve_general(pencil, count):
         sv = la.svdvals(B)
         cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
         if not np.isfinite(cond) or cond > COND_GATE:
-            raise IllConditionedError(cond)
+            raise ValueError(f"B condition number {cond:.2e} exceeds {COND_GATE:.2g}")
     # Arnoldi pays only for a few values: 205 of n = 879 took 2.1 s against
     # 0.8 s for the dense route
     if 8 * (count + PAD) <= n:

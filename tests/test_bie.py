@@ -301,23 +301,18 @@ def test_condition_estimate_bounds_the_exact_condition(n_per_curve):
     assert 100 * pen.n / rcond <= pencil.COND_GATE
 
 
-def test_ill_conditioned_pencil_halves_the_nodes(monkeypatch, svdvals_calls):
-    # the projected single layer of the concentric annulus has condition
-    # 1.66e3 at 330 nodes per curve and 8.2e2 at 164; under the lowered gate
-    # the estimate's bound 100 n / rcond exceeds 1.2e3 at both sizes, so each
-    # attempt takes one exact condition number from the singular values of B
-    monkeypatch.setattr(pencil, "COND_GATE", 1.2e3)
+def test_ill_conditioned_pencil_is_rejected_at_the_requested_nodes(svdvals_calls):
+    # cond(B) grows as 1/r for a hole of radius r: 3.2e12 at 64 nodes per
+    # curve for r = 1e-11. The solve raises at the requested nodes instead
+    # of retrying at fewer, after one exact condition number and no warning
+    dom = Domain("smooth-curves", circles=[((0.0, 0.0), 1.0, +1),
+                                           ((0.0, 0.0), 1e-11, -1)])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        spec = solve_steklov_bie(annulus_domain(0.0), 330, count=20)
-    assert len(caught) == 1
-    assert "retrying with nodes [164, 164]" in str(caught[0].message)
-    assert spec.flags["n_per_curve"] == [164, 164]
-    assert spec.param == 328
-    assert spec.flags["solver"] == "arnoldi"
-    assert len(svdvals_calls) == 2
-    exact = reference.concentric_annulus_steklov(0.1, count=20).values
-    assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-10
+        with pytest.raises(ValueError, match="condition number 3.2"):
+            solve_steklov_bie(dom, 64, count=5)
+    assert caught == []
+    assert len(svdvals_calls) == 1
 
 
 def test_count_beyond_the_real_values_is_rejected(disk):
@@ -357,14 +352,6 @@ def test_sweep_normalizes_by_concentric_case():
     assert all(r[4] == 128 for r in rows)
     # moving the hole off center lowers the fundamental ratio
     assert rows[2][3] < 1.0
-
-
-def test_sweep_reports_the_node_count_after_a_halving(monkeypatch):
-    # the setup of test_ill_conditioned_pencil_halves_the_nodes
-    monkeypatch.setattr(pencil, "COND_GATE", 1.2e3)
-    with pytest.warns(UserWarning, match="retrying with nodes \\[164, 164\\]"):
-        rows = sweep_annulus([0.0], 330, [1])
-    assert [r[4] for r in rows] == [328]
 
 
 def test_sweep_rejects_bad_grid():

@@ -246,11 +246,28 @@ def test_bracket_csv_shape(square_report):
     assert len(data) == 5
     assert len(data[0].split(",")) == 6
     tail = [l for l in lines if l.startswith("extrapolated")]
-    assert [t.split(",")[1] for t in tail] == ["cr", "cr_lower", "p1", "p2"]
+    assert [t.split(",")[1] for t in tail] == ["cr", "p1", "p2"]
     # the file round-trips through float() without precision loss
     lvl, h, cr, lo, p1, p2 = data[-1].split(",")
     assert float(h) == square_report.rows[-1][1]
     assert float(cr) == square_report.rows[-1][2]
+
+
+def test_no_lower_value_lies_above_the_enclosure(square_report):
+    # the Richardson limit of the cr_lower column over levels 1-5 was
+    # 19.758, above both 2 pi^2 and the enclosure's upper end 19.739
+    lines = square_report.to_csv().strip().split("\n")
+    hi = float(lines[1].split(",")[2])
+    header = next(l for l in lines if l.startswith("level,")).split(",")
+    lowers = []
+    for line in lines:
+        cells = line.split(",")
+        if cells[0] == "extrapolated" and "lower" in cells[1]:
+            lowers.append(float(cells[2]))
+        elif cells[0].isdigit():
+            lowers += [float(c) for name, c in zip(header, cells) if "lower" in name]
+    assert lowers
+    assert max(lowers) <= hi
 
 
 def test_improvement_with_refinement_for_flagged_columns(square_report):

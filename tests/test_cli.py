@@ -321,16 +321,17 @@ def test_bad_grid_syntax(capsys):
 # solve
 # ---------------------------------------------------------------------------
 
-def test_solve_bie_reports_the_node_count_after_a_halving(monkeypatch, tmp_path):
-    # with the gate at 1.2e3 the concentric annulus is rejected at 330 nodes
-    # per curve (condition 1.66e3) and solved at 164
-    monkeypatch.setattr(lapspec.pencil, "COND_GATE", 1.2e3)
-    with pytest.warns(UserWarning, match="retrying"):
-        assert main(["solve", "--domain", "annulus:eps=0", "--method", "bie",
-                     "--bc", "steklov", "--n", "330", "--count", "5",
-                     "--out", str(tmp_path)]) == 0
-    _, rows = _csv_rows(_read(tmp_path / "spectrum.csv"))
-    assert {r[4] for r in rows} == {"n=164"}
+def test_solve_bie_rejects_an_ill_conditioned_pencil(tmp_path, capsys):
+    # a hole of radius 1e-11 gives cond(B) = 3.2e12 at 64 nodes per curve:
+    # a quality rejection at those nodes, with no spectrum at fewer
+    curves = tmp_path / "tiny-hole.curves"
+    curves.write_text("c 0 0 1 ccw\nc 0 0 1e-11 cw\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--domain", str(curves), "--method", "bie",
+                 "--bc", "steklov", "--n", "64", "--count", "5",
+                 "--out", str(out)]) == 2
+    assert "B condition number 3.20e+12 exceeds" in capsys.readouterr().err
+    assert not (out / "spectrum.csv").exists()
 
 
 def test_solve_bie_disk(tmp_path, capsys):
@@ -503,12 +504,11 @@ def test_bounds_schedule_starts_where_the_index_fits(tmp_path, capsys):
     enc = next(l for l in text.split("\n") if l.startswith("# enclosure"))
     lo, hi = float(enc.split(",")[1]), float(enc.split(",")[2])
     assert lo <= 17 * np.pi**2 <= hi
-    # cr_lower rises by growing increments: the column is left at its finest
-    # value, not extrapolated below every level
-    ex = next(l for l in text.split("\n") if l.startswith("extrapolated,cr_lower,"))
-    finest = float(rows[-1].split(",")[3])
-    assert float(ex.split(",")[2]) == finest
-    assert ex.split(",")[3] == "nan"
+    # a Richardson limit of a lower bound is not a bound: cr_lower is not
+    # extrapolated
+    extrapolated = [l.split(",")[1] for l in text.split("\n")
+                    if l.startswith("extrapolated,")]
+    assert extrapolated == ["cr", "p1", "p2"]
 
 
 @pytest.mark.parametrize("index, levels", [(40, 3), (40, 4), (10**6, 3)])

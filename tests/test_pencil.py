@@ -230,10 +230,8 @@ def test_general_rejects_a_count_below_one(count):
 
 def test_general_ill_conditioned_error_carries_the_condition_number(svdvals_calls):
     B = np.diag([1.0, 1e-13])
-    with pytest.raises(pencil.IllConditionedError) as info:
+    with pytest.raises(ValueError, match=r"condition number 1\.00e\+13"):
         solve_general(Pencil(np.eye(2), B), count=2)
-    assert info.value.cond == pytest.approx(1e13)
-    assert isinstance(info.value, ValueError)
     assert len(svdvals_calls) == 1
 
 
@@ -249,9 +247,8 @@ def test_general_estimate_near_the_gate_takes_the_exact_condition(svdvals_calls)
 def test_general_singular_b_is_ill_conditioned_without_a_scipy_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(pencil.IllConditionedError) as info:
+        with pytest.raises(ValueError, match="condition number inf"):
             solve_general(Pencil(np.eye(2), np.diag([1.0, 0.0])), count=2)
-    assert info.value.cond == np.inf
 
 
 @pytest.mark.parametrize("n,route", [(40, "arnoldi"), (39, "lu-eigvals")])
