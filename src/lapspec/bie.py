@@ -13,6 +13,7 @@ equilibrium density makes the raw single-layer matrix singular).
 `pencil.solve_general` solves it and returns its real values.
 """
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 from . import pencil as pen
 from .geometry import BoundaryQuadrature, annulus_domain, boundary_quadrature
@@ -22,14 +23,15 @@ def kress_log_weights(m):
     """Row weights R_{|i-j|} for the periodic kernel ln(4 sin^2((t-s)/2)).
 
     Exact for trigonometric polynomials of degree < m/2 against the kernel;
-    m must be even.
+    m must be even and at least 4.
     """
-    if m % 2:
-        raise ValueError("log-weight rule needs an even node count")
+    if m % 2 or m < 4:
+        raise ValueError("log-weight rule needs an even node count of at least 4")
     n = m // 2
     k = np.arange(m)
     j = np.arange(1, n)
-    out = -(2 * np.pi / n) * (np.cos(np.pi / n * np.outer(k, j)) @ (1.0 / j))
+    table = np.cos(np.pi / n * np.outer(k, j))
+    out = -(2 * np.pi / n) * dgemv(1.0, table.T, 1.0 / j, trans=1)
     out -= (np.pi / n**2) * np.cos(np.pi * k)
     return out
 

@@ -15,6 +15,11 @@ pass the residual gate; otherwise B's LU reduces the pencil to the standard
 problem B^-1 A, solved whole by Hessenberg QR (geev) without vectors and
 without the gate. Either way solve_general returns only the values that
 are real to REAL_RTOL, and rejects a non-real one inside the requested range.
+Every dense product of a BIE solve (Arnoldi's B x, the gate's A V and B V)
+goes through scipy.linalg.blas, given F-ordered views with trans=1 so that
+f2py copies nothing: numpy and scipy load separate OpenBLAS thread pools,
+and switching between them cost the `annulus` benchmark about a quarter of
+its wall time on 2 cores. Sparse FEM products keep `@`.
 `solve_symdef`, a dense Cholesky-reduction solve (sygvd), is the dense
 reference: no solver path calls it, the tests compare against it and the
 benchmark tracer wraps it by name.
@@ -23,6 +28,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dgemm, dgemv
 
 CLUSTER_RTOL = 1e-6    # relative gap up to which cluster() merges neighbors
 RESIDUAL_GATE = 1e-9   # largest relative residual accepted from any solver
@@ -128,7 +134,8 @@ def solve_general(pencil, count):
     ValueError, which names the smallest one; the others are dropped. A
     count below 1 raises ValueError. flags["solver"] is "arnoldi" or
     "lu-eigvals"; the Arnoldi route also records its largest relative
-    residual in flags["residual"].
+    residual in flags["residual"] and the operator applications ARPACK
+    asked for in flags["matvecs"].
     """
     if count < 1:
         raise ValueError("solve_general needs a count of at least 1")
@@ -145,8 +152,14 @@ def solve_general(pencil, count):
     # 0.8 s for the dense route
     if 8 * (count + PAD) <= n:
         lu = la.lu_factor(A)
-        op = spla.LinearOperator((n, n), dtype=float,
-                                 matvec=lambda x: la.lu_solve(lu, B @ x))
+        matvecs = 0
+
+        def apply(x):
+            nonlocal matvecs
+            matvecs += 1
+            return la.lu_solve(lu, dgemv(1.0, B.T, x, trans=1))
+
+        op = spla.LinearOperator((n, n), dtype=float, matvec=apply)
         v0 = np.random.default_rng(LANCZOS_SEED).uniform(-1.0, 1.0, n)
         try:
             mu, V = spla.eigs(op, count + PAD, which="LM", v0=v0)
@@ -155,7 +168,8 @@ def solve_general(pencil, count):
         vals = 1.0 / mu
         real = is_real(vals)
         flags = {"solver": "arnoldi",
-                 "residual": _residual_gate(A, B, vals[real], V[:, real])[0]}
+                 "residual": _residual_gate(A, B, vals[real], V[:, real])[0],
+                 "matvecs": matvecs}
     else:
         vals = la.eigvals(la.lu_solve((luB, piv), A), overwrite_a=True)
         flags = {"solver": "lu-eigvals"}
@@ -223,11 +237,22 @@ def solve_lowest(A, B, k, shift):
 def _residual_gate(A, B, vals, V):
     """Largest ||Av - lambda Bv|| / ((||A||_1 + |lambda| ||B||_1) ||v||) over
     the pairs, raising ValueError when a pair exceeds RESIDUAL_GATE, and each
-    pair's own-term ||Av - lambda Bv|| / (||Av|| + |lambda| ||Bv||), 0 if 0/0."""
+    pair's own-term ||Av - lambda Bv|| / (||Av|| + |lambda| ||Bv||), 0 if 0/0.
+    Sparse A and B multiply with `@`; dense ones in scipy's BLAS, a complex
+    V as the real block [Re V, Im V], recombined."""
     def norm1(M):
         return float(abs(M).sum(axis=0).max())
 
-    AV, BV = A @ V, B @ V
+    if sp.issparse(A):
+        AV, BV = A @ V, B @ V
+    else:
+        # numpy would upcast A and B to complex
+        split = np.iscomplexobj(V)
+        W = np.asfortranarray(np.hstack([V.real, V.imag]) if split else V)
+        AV, BV = (dgemm(1.0, M.T, W, trans_a=1) for M in (A, B))
+        if split:
+            p = V.shape[1]
+            AV, BV = (X[:, :p] + 1j * X[:, p:] for X in (AV, BV))
     r = np.linalg.norm(AV - BV * vals, axis=0)
     rel = r / ((norm1(A) + np.abs(vals) * norm1(B)) * np.linalg.norm(V, axis=0))
     if np.any(rel > RESIDUAL_GATE):

@@ -36,6 +36,21 @@ def test_log_weights_reject_odd_count():
         kress_log_weights(33)
 
 
+def test_log_weights_reject_fewer_than_four_nodes():
+    with pytest.raises(ValueError, match="at least 4"):
+        kress_log_weights(2)
+
+
+@pytest.mark.parametrize("m", [4, 64, 660])
+def test_log_weights_match_the_numpy_table_product(m):
+    n = m // 2
+    k, j = np.arange(m), np.arange(1, n)
+    want = -(2 * np.pi / n) * (np.cos(np.pi / n * np.outer(k, j)) @ (1.0 / j))
+    want -= (np.pi / n**2) * np.cos(np.pi * k)
+    got = kress_log_weights(m)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 # (domain, scale, curve): the unit circle, two radii where ln R is not 0, and
 # the clockwise inner curve of an annulus
 CIRCLES = [pytest.param("unit-disk", 1.0, 0, id="R=1"),
@@ -269,6 +284,18 @@ def test_zero_mode_is_not_counted_among_the_pencil_values(monkeypatch, disk):
     assert np.array_equal(solve_steklov_bie(disk, 64, count=1).eigenvalues, [0.0])
     with pytest.raises(ValueError, match="complex pencil eigenvalues inside"):
         solve_steklov_bie(disk, 64, count=3)
+
+
+def test_arnoldi_records_its_operator_applications(monkeypatch):
+    # every application of A^-1 B solves once with A's LU
+    pen = _annulus_pencil(0.4, 330)
+    calls, lu_solve = [], la.lu_solve
+    monkeypatch.setattr(pencil.la, "lu_solve",
+                        lambda *a, **kw: calls.append(1) or lu_solve(*a, **kw))
+    spec = pencil.solve_general(pen, count=1)
+    assert pen.n == 659 and spec.flags["solver"] == "arnoldi"
+    assert spec.flags["matvecs"] == len(calls)
+    assert 20 <= len(calls) <= 100
 
 
 def test_arnoldi_route_passes_the_residual_gate(monkeypatch):

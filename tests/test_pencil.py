@@ -372,6 +372,54 @@ def test_solve_lowest_rejects_pairs_that_miss_the_residual_gate(rng, n, k):
         solve_lowest(A.tocsr(), B, k, shift=-1.0)
 
 
+def _dense_pencil_with_pair(pair):
+    """A dense (A, B) whose values are those of D: 1, 4, 5, ... and a pair
+    near 2, either 2 +- 1e-8 i (near-real) or 2 twice (exactly real); returns
+    A, B and the two values with their vectors from eig."""
+    n = 30
+    r = np.random.default_rng(11)
+    D = np.diag(np.r_[1.0, 2.0, 2.0, np.arange(4.0, n + 1.0)])
+    if pair == "near-real":
+        D[1, 2], D[2, 1] = -1e-8, 1e-8
+    P = np.eye(n) + 0.1 * r.standard_normal((n, n))
+    B = np.eye(n) + 0.2 * r.standard_normal((n, n))
+    A = B @ P @ D @ np.linalg.inv(P)
+    vals, V = la.eig(A, B)
+    near = np.abs(vals - 2.0) < 1e-6
+    assert near.sum() == 2
+    return A, B, vals[near], V[:, near]
+
+
+def _complex_product_gate(A, B, vals, V):
+    # the former dense gate: numpy upcasts the real A and B to complex
+    AV, BV = A @ V, B @ V
+    r = np.linalg.norm(AV - BV * vals, axis=0)
+    scale = np.abs(A).sum(axis=0).max() + np.abs(vals) * np.abs(B).sum(axis=0).max()
+    rel = r / (scale * np.linalg.norm(V, axis=0))
+    own = np.linalg.norm(AV, axis=0) + np.abs(vals) * np.linalg.norm(BV, axis=0)
+    return rel.max(), r / own
+
+
+@pytest.mark.parametrize("pair, vector_dtype",
+                         [("near-real", complex), ("real", complex), ("real", float)])
+def test_dense_gate_matches_the_complex_product(pair, vector_dtype):
+    A, B, vals, V = _dense_pencil_with_pair(pair)
+    if pair == "near-real":
+        assert np.all(vals.imag != 0) and np.abs(V.imag).max() > 0.1
+    else:
+        assert np.all(vals.imag == 0) and np.all(V.imag == 0)
+        vals, V = vals.real, V.real.astype(vector_dtype)
+    worst, per_pair = pencil._residual_gate(A, B, vals, V)
+    want_worst, want_per_pair = _complex_product_gate(A, B, vals, V)
+    assert worst <= pencil.RESIDUAL_GATE
+    assert abs(worst - want_worst) <= 1e-15
+    assert np.max(np.abs(per_pair - want_per_pair)) <= 1e-15
+    V = V.copy()
+    V[:, 1] += 1e-3 * np.random.default_rng(3).standard_normal(len(V))
+    with pytest.raises(ValueError, match="eigenpair 1 .* exceeds gate"):
+        pencil._residual_gate(A, B, vals, V)
+
+
 def test_pencil_shape_validation():
     with pytest.raises(ValueError):
         Pencil(np.eye(3), np.eye(4))
