@@ -109,13 +109,14 @@ def solve_steklov_bie(domain, n_per_curve, count):
     """The lowest `count` Steklov eigenvalues of a smooth-curves domain by
     collocation, ascending, with the zero mode prepended and flagged.
 
-    `pencil.solve_general` returns the real pencil values and rejects a
+    `pencil.solve_general` factors the second-kind side 1/2 I + K', which
+    stays well-conditioned however small a hole is, and never inverts the
+    first-kind single layer. It returns the real pencil values and rejects a
     complex one among the count - 1 it is asked for (at least one), a sign
-    of under-resolution, and an ill-conditioned projected single-layer
-    matrix. A negative value raises ValueError, and so do fewer than
-    `count` values, naming the node counts. The domain must have the unit
-    weight. The flags copy the pencil solve's `solver` route and, when it
-    was gated, its largest relative `residual`.
+    of under-resolution. A negative value raises ValueError, and so do
+    fewer than `count` values, naming the node counts. The domain must have
+    the unit weight. The flags copy the pencil solve's `solver` route and,
+    when it was gated, its largest relative `residual`.
     """
     if domain.weight != "unit":
         raise ValueError(f"BIE Steklov solves need the unit weight, not {domain.weight}")

@@ -154,10 +154,7 @@ def _index_list(text):
 
 
 def _corners(text):
-    # "auto" is corner_basis's default rule, "singular"
-    if text in ("auto", "singular", "reentrant"):
-        return "singular" if text == "auto" else text
-    return _int_list(text)
+    return text if text in ("singular", "reentrant") else _int_list(text)
 
 
 def build_parser():
@@ -188,8 +185,8 @@ def build_parser():
     solve.add_argument("--grid", type=_lambda_grid,
                        help="start:stop:count indicator sweep grid (mps)")
     solve.add_argument("--basis-size", type=_positive_int, default=14)
-    solve.add_argument("--corners", type=_corners, default="auto",
-                       help="mps fan placement: auto | singular | reentrant "
+    solve.add_argument("--corners", type=_corners, default="singular",
+                       help="mps fan placement: singular | reentrant "
                             "| comma-separated corner indices")
     solve.add_argument("--scale", type=_positive_finite, default=1.0,
                        help="dilate the domain before solving")

@@ -6,15 +6,15 @@ spectrum, so C = A - shift*B is symmetric positive definite and needs no
 pivoting for stability: SuperLU factors C once in symmetric mode
 (minimum-degree ordering of C^T + C, diagonal pivots), and that factor
 serves every Lanczos step. General pencils (the BIE Steklov problems)
-first factor B by LU; its 1-norm condition estimate (gecon) admits a
-well-conditioned B, and only a B near the gate costs an exact 2-norm
-condition number. They then take one of two routes, chosen by size: when a
-few values of smallest modulus are wanted (8 (count + PAD) <= n),
-shift-invert Arnoldi (ARPACK) runs on A^-1 B from one LU of A, and its pairs
-pass the residual gate; otherwise B's LU reduces the pencil to the standard
-problem B^-1 A, solved whole by Hessenberg QR (geev) without vectors and
-without the gate. Either way solve_general returns only the values that
-are real to REAL_RTOL, and rejects a non-real one inside the requested range.
+pair a second-kind A with a first-kind B, so only B can be ill-conditioned:
+they factor A once by LU and work on A^-1 B, whose eigenvalues are
+mu = 1/sigma. The route is chosen by size: when a few values of smallest
+modulus are wanted (8 (count + PAD) <= n), shift-invert Arnoldi (ARPACK)
+applies A^-1 B and its pairs pass the residual gate; otherwise A's LU forms
+A^-1 B, solved whole by Hessenberg QR (geev) without vectors and without
+the gate. An exactly zero mu is an infinite sigma and gives no value.
+Either way solve_general returns only the values that are real to
+REAL_RTOL, and rejects a non-real one inside the requested range.
 Every dense product of a BIE solve (Arnoldi's B x, the gate's A V and B V)
 goes through scipy.linalg.blas, given F-ordered views with trans=1 so that
 f2py copies nothing: numpy and scipy load separate OpenBLAS thread pools,
@@ -35,7 +35,6 @@ RESIDUAL_GATE = 1e-9   # largest relative residual accepted from any solver
 PAD = 4                # extra Lanczos pairs beyond the k requested
 LANCZOS_SEED = 1234
 NULL_RTOL = 1e-12      # nu below this fraction of the largest is infinite lambda
-COND_GATE = 1e12       # largest 2-norm condition number of B that solve_general takes
 REAL_RTOL = 1e-6       # |imag| at most this fraction of |value| counts as real
 
 
@@ -118,60 +117,54 @@ def solve_symdef(pencil):
 def solve_general(pencil, count):
     """Real eigenvalues of a general square pencil A v = sigma B v, ascending.
 
-    B must have a 2-norm condition number of at most COND_GATE, otherwise
-    ValueError is raised; B is then nonsingular and no infinite
-    eigenvalues arise. The gate reads LAPACK's estimate rcond of
-    1 / kappa_1(B) from one LU of B: since kappa_2 <= n kappa_1, B passes
-    when 100 n / rcond <= COND_GATE, which errs only if the estimate is over
-    100 times low. Any other B takes its exact condition number from its
-    singular values, and the ValueError names that value. When
-    8 (count + PAD) <= n, Arnoldi (ARPACK) on x -> A^-1 B x, from one LU of
-    A and a fixed start vector, computes the count + PAD values of smallest
-    modulus as sigma = 1/mu, and its real pairs must pass the residual gate.
-    Otherwise eigvals of B^-1 A, formed from B's LU, computes all n values,
-    ungated. Of these, a non-real value (`is_real`) no larger in modulus than
-    the count-th real value, or the largest when fewer are real, raises
-    ValueError, which names the smallest one; the others are dropped. A
-    count below 1 raises ValueError. flags["solver"] is "arnoldi" or
-    "lu-eigvals"; the Arnoldi route also records its largest relative
-    residual in flags["residual"] and the operator applications ARPACK
-    asked for in flags["matvecs"].
+    Both routes factor A once by LU (getrf), where an exactly zero pivot
+    raises ValueError, and work on A^-1 B, whose eigenvalues are
+    mu = 1/sigma. B is never inverted, so a singular B needs no check: its
+    infinite sigma have mu = 0. When 8 (count + PAD) <= n, Arnoldi (ARPACK)
+    on x -> A^-1 B x, from a fixed start vector, computes the count + PAD
+    mu of largest modulus, and their real pairs must pass the residual
+    gate; an ARPACK failure raises ValueError. Otherwise eigvals of A^-1 B
+    computes all n mu, ungated, and an exactly zero mu gives no value.
+    sigma = 1/mu is real by `is_real` exactly when mu is. A non-real sigma
+    no larger in modulus than the count-th real value, or the largest when
+    fewer are real, raises ValueError, which names the smallest one; the
+    others are dropped. A count below 1 raises ValueError. flags["solver"]
+    is "arnoldi" or "lu-eigvals"; the Arnoldi route also records its
+    largest relative residual in flags["residual"] and the operator
+    applications ARPACK asked for in flags["matvecs"].
     """
     if count < 1:
         raise ValueError("solve_general needs a count of at least 1")
     A, B, n = pencil.A, pencil.B, pencil.n
     # getrf itself: lu_factor warns on an exactly zero pivot (info > 0)
-    luB, piv, info = la.lapack.dgetrf(B)
-    rcond = 0.0 if info else la.lapack.dgecon(luB, np.abs(B).sum(axis=0).max())[0]
-    if not (rcond > 0 and 100 * n / rcond <= COND_GATE):
-        sv = la.svdvals(B)
-        cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-        if not np.isfinite(cond) or cond > COND_GATE:
-            raise ValueError(f"B condition number {cond:.2e} exceeds {COND_GATE:.2g}")
+    lu, piv, info = la.lapack.dgetrf(A)
+    if info > 0:
+        raise ValueError(f"A is singular: LU pivot {info} is exactly zero")
     # Arnoldi pays only for a few values: 205 of n = 879 took 2.1 s against
     # 0.8 s for the dense route
     if 8 * (count + PAD) <= n:
-        lu = la.lu_factor(A)
         matvecs = 0
 
         def apply(x):
             nonlocal matvecs
             matvecs += 1
-            return la.lu_solve(lu, dgemv(1.0, B.T, x, trans=1))
+            return la.lu_solve((lu, piv), dgemv(1.0, B.T, x, trans=1))
 
         op = spla.LinearOperator((n, n), dtype=float, matvec=apply)
         v0 = np.random.default_rng(LANCZOS_SEED).uniform(-1.0, 1.0, n)
         try:
             mu, V = spla.eigs(op, count + PAD, which="LM", v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise ValueError(f"Arnoldi did not converge: {exc}")
+        except spla.ArpackError as exc:
+            # no convergence, or a start vector that A^-1 B maps to zero
+            raise ValueError(f"Arnoldi failed: {exc}")
         vals = 1.0 / mu
         real = is_real(vals)
         flags = {"solver": "arnoldi",
                  "residual": _residual_gate(A, B, vals[real], V[:, real])[0],
                  "matvecs": matvecs}
     else:
-        vals = la.eigvals(la.lu_solve((luB, piv), A), overwrite_a=True)
+        mu = la.eigvals(la.lu_solve((lu, piv), B), overwrite_a=True)
+        vals = 1.0 / mu[mu != 0]
         flags = {"solver": "lu-eigvals"}
     vals = vals[np.argsort(np.abs(vals))]
     real = is_real(vals)

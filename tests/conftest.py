@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg as la
 
 from lapspec import bounds, fem, geometry, reference
 
@@ -9,17 +8,20 @@ _SOLVE_CACHE = {}
 
 
 @pytest.fixture
-def svdvals_calls(monkeypatch):
-    """List that gains one entry per scipy.linalg.svdvals call."""
-    calls = []
-    svdvals = la.svdvals
+def call_counter(monkeypatch):
+    """count(owner, name) wraps owner.name for the test and returns a list
+    that gains one entry per call."""
+    def count(owner, name):
+        calls = []
+        original = getattr(owner, name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return svdvals(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(la, "svdvals", counting)
-    return calls
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+    return count
 
 
 @pytest.fixture

@@ -208,11 +208,13 @@ MPS_SQUARE = ["solve", "--domain", "unit-square", "--method", "mps", "--bracket"
     (["solve", "--domain", "gww-a", "--method", "mps", "--bracket", "25:27",
       "--corners=-1"], "--corners"),
     (MPS_SQUARE + ["--corners", "1,1"], "--corners"),
+    (MPS_SQUARE + ["--corners", "auto"], "--corners"),
     (MPS_SQUARE + ["--seed=-100"], "--seed"),
 ], ids=["eps-0.95", "eps-0.9", "eps-negative", "bracket-reversed", "bracket-zero",
         "grid-negative", "grid-zero", "bounds-levels-1", "bounds-levels-2",
         "basis-size-above-bessel-domain", "corners-no-reflex", "corner-9",
-        "corner-minus-1", "corner-repeated", "seed-negative"])
+        "corner-minus-1", "corner-repeated", "corners-auto-retired",
+        "seed-negative"])
 def test_out_of_range_flag_is_usage_error(argv, flag, capsys, tmp_path):
     # rejected before any solve: exit 1, the flag named, nothing written
     assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -321,17 +323,20 @@ def test_bad_grid_syntax(capsys):
 # solve
 # ---------------------------------------------------------------------------
 
-def test_solve_bie_rejects_an_ill_conditioned_pencil(tmp_path, capsys):
-    # a hole of radius 1e-11 gives cond(B) = 3.2e12 at 64 nodes per curve:
-    # a quality rejection at those nodes, with no spectrum at fewer
+@pytest.mark.parametrize("count", ["5", "40"], ids=["arnoldi", "lu-eigvals"])
+def test_solve_bie_takes_a_tiny_hole(count, tmp_path):
+    # a hole of radius 1e-11 gives cond(B) = 3.2e12 at 64 nodes per curve;
+    # the solve factors only A and returns the disk's 0, 1, 1, 2, 2
     curves = tmp_path / "tiny-hole.curves"
     curves.write_text("c 0 0 1 ccw\nc 0 0 1e-11 cw\n")
     out = tmp_path / "out"
     assert main(["solve", "--domain", str(curves), "--method", "bie",
-                 "--bc", "steklov", "--n", "64", "--count", "5",
-                 "--out", str(out)]) == 2
-    assert "B condition number 3.20e+12 exceeds" in capsys.readouterr().err
-    assert not (out / "spectrum.csv").exists()
+                 "--bc", "steklov", "--n", "64", "--count", count,
+                 "--out", str(out)]) == 0
+    _, rows = _csv_rows(_read(out / "spectrum.csv"))
+    assert len(rows) == int(count)
+    vals = [float(r[1]) for r in rows[:5]]
+    assert np.allclose(vals, [0, 1, 1, 2, 2], rtol=0, atol=1e-12)
 
 
 def test_solve_bie_disk(tmp_path, capsys):
