@@ -227,6 +227,10 @@ def test_general_takes_a_nearly_singular_b_through_a_inverse():
     # and sigma = 1e13
     spec = solve_general(Pencil(np.eye(2), np.diag([1.0, 1e-13])), count=2)
     assert np.allclose(spec.eigenvalues, [1.0, 1e13], rtol=1e-12, atol=0)
+
+
+def test_general_takes_a_b_with_condition_1e11():
+    # B = diag(1, 1e-11), cond 1e11: sigma = 3 / 1e-11 = 3e11 beside 2
     spec = solve_general(Pencil(np.diag([2.0, 3.0]), np.diag([1.0, 1e-11])),
                          count=2)
     assert np.allclose(spec.eigenvalues, [2.0, 3e11], rtol=1e-12, atol=0)
