@@ -10,7 +10,13 @@ on mean-free densities; the shared one-dimensional kernel of both sides is
 deflated by an orthogonal reflection before the eigensolve, so no spurious
 eigenvalues appear even though the outer circle has unit radius (its
 equilibrium density makes the raw single-layer matrix singular).
-`pencil.solve_general` solves it and returns its real values.
+When every circle centre lies on one line x = c or y = c, both kernels
+commute with the reflection in that line (they depend only on node
+distances, per-curve constant weights, circulant self-blocks and a
+mirror-invariant mean), so the pencil splits into an even and an odd block
+of about half the order each; the constant density is even, and only the
+even block is deflated. Other domains keep the one whole pencil.
+`pencil.solve_general` solves the blocks and returns their real values.
 """
 import numpy as np
 from scipy.linalg.blas import dgemv
@@ -77,8 +83,47 @@ def assemble_kernels(quad):
     return S0, Kp
 
 
-def _deflated_pencil(S0, Khalf):
-    """Project the pencil onto the complement of the constant density.
+def _mirror_classes(quad):
+    """Even and odd classes of the reflection in a line x = c or y = c through
+    every circle centre, or None when the centres share neither coordinate.
+
+    Node j of an m-node curve sits at angle o h j, so the line x = c maps it
+    to node (m/2 - j) mod m (nodes m/4 and 3m/4 are fixed when 4 divides m)
+    and y = c to node (m - j) mod m (nodes 0 and m/2 fixed). Returns index
+    arrays (J, P, F) into the concatenated nodes: each pair once as j < pi j
+    in J with its image in P, and the fixed nodes in F.
+    """
+    centres = np.array([c.center for c in quad.curves])
+    for axis in (0, 1):
+        if np.all(centres[:, axis] == centres[0, axis]):
+            pi = np.concatenate([off + ((1 - axis) * (c.n // 2) - np.arange(c.n)) % c.n
+                                 for off, c in zip(quad.offsets, quad.curves)])
+            i = np.arange(len(pi))
+            return i[i < pi], pi[i < pi], i[i == pi]
+    return None
+
+
+def _mirror_blocks(M, classes):
+    """Diagonal blocks of M in the even basis e_j + e_pij (j in J) and e_f
+    (f in F) and the odd basis e_j - e_pij, read off the rows J and F.
+
+    M commutes with the reflection, so it maps each class into itself and
+    the blocks off the diagonal vanish. The constant density has
+    coordinates all ones in the even basis.
+    """
+    J, P, F = classes
+    rows, images = np.r_[J, F], np.r_[P, F]
+    M = M[rows]    # rows gathered once: the column take()s then beat np.ix_ twofold
+    even = M.take(rows, axis=1)
+    even += M.take(images, axis=1)
+    even[:, len(J):] *= 0.5           # e_f enters both terms
+    odd = M[:len(J)].take(J, axis=1)
+    odd -= M[:len(J)].take(P, axis=1)
+    return even, odd
+
+
+def _deflated_pencil(S0, Khalf, mirror=None):
+    """The pencil (Khalf, S0) on the complement of the constant density.
 
     Both matrices annihilate constants by construction (mean subtraction on
     the right; on the left the jump identity for the constant density on the
@@ -89,12 +134,17 @@ def _deflated_pencil(S0, Khalf):
     constant density onto a multiple of e_1, so (H M H)[1:, 1:] is M on the
     complement of the constants. Since v[1:] = 1, that block is
     M[1:, 1:] minus a row vector minus a column vector.
-    """
-    n = S0.shape[0]
-    root = np.sqrt(n)
-    tau = 1.0 / (n + root)        # 2 / (v^T v)
 
+    With the `_mirror_classes` of the nodes, the pencil splits into the even
+    and odd blocks of `_mirror_blocks`, returned as a `pencil.BlockPencil`.
+    The constant is even, so only the even block is deflated, by the same
+    reflector: its coordinates there are all ones. Otherwise the whole
+    pencil is deflated and returned as a `pencil.Pencil`.
+    """
     def reflect(M):
+        n = M.shape[0]
+        root = np.sqrt(n)
+        tau = 1.0 / (n + root)        # 2 / (v^T v)
         r = tau * (M.sum(axis=0) + root * M[0])           # tau v^T M
         c = tau * (M.sum(axis=1) + root * M[:, 0]
                    - (r.sum() + root * r[0]))             # tau (M - v r^T) v, rows 1:
@@ -102,21 +152,29 @@ def _deflated_pencil(S0, Khalf):
         out -= r[1:]
         return out
 
-    return reflect(Khalf), reflect(S0)
+    if mirror is None:
+        return pen.Pencil(reflect(Khalf), reflect(S0))
+    (Ke, Ko), (Se, So) = (_mirror_blocks(M, mirror) for M in (Khalf, S0))
+    return pen.BlockPencil([pen.Pencil(reflect(Ke), reflect(Se)), pen.Pencil(Ko, So)])
 
 
 def solve_steklov_bie(domain, n_per_curve, count):
     """The lowest `count` Steklov eigenvalues of a smooth-curves domain by
     collocation, ascending, with the zero mode prepended and flagged.
 
+    When every circle centre lies on one line x = c or y = c, the pencil
+    splits into the even and odd blocks of that reflection, and the constant
+    density is deflated from the even block; otherwise the whole pencil is
+    deflated and solved as one block (`_deflated_pencil`).
     `pencil.solve_general` factors the second-kind side 1/2 I + K', which
     stays well-conditioned however small a hole is, and never inverts the
     first-kind single layer. It returns the real pencil values and rejects a
     complex one among the count - 1 it is asked for (at least one), a sign
     of under-resolution. A negative value raises ValueError, and so do
     fewer than `count` values, naming the node counts. The domain must have
-    the unit weight. The flags copy the pencil solve's `solver` route and,
-    when it was gated, its largest relative `residual`.
+    the unit weight. The flags record the block orders (`blocks`) and copy
+    the pencil solve's `solver` route and, on the Arnoldi route, the largest
+    relative `residual` over the blocks and their summed `matvecs`.
     """
     if domain.weight != "unit":
         raise ValueError(f"BIE Steklov solves need the unit weight, not {domain.weight}")
@@ -124,8 +182,8 @@ def solve_steklov_bie(domain, n_per_curve, count):
         raise ValueError("the Steklov count includes the zero mode: at least 1")
     quad = boundary_quadrature(domain, n_per_curve)
     n_per_curve = [c.n for c in quad.curves]
-    A, B = _deflated_pencil(*assemble_kernels(quad))
-    spec = pen.solve_general(pen.Pencil(A, B), count=max(count - 1, 1))
+    pencil = _deflated_pencil(*assemble_kernels(quad), _mirror_classes(quad))
+    spec = pen.solve_general(pencil, count=max(count - 1, 1))
 
     vals = spec.eigenvalues
     if np.any(vals < -1e-8):
@@ -136,8 +194,8 @@ def solve_steklov_bie(domain, n_per_curve, count):
         raise ValueError(f"only {len(vals)} Steklov values at nodes {n_per_curve}: "
                          f"cannot return {count} (increase the node counts)")
     return pen.Spectrum(vals[:count], "bie", sum(n_per_curve), domain.name,
-                        flags={"zero_mode": True,
-                               "n_per_curve": list(n_per_curve), **spec.flags})
+                        flags={"zero_mode": True, "n_per_curve": list(n_per_curve),
+                               "blocks": [b.n for b in pencil.blocks], **spec.flags})
 
 
 def sweep_annulus(eps_grid, n_per_curve, k_list):

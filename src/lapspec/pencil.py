@@ -13,8 +13,12 @@ modulus are wanted (8 (count + PAD) <= n), shift-invert Arnoldi (ARPACK)
 applies A^-1 B and its pairs pass the residual gate; otherwise A's LU forms
 A^-1 B, solved whole by Hessenberg QR (geev) without vectors and without
 the gate. An exactly zero mu is an infinite sigma and gives no value.
-Either way solve_general returns only the values that are real to
-REAL_RTOL, and rejects a non-real one inside the requested range.
+A mirror-symmetric BIE pencil arrives as a BlockPencil of its even and odd
+blocks (`bie._deflated_pencil`, which also deflates the constant density):
+each block is factored and solved on its own, on the route that the whole
+order picks, and the values are merged. Either way solve_general returns
+only the values that are real to REAL_RTOL, and rejects a non-real one
+inside the requested range.
 Every dense product of a BIE solve (Arnoldi's B x, the gate's A V and B V)
 goes through scipy.linalg.blas, given F-ordered views with trans=1 so that
 f2py copies nothing: numpy and scipy load separate OpenBLAS thread pools,
@@ -51,6 +55,22 @@ class Pencil:
     @property
     def n(self):
         return self.A.shape[0]
+
+    @property
+    def blocks(self):
+        return (self,)
+
+
+class BlockPencil:
+    """Block-diagonal pencil, held as its diagonal blocks (each a Pencil):
+    its eigenvalues are those of the blocks together."""
+
+    def __init__(self, blocks):
+        self.blocks = tuple(blocks)
+
+    @property
+    def n(self):
+        return sum(b.n for b in self.blocks)
 
 
 def _is_symmetric(M):
@@ -117,56 +137,51 @@ def solve_symdef(pencil):
 def solve_general(pencil, count):
     """Real eigenvalues of a general square pencil A v = sigma B v, ascending.
 
-    Both routes factor A once by LU (getrf), where an exactly zero pivot
-    raises ValueError, and work on A^-1 B, whose eigenvalues are
-    mu = 1/sigma. B is never inverted, so a singular B needs no check: its
-    infinite sigma have mu = 0. When 8 (count + PAD) <= n, Arnoldi (ARPACK)
-    on x -> A^-1 B x, from a fixed start vector, computes the count + PAD
-    mu of largest modulus, and their real pairs must pass the residual
-    gate; an ARPACK failure raises ValueError. Otherwise eigvals of A^-1 B
-    computes all n mu, ungated, and an exactly zero mu gives no value.
-    sigma = 1/mu is real by `is_real` exactly when mu is. A non-real sigma
-    no larger in modulus than the count-th real value, or the largest when
-    fewer are real, raises ValueError, which names the smallest one; the
-    others are dropped. A count below 1 raises ValueError. flags["solver"]
-    is "arnoldi" or "lu-eigvals"; the Arnoldi route also records its
-    largest relative residual in flags["residual"] and the operator
-    applications ARPACK asked for in flags["matvecs"].
+    A `BlockPencil` is solved block by block, every block on the route that
+    the whole order n picks, and the blocks' values are merged before the
+    rules below. Both routes factor each A once by LU (getrf), where an
+    exactly zero pivot raises ValueError, and work on A^-1 B, whose
+    eigenvalues are mu = 1/sigma. B is never inverted, so a singular B needs
+    no check: its infinite sigma have mu = 0. When 8 (count + PAD) <= n,
+    Arnoldi (ARPACK) on x -> A^-1 B x, from a fixed start vector, computes
+    the count + PAD mu of largest modulus of each block, and their real
+    pairs must pass the residual gate; an ARPACK failure raises ValueError.
+    The count + PAD merged values of smallest modulus are kept. Otherwise
+    eigvals of A^-1 B computes all mu, ungated, and an exactly zero mu gives
+    no value. sigma = 1/mu is real by `is_real` exactly when mu is. A
+    non-real sigma no larger in modulus than the count-th real value, or the
+    largest when fewer are real, raises ValueError, which names the smallest
+    one; the others are dropped. A count below 1 raises ValueError.
+    flags["solver"] is "arnoldi" or "lu-eigvals"; the Arnoldi route also
+    records the largest relative residual over the blocks in
+    flags["residual"] and the operator applications ARPACK asked for, summed
+    over the blocks, in flags["matvecs"].
     """
     if count < 1:
         raise ValueError("solve_general needs a count of at least 1")
-    A, B, n = pencil.A, pencil.B, pencil.n
-    # getrf itself: lu_factor warns on an exactly zero pivot (info > 0)
-    lu, piv, info = la.lapack.dgetrf(A)
-    if info > 0:
-        raise ValueError(f"A is singular: LU pivot {info} is exactly zero")
     # Arnoldi pays only for a few values: 205 of n = 879 took 2.1 s against
     # 0.8 s for the dense route
-    if 8 * (count + PAD) <= n:
-        matvecs = 0
-
-        def apply(x):
-            nonlocal matvecs
-            matvecs += 1
-            return la.lu_solve((lu, piv), dgemv(1.0, B.T, x, trans=1))
-
-        op = spla.LinearOperator((n, n), dtype=float, matvec=apply)
-        v0 = np.random.default_rng(LANCZOS_SEED).uniform(-1.0, 1.0, n)
-        try:
-            mu, V = spla.eigs(op, count + PAD, which="LM", v0=v0)
-        except spla.ArpackError as exc:
-            # no convergence, or a start vector that A^-1 B maps to zero
-            raise ValueError(f"Arnoldi failed: {exc}")
-        vals = 1.0 / mu
-        real = is_real(vals)
-        flags = {"solver": "arnoldi",
-                 "residual": _residual_gate(A, B, vals[real], V[:, real])[0],
-                 "matvecs": matvecs}
-    else:
-        mu = la.eigvals(la.lu_solve((lu, piv), B), overwrite_a=True)
-        vals = 1.0 / mu[mu != 0]
-        flags = {"solver": "lu-eigvals"}
+    arnoldi = 8 * (count + PAD) <= pencil.n
+    vals, residual, matvecs = [], 0.0, 0
+    for block in pencil.blocks:
+        # getrf itself: lu_factor warns on an exactly zero pivot (info > 0)
+        lu, piv, info = la.lapack.dgetrf(block.A)
+        if info > 0:
+            raise ValueError(f"A is singular: LU pivot {info} is exactly zero")
+        if arnoldi:
+            v, r, m = _arnoldi(block, (lu, piv), count + PAD)
+            vals.append(v)
+            residual, matvecs = max(residual, r), matvecs + m
+        else:
+            mu = la.eigvals(la.lu_solve((lu, piv), block.B), overwrite_a=True)
+            vals.append(1.0 / mu[mu != 0])
+    vals = np.concatenate(vals)
     vals = vals[np.argsort(np.abs(vals))]
+    if arnoldi:
+        vals = vals[:count + PAD]
+        flags = {"solver": "arnoldi", "residual": residual, "matvecs": matvecs}
+    else:
+        flags = {"solver": "lu-eigvals"}
     real = is_real(vals)
     out = np.sort(vals[real].real)
     cutoff = abs(out[min(count, len(out)) - 1]) if len(out) else 0.0
@@ -175,6 +190,30 @@ def solve_general(pencil, count):
         raise ValueError("complex pencil eigenvalues inside the requested range "
                          f"(worst {inside[0]:.6g}); increase the node counts")
     return Spectrum(out, "pencil", None, None, flags=flags)
+
+
+def _arnoldi(pencil, lu, k):
+    """The k sigma of smallest modulus of a one-block pencil, from Arnoldi on
+    A^-1 B with A's LU factor `lu`, the largest relative residual of the
+    real pairs, and the operator applications."""
+    A, B, n = pencil.A, pencil.B, pencil.n
+    matvecs = 0
+
+    def apply(x):
+        nonlocal matvecs
+        matvecs += 1
+        return la.lu_solve(lu, dgemv(1.0, B.T, x, trans=1))
+
+    op = spla.LinearOperator((n, n), dtype=float, matvec=apply)
+    v0 = np.random.default_rng(LANCZOS_SEED).uniform(-1.0, 1.0, n)
+    try:
+        mu, V = spla.eigs(op, k, which="LM", v0=v0)
+    except spla.ArpackError as exc:
+        # no convergence, or a start vector that A^-1 B maps to zero
+        raise ValueError(f"Arnoldi failed: {exc}")
+    vals = 1.0 / mu
+    real = is_real(vals)
+    return vals, _residual_gate(A, B, vals[real], V[:, real])[0], matvecs
 
 
 def is_real(vals):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from lapspec import bie, geometry, pencil, reference
+from lapspec import bie, cli, geometry, pencil, reference
 from lapspec.bie import (annulus_domain, assemble_kernels, kress_log_weights,
                          solve_steklov_bie, sweep_annulus)
 from lapspec.geometry import Domain, boundary_quadrature, load_domain
@@ -123,7 +123,8 @@ def test_rank_one_projections_match_explicit_construction():
     assert _rel(Khalf_got, Khalf_ref) < 1e-12
     Qf, _ = la.qr(np.ones((n, 1)), mode="full")
     Q = Qf[:, 1:]
-    A, B = bie._deflated_pencil(S0_got, Khalf_got)
+    deflated = bie._deflated_pencil(S0_got, Khalf_got)
+    A, B = deflated.A, deflated.B
     assert A.shape == B.shape == (n - 1, n - 1)
     assert _rel(A, Q.T @ Khalf_ref @ Q) < 1e-12
     assert _rel(B, Q.T @ S0_ref @ Q) < 1e-12
@@ -192,7 +193,8 @@ def test_resolution_jump_cuts_error_by_three_decades():
 
 def _annulus_pencil(eps, n_per_curve):
     quad = boundary_quadrature(annulus_domain(eps), [n_per_curve, n_per_curve])
-    return pencil.Pencil(*bie._deflated_pencil(*assemble_kernels(quad)))
+    # unsplit: no mirror classes are passed
+    return bie._deflated_pencil(*assemble_kernels(quad))
 
 
 def test_lu_reduced_solve_matches_qz_on_the_deflated_annulus():
@@ -261,7 +263,8 @@ def test_arnoldi_route_rejects_a_small_complex_pair(monkeypatch, disk):
                                          r"\(worst 1[+-]0\.5j\)"):
         pencil.solve_general(pencil.Pencil(A, B), count=3)
     assert calls == [1]
-    monkeypatch.setattr(bie, "_deflated_pencil", lambda S0, Khalf: (A, B))
+    # the disk's kernels and mirror classes are replaced by one block (A, B)
+    monkeypatch.setattr(bie, "_deflated_pencil", lambda *args: pencil.Pencil(A, B))
     with pytest.raises(ValueError, match="complex pencil eigenvalues inside"):
         solve_steklov_bie(disk, 64, count=3)
 
@@ -275,7 +278,8 @@ def test_zero_mode_is_not_counted_among_the_pencil_values(monkeypatch, disk):
     D[1, 2], D[2, 1] = -0.5, 0.5
     P = np.eye(n) + 0.1 * np.random.default_rng(7).standard_normal((n, n))
     A, B = P @ D @ np.linalg.inv(P), np.eye(n)
-    monkeypatch.setattr(bie, "_deflated_pencil", lambda S0, Khalf: (A, B))
+    # the disk's kernels and mirror classes are replaced by one block (A, B)
+    monkeypatch.setattr(bie, "_deflated_pencil", lambda *args: pencil.Pencil(A, B))
     spec = solve_steklov_bie(disk, 64, count=2)
     assert spec.flags["solver"] == "arnoldi"
     assert np.allclose(spec.eigenvalues, [0.0, 1.0], rtol=0, atol=1e-10)
@@ -305,12 +309,14 @@ def test_arnoldi_route_passes_the_residual_gate(monkeypatch):
                          [(660, 2, "arnoldi"), (330, 660, "lu-eigvals")])
 def test_default_gate_accepts_the_annulus_without_an_svd(n_per_curve, count, route,
                                                           call_counter):
-    # either route factors one matrix, A, and takes no SVD
+    # either route factors one matrix per mirror block, that block's A, and
+    # takes no SVD
     factored = [call_counter(la.lapack, "dgetrf"), call_counter(la, "lu_factor"),
                 call_counter(la, "svdvals")]
     spec = solve_steklov_bie(annulus_domain(0.88), n_per_curve, count=count)
     assert spec.flags["solver"] == route
-    assert [len(c) for c in factored] == [1, 0, 0]
+    assert len(spec.flags["blocks"]) == 2
+    assert [len(c) for c in factored] == [2, 0, 0]
 
 
 @pytest.mark.parametrize("radius, count, route", [
@@ -353,6 +359,116 @@ def test_weighted_domain_rejected(disk):
 def test_polygon_domain_rejected(square):
     with pytest.raises(ValueError):
         solve_steklov_bie(square, 64, count=4)
+
+
+# ---------------------------------------------------------------------------
+# mirror blocks
+# ---------------------------------------------------------------------------
+
+# centres on x = 0 (annuli), on y = 0.25 (three circles) and on neither line
+Y_LINE = "c 0.1 0.25 1 ccw\nc 0.5 0.25 0.15 cw\nc -0.4 0.25 0.2 cw\n"
+NO_LINE = "c 0 0 1 ccw\nc 0.3 0.2 0.1 cw\n"
+
+
+def _unsplit(quad, count):
+    """The whole deflated pencil's values for a Steklov `count`: no mirror
+    classes are passed, so nothing splits."""
+    return pencil.solve_general(bie._deflated_pencil(*assemble_kernels(quad)),
+                                count=max(count - 1, 1))
+
+
+def _circle_file(tmp_path, text):
+    path = tmp_path / "circles.curves"
+    path.write_text(text)
+    return load_domain(str(path))
+
+
+@pytest.mark.parametrize("eps, n, count, route", [
+    (0.4, 440, 201, "lu-eigvals"), (0.88, 330, 2, "arnoldi")])
+def test_mirror_blocks_match_the_unsplit_pencil(eps, n, count, route):
+    dom = annulus_domain(eps)
+    spec = solve_steklov_bie(dom, n, count=count)
+    whole = _unsplit(boundary_quadrature(dom, n), count)
+    assert spec.flags["solver"] == whole.flags["solver"] == route
+    assert len(spec.flags["blocks"]) == 2 and sum(spec.flags["blocks"]) == 2 * n - 1
+    want = whole.eigenvalues[:count - 1]
+    assert np.max(np.abs(spec.eigenvalues[1:] - want) / want) <= 1e-12
+
+
+@pytest.mark.parametrize("nodes, axis, fixed", [
+    ([64, 64], 0, 4), ([66, 66], 0, 0), ([64, 30, 34], 1, 6)],
+    ids=["x-line-fixed", "x-line-unfixed", "y-line"])
+def test_mirror_classes_pair_the_reflected_nodes(nodes, axis, fixed, tmp_path):
+    # x = 0 fixes nodes m/4 and 3m/4 only when 4 divides m; y = 0.25 fixes
+    # nodes 0 and m/2 of every curve
+    dom = annulus_domain(0.3) if axis == 0 else _circle_file(tmp_path, Y_LINE)
+    line = dom.circles[0][0][axis]
+    quad = boundary_quadrature(dom, nodes)
+    J, P, F = bie._mirror_classes(quad)
+    assert len(F) == fixed and 2 * len(J) + len(F) == quad.total
+    mirrored = quad.points[J].copy()
+    mirrored[:, axis] = 2 * line - mirrored[:, axis]
+    assert np.max(np.abs(mirrored - quad.points[P])) < 1e-14
+    assert np.all(np.abs(quad.points[F, axis] - line) < 1e-14)
+    # both kernels commute with the node permutation
+    pi = np.arange(quad.total)
+    pi[J], pi[P] = P, J
+    for M in assemble_kernels(quad):
+        assert _rel(M[np.ix_(pi, pi)], M) < 1e-13
+    spec = solve_steklov_bie(dom, nodes, count=40)
+    want = _unsplit(quad, 40).eigenvalues[:39]
+    assert spec.flags["blocks"] == [len(J) + len(F) - 1, len(J)]
+    assert np.max(np.abs(spec.eigenvalues[1:] - want) / want) <= 1e-12
+
+
+def test_domain_without_a_mirror_line_solves_the_whole_pencil(tmp_path):
+    dom = _circle_file(tmp_path, NO_LINE)
+    quad = boundary_quadrature(dom, 64)
+    assert bie._mirror_classes(quad) is None
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--domain", dom.name, "--method", "bie", "--bc",
+                     "steklov", "--n", "64", "--count", "20", "--out", str(out)]) == 0
+    spec = solve_steklov_bie(dom, 64, count=20)
+    assert spec.flags["blocks"] == [127]
+    want = np.concatenate([[0.0], np.clip(_unsplit(quad, 20).eigenvalues, 0.0, None)])
+    assert np.array_equal(spec.eigenvalues, want[:20])
+    # the CSV is byte for byte the one the whole-pencil values give
+    cli._write_spectrum(str(tmp_path), want[:20], "bie", "n=64", dom.name)
+    assert (out / "spectrum.csv").read_bytes() == (tmp_path / "spectrum.csv").read_bytes()
+
+
+def test_flags_record_the_blocks_their_residual_and_matvecs(tmp_path):
+    quad = boundary_quadrature(annulus_domain(0.4), 330)
+    blocks = bie._deflated_pencil(*assemble_kernels(quad),
+                                  bie._mirror_classes(quad)).blocks
+    each = [pencil.solve_general(b, count=1) for b in blocks]
+    spec = solve_steklov_bie(annulus_domain(0.4), 330, count=2)
+    assert spec.flags["blocks"] == [b.n for b in blocks] == [329, 330]
+    assert [s.flags["solver"] for s in each] == ["arnoldi", "arnoldi"]
+    assert spec.flags["residual"] == max(s.flags["residual"] for s in each)
+    assert spec.flags["matvecs"] == sum(s.flags["matvecs"] for s in each)
+    skew = solve_steklov_bie(_circle_file(tmp_path, NO_LINE), 330, count=2)
+    assert skew.flags["blocks"] == [659]
+    assert skew.flags["solver"] == "arnoldi" and skew.flags["matvecs"] > 0
+
+
+def test_concentric_blocks_have_exactly_real_values():
+    # the whole pencil returns cos/sin pairs as near-real complex values; the
+    # even and odd blocks hold one of each, and every block value is real
+    quad = boundary_quadrature(annulus_domain(0.0), 256)
+    kernels = assemble_kernels(quad)
+    whole = bie._deflated_pencil(*kernels)
+    split = bie._deflated_pencil(*kernels, bie._mirror_classes(quad))
+
+    def mu(b):
+        return la.eigvals(la.lu_solve(la.lu_factor(b.A), b.B))
+
+    assert np.count_nonzero(mu(whole).imag) > 0
+    for b in split.blocks:
+        assert np.count_nonzero(mu(b).imag) == 0
+    spec = solve_steklov_bie(annulus_domain(0.0), 256, count=20)
+    ref = reference.concentric_annulus_steklov(0.1, count=20)
+    assert list(pencil.cluster(spec.eigenvalues)[0]) == [m for _, m in ref.pairs()]
 
 
 # ---------------------------------------------------------------------------
