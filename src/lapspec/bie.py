@@ -15,9 +15,14 @@ commute with the reflection in that line (they depend only on node
 distances, per-curve constant weights, circulant self-blocks and a
 mirror-invariant mean), so the pencil splits into an even and an odd block
 of about half the order each; the constant density is even, and only the
-even block is deflated. Other domains keep the one whole pencil.
+even block is deflated. The blocks read only the kernel rows of the pairs
+and the fixed nodes of the reflection, so only those rows (about half) are
+assembled, each entry as in the whole matrix. Other domains assemble every
+row and keep the one whole pencil.
 `pencil.solve_general` solves the blocks and returns their real values.
 """
+import functools
+
 import numpy as np
 from scipy.linalg.blas import dgemv
 
@@ -25,11 +30,13 @@ from . import pencil as pen
 from .geometry import BoundaryQuadrature, annulus_domain, boundary_quadrature
 
 
+@functools.lru_cache(maxsize=None)
 def kress_log_weights(m):
     """Row weights R_{|i-j|} for the periodic kernel ln(4 sin^2((t-s)/2)).
 
     Exact for trigonometric polynomials of degree < m/2 against the kernel;
-    m must be even and at least 4.
+    m must be even and at least 4. Computed once per m (a sweep asks for the
+    same m on every curve of every offset) and returned read-only.
     """
     if m % 2 or m < 4:
         raise ValueError("log-weight rule needs an even node count of at least 4")
@@ -39,44 +46,50 @@ def kress_log_weights(m):
     table = np.cos(np.pi / n * np.outer(k, j))
     out = -(2 * np.pi / n) * dgemv(1.0, table.T, 1.0 / j, trans=1)
     out -= (np.pi / n**2) * np.cos(np.pi * k)
+    out.flags.writeable = False
     return out
 
 
-def _raw_kernels(quad):
-    """Single-layer S0 and adjoint double-layer K' on the nodes of `quad`."""
+def _raw_kernels(quad, rows):
+    """Single-layer S0 and adjoint double-layer K' on the nodes of `quad`,
+    restricted to the rows `rows` (indices into the concatenated nodes, in
+    the order given); every entry is computed as in the whole matrix."""
     total = quad.total
-    S0 = np.empty((total, total))
-    Kp = np.empty((total, total))
+    S0 = np.empty((len(rows), total))
+    Kp = np.empty((len(rows), total))
     offs = quad.offsets
     for a, ca in enumerate(quad.curves):
-        ia = slice(offs[a], offs[a + 1])
+        out = np.flatnonzero((rows >= offs[a]) & (rows < offs[a + 1]))
+        ia = rows[out] - offs[a]
         for b, cb in enumerate(quad.curves):
             ib = slice(offs[b], offs[b + 1])
             if a == b:
                 m, R = cb.n, cb.radius
-                lag = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
-                S0[ia, ib] = -(R / (2 * np.pi)) * (
+                lag = np.abs(ia[:, None] - np.arange(m)[None, :])
+                S0[out, ib] = -(R / (2 * np.pi)) * (
                     0.5 * kress_log_weights(m)[lag] + cb.h * np.log(R))
-                Kp[ia, ib] = -cb.orientation * cb.h / (4 * np.pi)
+                Kp[out, ib] = -cb.orientation * cb.h / (4 * np.pi)
                 continue
-            d = ca.points[:, None, :] - cb.points[None, :, :]
+            d = ca.points[ia, None, :] - cb.points[None, :, :]
             r2 = np.einsum("ijk,ijk->ij", d, d)
             if r2.min() <= 0.0:
                 raise ValueError("coincident quadrature nodes across curves")
-            S0[ia, ib] = -(1 / (4 * np.pi)) * np.log(r2) * cb.weights
-            Kp[ia, ib] = (-(1 / (2 * np.pi))
-                          * np.einsum("ijk,ik->ij", d, ca.normals) / r2 * cb.weights)
+            S0[out, ib] = -(1 / (4 * np.pi)) * np.log(r2) * cb.weights
+            Kp[out, ib] = (-(1 / (2 * np.pi))
+                           * np.einsum("ijk,ik->ij", d, ca.normals[ia]) / r2 * cb.weights)
     return S0, Kp
 
 
-def assemble_kernels(quad):
-    """S0 and (1/2 I + K'), each acting on mean-free densities: (S0, Khalf)."""
+def assemble_kernels(quad, rows=None):
+    """S0 and (1/2 I + K'), each acting on mean-free densities: (S0, Khalf),
+    on the rows `rows` of the whole matrices (all rows by default)."""
     if not isinstance(quad, BoundaryQuadrature):
         raise TypeError("assemble_kernels expects a BoundaryQuadrature")
-    S0, Kp = _raw_kernels(quad)
+    rows = np.arange(quad.total) if rows is None else np.asarray(rows)
+    S0, Kp = _raw_kernels(quad, rows)
     w = quad.weights
     p = w / w.sum()
-    Kp[np.diag_indices_from(Kp)] += 0.5
+    Kp[np.arange(len(rows)), rows] += 0.5
     # M (I - 1 p^T) = M - (M 1) p^T, in place
     for M in (S0, Kp):
         M -= np.outer(M.sum(axis=1), p)
@@ -103,17 +116,24 @@ def _mirror_classes(quad):
     return None
 
 
+def _mirror_rows(classes):
+    """The kernel rows that the mirror blocks read: the pairs J, then the
+    fixed nodes F."""
+    J, _, F = classes
+    return np.r_[J, F]
+
+
 def _mirror_blocks(M, classes):
-    """Diagonal blocks of M in the even basis e_j + e_pij (j in J) and e_f
-    (f in F) and the odd basis e_j - e_pij, read off the rows J and F.
+    """Diagonal blocks in the even basis e_j + e_pij (j in J) and e_f
+    (f in F) and the odd basis e_j - e_pij of a kernel M, given as its rows
+    `_mirror_rows(classes)`.
 
     M commutes with the reflection, so it maps each class into itself and
     the blocks off the diagonal vanish. The constant density has
     coordinates all ones in the even basis.
     """
     J, P, F = classes
-    rows, images = np.r_[J, F], np.r_[P, F]
-    M = M[rows]    # rows gathered once: the column take()s then beat np.ix_ twofold
+    rows, images = _mirror_rows(classes), np.r_[P, F]
     even = M.take(rows, axis=1)
     even += M.take(images, axis=1)
     even[:, len(J):] *= 0.5           # e_f enters both terms
@@ -135,8 +155,9 @@ def _deflated_pencil(S0, Khalf, mirror=None):
     complement of the constants. Since v[1:] = 1, that block is
     M[1:, 1:] minus a row vector minus a column vector.
 
-    With the `_mirror_classes` of the nodes, the pencil splits into the even
-    and odd blocks of `_mirror_blocks`, returned as a `pencil.BlockPencil`.
+    With the `_mirror_classes` of the nodes, S0 and Khalf hold only the rows
+    `_mirror_rows`, and the pencil splits into the even and odd blocks of
+    `_mirror_blocks`, returned as a `pencil.BlockPencil`.
     The constant is even, so only the even block is deflated, by the same
     reflector: its coordinates there are all ones. Otherwise the whole
     pencil is deflated and returned as a `pencil.Pencil`.
@@ -162,10 +183,13 @@ def solve_steklov_bie(domain, n_per_curve, count):
     """The lowest `count` Steklov eigenvalues of a smooth-curves domain by
     collocation, ascending, with the zero mode prepended and flagged.
 
-    When every circle centre lies on one line x = c or y = c, the pencil
-    splits into the even and odd blocks of that reflection, and the constant
-    density is deflated from the even block; otherwise the whole pencil is
-    deflated and solved as one block (`_deflated_pencil`).
+    When every circle centre lies on one line x = c or y = c, the kernels
+    are assembled on the rows `_mirror_rows` only (the pairs of that
+    reflection, then its fixed nodes; bit for bit those rows of the whole
+    kernels), the pencil splits into the even and odd blocks, and the
+    constant density is deflated from the even block; otherwise every row
+    is assembled and the whole pencil is deflated and solved as one block
+    (`_deflated_pencil`).
     `pencil.solve_general` factors the second-kind side 1/2 I + K', which
     stays well-conditioned however small a hole is, and never inverts the
     first-kind single layer. It returns the real pencil values and rejects a
@@ -182,7 +206,9 @@ def solve_steklov_bie(domain, n_per_curve, count):
         raise ValueError("the Steklov count includes the zero mode: at least 1")
     quad = boundary_quadrature(domain, n_per_curve)
     n_per_curve = [c.n for c in quad.curves]
-    pencil = _deflated_pencil(*assemble_kernels(quad), _mirror_classes(quad))
+    mirror = _mirror_classes(quad)
+    rows = np.arange(quad.total) if mirror is None else _mirror_rows(mirror)
+    pencil = _deflated_pencil(*assemble_kernels(quad, rows), mirror)
     spec = pen.solve_general(pencil, count=max(count - 1, 1))
 
     vals = spec.eigenvalues
@@ -206,9 +232,13 @@ def sweep_annulus(eps_grid, n_per_curve, k_list):
     spectrum is computed at the same node counts.
     """
     eps_grid = [float(e) for e in eps_grid]
+    if not eps_grid:
+        raise ValueError("eps_grid is empty: give at least one offset")
     if any(e < 0.0 for e in eps_grid):
         raise ValueError("offsets must be nonnegative")
     k_list = [int(k) for k in k_list]
+    if not k_list:
+        raise ValueError("k_list is empty: give at least one mode index")
     if any(k < 1 for k in k_list):
         raise ValueError("mode indices start at 1 (index 0 is the zero mode)")
     kmax = max(k_list)

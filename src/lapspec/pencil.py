@@ -12,7 +12,9 @@ mu = 1/sigma. The route is chosen by size: when a few values of smallest
 modulus are wanted (8 (count + PAD) <= n), shift-invert Arnoldi (ARPACK)
 applies A^-1 B and its pairs pass the residual gate; otherwise A's LU forms
 A^-1 B, solved whole by Hessenberg QR (geev) without vectors and without
-the gate. An exactly zero mu is an infinite sigma and gives no value.
+the gate. Both solve with A's getrf factor by getrs itself: lu_solve's
+finite check and batch dispatch cost more than the solve at the order of
+an Arnoldi step. An exactly zero mu is an infinite sigma and gives no value.
 A mirror-symmetric BIE pencil arrives as a BlockPencil of its even and odd
 blocks (`bie._deflated_pencil`, which also deflates the constant density):
 each block is factored and solved on its own, on the route that the whole
@@ -140,12 +142,13 @@ def solve_general(pencil, count):
     A `BlockPencil` is solved block by block, every block on the route that
     the whole order n picks, and the blocks' values are merged before the
     rules below. Both routes factor each A once by LU (getrf), where an
-    exactly zero pivot raises ValueError, and work on A^-1 B, whose
-    eigenvalues are mu = 1/sigma. B is never inverted, so a singular B needs
-    no check: its infinite sigma have mu = 0. When 8 (count + PAD) <= n,
-    Arnoldi (ARPACK) on x -> A^-1 B x, from a fixed start vector, computes
-    the count + PAD mu of largest modulus of each block, and their real
-    pairs must pass the residual gate; an ARPACK failure raises ValueError.
+    exactly zero pivot raises ValueError, solve with that factor by getrs,
+    and work on A^-1 B, whose eigenvalues are mu = 1/sigma. B is never
+    inverted, so a singular B needs no check: its infinite sigma have
+    mu = 0. When 8 (count + PAD) <= n, Arnoldi (ARPACK) on x -> A^-1 B x,
+    from a fixed start vector, computes the count + PAD mu of largest
+    modulus of each block, and their real pairs must pass the residual
+    gate; an ARPACK failure raises ValueError.
     The count + PAD merged values of smallest modulus are kept. Otherwise
     eigvals of A^-1 B computes all mu, ungated, and an exactly zero mu gives
     no value. sigma = 1/mu is real by `is_real` exactly when mu is. A
@@ -173,7 +176,7 @@ def solve_general(pencil, count):
             vals.append(v)
             residual, matvecs = max(residual, r), matvecs + m
         else:
-            mu = la.eigvals(la.lu_solve((lu, piv), block.B), overwrite_a=True)
+            mu = la.eigvals(_getrs((lu, piv), block.B), overwrite_a=True)
             vals.append(1.0 / mu[mu != 0])
     vals = np.concatenate(vals)
     vals = vals[np.argsort(np.abs(vals))]
@@ -202,7 +205,7 @@ def _arnoldi(pencil, lu, k):
     def apply(x):
         nonlocal matvecs
         matvecs += 1
-        return la.lu_solve(lu, dgemv(1.0, B.T, x, trans=1))
+        return _getrs(lu, dgemv(1.0, B.T, x, trans=1), overwrite_b=True)
 
     op = spla.LinearOperator((n, n), dtype=float, matvec=apply)
     v0 = np.random.default_rng(LANCZOS_SEED).uniform(-1.0, 1.0, n)
@@ -214,6 +217,15 @@ def _arnoldi(pencil, lu, k):
     vals = 1.0 / mu
     real = is_real(vals)
     return vals, _residual_gate(A, B, vals[real], V[:, real])[0], matvecs
+
+
+def _getrs(lu, b, overwrite_b=False):
+    """A^-1 b from A's getrf factor `lu` = (lu, piv), by getrs; a nonzero
+    info raises ValueError, as in lu_solve."""
+    x, info = la.lapack.dgetrs(*lu, b, overwrite_b=overwrite_b)
+    if info:
+        raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+    return x
 
 
 def is_real(vals):
@@ -268,8 +280,9 @@ def solve_lowest(A, B, k, shift):
 
 def _residual_gate(A, B, vals, V):
     """Largest ||Av - lambda Bv|| / ((||A||_1 + |lambda| ||B||_1) ||v||) over
-    the pairs, raising ValueError when a pair exceeds RESIDUAL_GATE, and each
-    pair's own-term ||Av - lambda Bv|| / (||Av|| + |lambda| ||Bv||), 0 if 0/0.
+    the pairs, raising ValueError when a pair's is not at most RESIDUAL_GATE
+    (a NaN included), and each pair's own-term
+    ||Av - lambda Bv|| / (||Av|| + |lambda| ||Bv||), 0 if 0/0.
     Sparse A and B multiply with `@`; dense ones in scipy's BLAS, a complex
     V as the real block [Re V, Im V], recombined."""
     def norm1(M):
@@ -287,8 +300,9 @@ def _residual_gate(A, B, vals, V):
             AV, BV = (X[:, :p] + 1j * X[:, p:] for X in (AV, BV))
     r = np.linalg.norm(AV - BV * vals, axis=0)
     rel = r / ((norm1(A) + np.abs(vals) * norm1(B)) * np.linalg.norm(V, axis=0))
-    if np.any(rel > RESIDUAL_GATE):
-        j = int(np.argmax(rel))
+    # NaN fails every comparison: only a residual <= the gate passes
+    if not np.all(rel <= RESIDUAL_GATE):
+        j = int(np.argmax(rel))    # argmax finds a NaN first
         raise ValueError(f"eigenpair {j} relative residual {rel[j]:.2e} exceeds "
                          f"gate {RESIDUAL_GATE:.0e}")
     own = np.linalg.norm(AV, axis=0) + np.abs(vals) * np.linalg.norm(BV, axis=0)

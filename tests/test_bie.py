@@ -49,6 +49,12 @@ def test_log_weights_match_the_numpy_table_product(m):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def test_log_weights_are_computed_once_and_read_only():
+    assert kress_log_weights(64) is kress_log_weights(64)
+    with pytest.raises(ValueError, match="read-only"):
+        kress_log_weights(64)[0] = 0.0
+
+
 # (domain, scale, curve): the unit circle, two radii where ln R is not 0, and
 # the clockwise inner curve of an annulus
 CIRCLES = [pytest.param("unit-disk", 1.0, 0, id="R=1"),
@@ -59,7 +65,7 @@ CIRCLES = [pytest.param("unit-disk", 1.0, 0, id="R=1"),
 
 def _self_blocks(name, scale, curve, n):
     quad = boundary_quadrature(load_domain(name).scaled(scale), n)
-    S0, Kp = bie._raw_kernels(quad)
+    S0, Kp = bie._raw_kernels(quad, np.arange(quad.total))
     block = slice(quad.offsets[curve], quad.offsets[curve + 1])
     return quad.curves[curve], S0[block, block], Kp[block, block]
 
@@ -76,7 +82,7 @@ def test_adjoint_double_layer_constant_on_circle(name, scale, curve):
 
 def test_gauss_jump_identity_on_circle(disk):
     quad = boundary_quadrature(disk, 64)
-    S0, Kp = bie._raw_kernels(quad)
+    S0, Kp = bie._raw_kernels(quad, np.arange(quad.total))
     resid = (0.5 * np.eye(64) + Kp) @ np.ones(64)
     assert np.max(np.abs(resid)) < 1e-13
 
@@ -115,7 +121,7 @@ def _rel(got, want):
 def test_rank_one_projections_match_explicit_construction():
     quad = boundary_quadrature(annulus_domain(0.6), [60, 40])
     n, w = quad.total, quad.weights
-    S0, Kp = bie._raw_kernels(quad)
+    S0, Kp = bie._raw_kernels(quad, np.arange(quad.total))
     ImW = np.eye(n) - np.outer(np.ones(n), w) / w.sum()
     S0_ref, Khalf_ref = S0 @ ImW, (0.5 * np.eye(n) + Kp) @ ImW
     S0_got, Khalf_got = assemble_kernels(quad)
@@ -289,9 +295,9 @@ def test_zero_mode_is_not_counted_among_the_pencil_values(monkeypatch, disk):
 
 
 def test_arnoldi_records_its_operator_applications(call_counter):
-    # every application of A^-1 B solves once with A's LU
+    # every application of A^-1 B solves once with A's LU factor (getrs)
     pen = _annulus_pencil(0.4, 330)
-    calls = call_counter(pencil.la, "lu_solve")
+    calls = call_counter(pencil.la.lapack, "dgetrs")
     spec = pencil.solve_general(pen, count=1)
     assert pen.n == 659 and spec.flags["solver"] == "arnoldi"
     assert spec.flags["matvecs"] == len(calls)
@@ -377,6 +383,14 @@ def _unsplit(quad, count):
                                 count=max(count - 1, 1))
 
 
+def _split(quad):
+    """The mirror blocks as a solve builds them, from the kernels' mirror
+    rows only."""
+    mirror = bie._mirror_classes(quad)
+    return bie._deflated_pencil(*assemble_kernels(quad, bie._mirror_rows(mirror)),
+                                mirror)
+
+
 def _circle_file(tmp_path, text):
     path = tmp_path / "circles.curves"
     path.write_text(text)
@@ -421,6 +435,38 @@ def test_mirror_classes_pair_the_reflected_nodes(nodes, axis, fixed, tmp_path):
     assert np.max(np.abs(spec.eigenvalues[1:] - want) / want) <= 1e-12
 
 
+@pytest.mark.parametrize("nodes, axis", [([64, 64], 0), ([66, 66], 0), ([64, 30, 34], 1)],
+                         ids=["x-line-fixed", "x-line-unfixed", "y-line"])
+def test_mirror_rows_are_the_rows_of_the_whole_kernels(nodes, axis, tmp_path):
+    # the row-restricted assembly computes every entry and row sum as the
+    # whole one does, so the solves' numbers do not move
+    dom = annulus_domain(0.3) if axis == 0 else _circle_file(tmp_path, Y_LINE)
+    quad = boundary_quadrature(dom, nodes)
+    rows = bie._mirror_rows(bie._mirror_classes(quad))
+    for whole, part in zip(assemble_kernels(quad), assemble_kernels(quad, rows)):
+        assert part.shape == (len(rows), quad.total)
+        assert np.array_equal(part, whole[rows])
+
+
+@pytest.mark.parametrize("text, rows", [(None, 66), (NO_LINE, 128)],
+                         ids=["mirror", "no-line"])
+def test_a_solve_assembles_only_the_rows_its_blocks_read(text, rows, tmp_path,
+                                                         monkeypatch):
+    # 64 nodes per curve on x = 0: 62 pairs and the 4 fixed nodes m/4, 3m/4;
+    # a domain with no mirror line assembles all 128 rows
+    dom = annulus_domain(0.4) if text is None else _circle_file(tmp_path, text)
+    shapes, assemble = [], bie.assemble_kernels
+
+    def recording(*args):
+        kernels = assemble(*args)
+        shapes.append([M.shape for M in kernels])
+        return kernels
+
+    monkeypatch.setattr(bie, "assemble_kernels", recording)
+    solve_steklov_bie(dom, 64, count=5)
+    assert shapes == [[(rows, 128), (rows, 128)]]
+
+
 def test_domain_without_a_mirror_line_solves_the_whole_pencil(tmp_path):
     dom = _circle_file(tmp_path, NO_LINE)
     quad = boundary_quadrature(dom, 64)
@@ -439,8 +485,7 @@ def test_domain_without_a_mirror_line_solves_the_whole_pencil(tmp_path):
 
 def test_flags_record_the_blocks_their_residual_and_matvecs(tmp_path):
     quad = boundary_quadrature(annulus_domain(0.4), 330)
-    blocks = bie._deflated_pencil(*assemble_kernels(quad),
-                                  bie._mirror_classes(quad)).blocks
+    blocks = _split(quad).blocks
     each = [pencil.solve_general(b, count=1) for b in blocks]
     spec = solve_steklov_bie(annulus_domain(0.4), 330, count=2)
     assert spec.flags["blocks"] == [b.n for b in blocks] == [329, 330]
@@ -456,9 +501,8 @@ def test_concentric_blocks_have_exactly_real_values():
     # the whole pencil returns cos/sin pairs as near-real complex values; the
     # even and odd blocks hold one of each, and every block value is real
     quad = boundary_quadrature(annulus_domain(0.0), 256)
-    kernels = assemble_kernels(quad)
-    whole = bie._deflated_pencil(*kernels)
-    split = bie._deflated_pencil(*kernels, bie._mirror_classes(quad))
+    whole = bie._deflated_pencil(*assemble_kernels(quad))
+    split = _split(quad)
 
     def mu(b):
         return la.eigvals(la.lu_solve(la.lu_factor(b.A), b.B))
@@ -492,3 +536,13 @@ def test_sweep_rejects_bad_grid():
         sweep_annulus([0.95], 64, [1])
     with pytest.raises(ValueError):
         sweep_annulus([0.1], 64, [0])
+
+
+@pytest.mark.parametrize("eps_grid, k_list, name", [
+    ([], [1], "eps_grid"), ([0.3], [], "k_list")], ids=["eps_grid", "k_list"])
+def test_sweep_rejects_an_empty_list_before_any_solve(eps_grid, k_list, name,
+                                                      call_counter):
+    solves = call_counter(bie, "solve_steklov_bie")
+    with pytest.raises(ValueError, match=f"^{name} is empty"):
+        sweep_annulus(eps_grid, 64, k_list)
+    assert solves == []

@@ -428,6 +428,18 @@ def test_dense_gate_matches_the_complex_product(pair, vector_dtype):
         pencil._residual_gate(A, B, vals, V)
 
 
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_gate_rejects_a_nan_residual(storage):
+    # NaN > gate is False, so only "residual <= gate" can reject it
+    A = np.diag([1.0, 2.0]) if storage == "dense" else sp.diags([1.0, 2.0]).tocsr()
+    B = np.eye(2) if storage == "dense" else sp.identity(2, format="csr")
+    V = np.eye(2)
+    assert pencil._residual_gate(A, B, np.array([1.0, 2.0]), V)[0] == 0.0
+    V[0, 0] = np.nan
+    with pytest.raises(ValueError, match="eigenpair 0 relative residual nan exceeds"):
+        pencil._residual_gate(A, B, np.array([1.0, 2.0]), V)
+
+
 def test_pencil_shape_validation():
     with pytest.raises(ValueError):
         Pencil(np.eye(3), np.eye(4))
