@@ -8,6 +8,7 @@ two-sided bracket, and Richardson extrapolation of each column gives the
 best single estimate together with an observed convergence rate.
 """
 from collections import namedtuple
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import jn_zeros
@@ -81,14 +82,20 @@ def extrapolated_spectrum(domain, spec):
     if first < 0:
         raise ValueError("three-level extrapolation needs spec.level >= "
                          f"{EXTRAPOLATE_FROM - 1}")
-    spectra = [solve_fem(domain, EigenProblemSpec(spec.bc, spec.count,
-                                                  kind=spec.kind, level=lvl))
-               for lvl in range(first, spec.level + 1)]
+    spectra = [solve_fem(domain, EigenProblemSpec(spec.bc, spec.count, kind=spec.kind,
+                                                  level=mesh.level), mesh=mesh)
+               for mesh in _meshes(domain, range(first, spec.level + 1))]
     values = np.array([sp.eigenvalues for sp in spectra])
     hs = [sp.param for sp in spectra]
     limits = np.array([richardson_extrapolate(values[:, j], hs).limit
                        for j in range(spec.count)])
     return limits, spectra
+
+
+def _meshes(domain, levels):
+    """build_mesh at each of the consecutive `levels`: one build, then refine."""
+    return accumulate(levels[1:], lambda mesh, _: refine(mesh),
+                      initial=build_mesh(domain, levels[0]))
 
 
 def _infer_bc(domain):
@@ -182,8 +189,7 @@ def bracket_report(domain, index, levels):
     bc = _infer_bc(domain)
     certified = bc == "dirichlet" and domain.weight == "unit"
     rows, residuals = [], []
-    for lvl in levels:
-        mesh = build_mesh(domain, lvl)
+    for lvl, mesh in zip(levels, _meshes(domain, levels)):
         per_kind = {}
         for kind in ("CR", "P1", "P2"):
             spec = EigenProblemSpec(bc, index, kind=kind, level=lvl)

@@ -1,11 +1,12 @@
 """P1, P2, and Crouzeix-Raviart assembly plus the eigenvalue drives.
 
-Each element form is one quadrature loop over one shape-function table:
-the 3-midpoint rule for stiffness, exact since gradients are at most linear,
-and a 7-point degree-5 rule for mass, exact for the unit weight (products of
-quadratics) and fifth-order for the smooth radial weight. Boundary mass is
-exact edgewise. Dirichlet constraints are imposed by dof elimination so
-every pencil stays symmetric definite.
+Stiffness takes the 3-midpoint rule (exact: gradients are at most linear),
+mass a 7-point degree-5 rule (exact for the unit weight, fifth-order for the
+radial one). Each form is one np.einsum (no BLAS call) of per-triangle
+factors, (area g_a.g_b)[t, 9] or (area w_q weight(x_q))[t, Q], with a
+constant reference table, sum_q w_q c_q (x) c_q or v_q (x) v_q, for P1, P2
+and CR alike. Boundary mass is exact edgewise. Dirichlet constraints are
+imposed by dof elimination so every pencil stays symmetric definite.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -94,18 +95,18 @@ class FemSpace:
         return p, area, g
 
 
-def _shape(kind, lam, g):
-    """Basis values (nd,) and gradients (t, nd, 2) at barycentric point `lam`,
-    from the barycentric gradients `g` (t, 3, 2)."""
+def _shape(kind, lam):
+    """Basis values (nd,) at barycentric point `lam`, and basis gradients
+    (nd, 3) as coefficients of the three barycentric gradients."""
+    eye = np.eye(3)
     if kind == "P1":
-        return lam, g
+        return lam, eye
     if kind == "CR":
-        return 1.0 - 2.0 * lam, -2.0 * g
+        return 1.0 - 2.0 * lam, -2.0 * eye
     j, k = [1, 2, 0], [2, 0, 1]   # P2 local edge i joins vertices j[i], k[i]
     values = np.concatenate([lam * (2 * lam - 1), 4 * lam[j] * lam[k]])
-    grad = np.concatenate([(4 * lam - 1)[:, None] * g,
-                           4 * (lam[k][:, None] * g[:, j]
-                                + lam[j][:, None] * g[:, k])], axis=1)
+    grad = np.concatenate([(4 * lam - 1)[:, None] * eye,
+                           4 * (lam[k][:, None] * eye[j] + lam[j][:, None] * eye[k])])
     return values, grad
 
 
@@ -119,29 +120,24 @@ def _scatter(cell_dofs, element, n):
 
 def assemble_stiffness(space):
     """Stiffness matrix; symmetric, kernel = constants when unconstrained."""
-    p, area, g = space._geometry()
-    nd = space.cell_dofs.shape[1]
-    ke = np.zeros((len(area), nd, nd))
-    for lam, w in zip(_QMID_BARY, _QMID_W):
-        _, grad = _shape(space.kind, lam, g)
-        ke += w * np.einsum("tid,tjd,t->tij", grad, grad, area)
-    return _scatter(space.cell_dofs, ke, space.n_dofs)
+    _, area, g = space._geometry()
+    c = np.array([_shape(space.kind, lam)[1] for lam in _QMID_BARY])
+    R = np.einsum("q,qia,qjb->abij", _QMID_W, c, c).reshape(9, -1)
+    G = np.einsum("tad,tbd,t->tab", g, g, area).reshape(len(area), 9)
+    return _scatter(space.cell_dofs, np.einsum("tk,kl->tl", G, R), space.n_dofs)
 
 
 def assemble_mass(space, weight="unit"):
     """Mass matrix for the weight 1 or `genus2_weight`; exact for 1."""
     if weight not in ("unit", "genus2"):
         raise ValueError(f"unknown weight {weight!r}")
-    p, area, g = space._geometry()
-    nd = space.cell_dofs.shape[1]
-    ke = np.zeros((len(area), nd, nd))
-    for lam, w in zip(_Q5_BARY, _Q5_W):
-        v, _ = _shape(space.kind, lam, g)
-        coef = w * area
-        if weight == "genus2":
-            coef *= genus2_weight(np.einsum("q,tqd->td", lam, p))
-        ke += coef[:, None, None] * np.outer(v, v)
-    return _scatter(space.cell_dofs, ke, space.n_dofs)
+    p, area, _ = space._geometry()
+    v = np.array([_shape(space.kind, lam)[0] for lam in _Q5_BARY])
+    coef = area[:, None] * _Q5_W
+    if weight == "genus2":
+        coef *= genus2_weight(np.einsum("qk,tkd->tqd", _Q5_BARY, p))
+    vv = np.einsum("qi,qj->qij", v, v).reshape(len(_Q5_W), -1)
+    return _scatter(space.cell_dofs, np.einsum("tq,ql->tl", coef, vv), space.n_dofs)
 
 
 def assemble_boundary_mass(space):
@@ -209,7 +205,8 @@ def solve_fem(domain, spec, mesh=None):
     Steklov values within 1e-9 of that shift's size are the zero mode.
     The mass weight is `domain.weight`. flags["pair_residuals"] holds each
     pair's own-term residual from the gate, nan for the zero mode, where
-    that ratio divides two rounding-level norms.
+    that ratio divides two rounding-level norms. flags["matvecs"] counts
+    the Lanczos operator applications, 0 when the pencil is solved dense.
     """
     if domain.weight == "genus2" and spec.bc == "steklov":
         raise ValueError("the radial weight applies to volume mass terms only")
@@ -237,8 +234,9 @@ def solve_fem(domain, spec, mesh=None):
             raise ValueError(f"only {len(free)} free dofs at level {mesh.level}: "
                              f"cannot return {spec.count} eigenvalues")
 
-    vals, vfree, flags["residual"], flags["pair_residuals"] = pen.solve_lowest(
-        K[free][:, free], B[free][:, free], spec.count, shift)
+    (vals, vfree, flags["residual"], flags["pair_residuals"],
+     flags["matvecs"]) = pen.solve_lowest(K[free][:, free], B[free][:, free],
+                                          spec.count, shift)
     if spec.bc in ("neumann", "steklov"):
         zero = np.abs(vals) <= 1e-9 * abs(shift)
         vals[zero] = 0.0

@@ -5,7 +5,10 @@ Lanczos path (ARPACK) with a residual gate. Every caller shifts below the
 spectrum, so C = A - shift*B is symmetric positive definite and needs no
 pivoting for stability: SuperLU factors C once in symmetric mode
 (minimum-degree ordering of C^T + C, diagonal pivots), and that factor
-serves every Lanczos step. General pencils (the BIE Steklov problems)
+serves every Lanczos step. Lanczos stops at the gate, not at machine
+precision: A v - lambda B v = -C r / nu for r = C^-1 B v - nu v, so ARPACK's
+stop ||r|| <= RESIDUAL_GATE nu keeps the gate's residual near the gate,
+which judges every pair. General pencils (the BIE Steklov problems)
 pair a second-kind A with a first-kind B, so only B can be ill-conditioned:
 they factor A once by LU and work on A^-1 B, whose eigenvalues are
 mu = 1/sigma. The route is chosen by size: when a few values of smallest
@@ -247,25 +250,36 @@ def solve_lowest(A, B, k, shift):
     factor holds about half the fill of SuperLU's default (COLAMD, partial
     pivoting), which eigsh would build without `Minv`. A few more
     pairs than k are computed so that a cluster is not split at the cutoff.
-    When the pencil is too small for ARPACK (k + PAD >= n - 1), a dense eigh
-    solves the same pencil. Every returned pair must pass the residual gate.
-    Returns (values ascending, B-normalized vectors, and the largest and the
-    per-pair residuals of `_residual_gate`).
+    ARPACK stops at ||r|| <= RESIDUAL_GATE nu for r = C^-1 B v - nu v: as
+    A v - lambda B v = -C r / nu, the gate's residual stays near the gate.
+    Any ARPACK error raises ValueError. When the pencil is too small for
+    ARPACK (k + PAD >= n - 1), a dense eigh solves the same pencil. Every
+    returned pair must pass the residual gate. Returns (values ascending,
+    B-normalized vectors, the largest and the per-pair residuals of
+    `_residual_gate`, and the Lanczos solves with C, 0 if dense).
     """
     n = A.shape[0]
     C = sp.csc_matrix(A - shift * B)
+    matvecs = 0
     if k + PAD >= n - 1:
         nu, V = la.eigh(B.toarray(), C.toarray())
     else:
         lu = spla.splu(C, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                        options={"SymmetricMode": True})
-        Cinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+
+        def solve(x):
+            nonlocal matvecs
+            matvecs += 1
+            return lu.solve(x)
+
+        Cinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
         rng = np.random.default_rng(LANCZOS_SEED)
         try:
             nu, V = spla.eigsh(B, k + PAD, M=C, Minv=Cinv, which="LA",
-                               v0=rng.uniform(-1.0, 1.0, n), rng=rng)
-        except spla.ArpackNoConvergence as exc:
-            raise ValueError(f"Lanczos did not converge: {exc}")
+                               v0=rng.uniform(-1.0, 1.0, n), rng=rng,
+                               tol=RESIDUAL_GATE)
+        except spla.ArpackError as exc:
+            raise ValueError(f"Lanczos failed: {exc}")
     order = np.argsort(nu)[::-1][:k]
     nu, V = nu[order], V[:, order]
     # nu at rounding level belongs to the null space of B (lambda = inf)
@@ -275,7 +289,7 @@ def solve_lowest(A, B, k, shift):
     vals = shift + 1.0 / nu
     # V is (A - shift B)-orthonormal, so v^T B v = nu
     V = V / np.sqrt(nu)
-    return (vals, V, *_residual_gate(A, B, vals, V))
+    return (vals, V, *_residual_gate(A, B, vals, V), matvecs)
 
 
 def _residual_gate(A, B, vals, V):

@@ -80,6 +80,61 @@ def test_unit_mass_total_equals_area(kind, gww_a):
     assert ones @ (M @ ones) == pytest.approx(gww_a.area(), rel=1e-13)
 
 
+def _shape_on_triangles(kind, lam, g):
+    """Oracle basis: values (nd,) and gradients (t, nd, 2) at barycentric
+    point `lam`, from the barycentric gradients `g` (t, 3, 2)."""
+    if kind == "P1":
+        return lam, g
+    if kind == "CR":
+        return 1.0 - 2.0 * lam, -2.0 * g
+    j, k = [1, 2, 0], [2, 0, 1]   # P2 local edge i joins vertices j[i], k[i]
+    values = np.concatenate([lam * (2 * lam - 1), 4 * lam[j] * lam[k]])
+    grad = np.concatenate([(4 * lam - 1)[:, None] * g,
+                           4 * (lam[k][:, None] * g[:, j]
+                                + lam[j][:, None] * g[:, k])], axis=1)
+    return values, grad
+
+
+def _stiffness_by_quadrature(space):
+    """Oracle: the element stiffness summed point by point over the midpoint
+    rule, each point's basis gradients formed on every triangle."""
+    p, area, g = space._geometry()
+    nd = space.cell_dofs.shape[1]
+    ke = np.zeros((len(area), nd, nd))
+    for lam, w in zip(fem._QMID_BARY, fem._QMID_W):
+        _, grad = _shape_on_triangles(space.kind, lam, g)
+        ke += w * np.einsum("tid,tjd,t->tij", grad, grad, area)
+    return fem._scatter(space.cell_dofs, ke, space.n_dofs)
+
+
+def _mass_by_quadrature(space, weight):
+    """Oracle: the element mass summed point by point over the degree-5 rule."""
+    p, area, g = space._geometry()
+    nd = space.cell_dofs.shape[1]
+    ke = np.zeros((len(area), nd, nd))
+    for lam, w in zip(fem._Q5_BARY, fem._Q5_W):
+        v, _ = _shape_on_triangles(space.kind, lam, g)
+        coef = w * area
+        if weight == "genus2":
+            coef *= genus2_weight(np.einsum("q,tqd->td", lam, p))
+        ke += coef[:, None, None] * np.outer(v, v)
+    return fem._scatter(space.cell_dofs, ke, space.n_dofs)
+
+
+def _max_rel_diff(X, Y):
+    return abs(X - Y).max() / abs(Y).max()
+
+
+@pytest.mark.parametrize("weight", ["unit", "genus2"])
+@pytest.mark.parametrize("kind", ["P1", "P2", "CR"])
+def test_reference_contraction_matches_the_quadrature_loops(kind, weight, gww_a):
+    space = FemSpace(kind, build_mesh(gww_a, 3))
+    assert _max_rel_diff(assemble_stiffness(space),
+                         _stiffness_by_quadrature(space)) <= 1e-14
+    assert _max_rel_diff(assemble_mass(space, weight),
+                         _mass_by_quadrature(space, weight)) <= 1e-14
+
+
 def test_genus2_mass_total_on_square(square):
     # reference value from adaptive quadrature of 4/(1+x^2+y^2)^2
     ref, err = dblquad(lambda y, x: genus2_weight(np.array([[x, y]]))[0],
@@ -332,3 +387,11 @@ def test_every_fem_spectrum_passes_the_residual_gate(bc, kind):
     B = assemble_boundary_mass(space) if bc == "steklov" else assemble_mass(space)
     gram = spec.vectors.T @ (B @ spec.vectors)
     assert np.max(np.abs(np.diag(gram) - 1.0)) < 1e-10
+
+
+def test_lanczos_stops_at_the_residual_gate_on_the_drum():
+    # gww-a, P2 Dirichlet at level 5: ARPACK run to machine precision takes
+    # 67 operator applications, stopped at the gate 55
+    spec = shared_solve("gww-a", "dirichlet", "P2", 5, 10)
+    assert 0 < spec.flags["matvecs"] <= 60
+    assert spec.flags["residual"] <= 1e-9

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapspec import fem, pencil
+from lapspec import cli, fem, geometry, pencil
 from conftest import shared_mesh
 from lapspec.pencil import Pencil, cluster, solve_general, solve_lowest, solve_symdef
 
@@ -292,10 +292,10 @@ def test_solve_lowest_matches_dense(rng):
     n = 120
     A = _tridiagonal_spd(rng, n)
     B = sp.diags(rng.uniform(0.5, 1.5, n)).tocsr()
-    vals, V, residual, pair_residuals = solve_lowest(A, B, 5, shift=-1.0)
+    vals, V, residual, pair_residuals, matvecs = solve_lowest(A, B, 5, shift=-1.0)
     ref = solve_symdef(Pencil(A.toarray(), B.toarray())).eigenvalues[:5]
     assert np.max(np.abs(vals - ref) / ref) < 1e-10
-    assert V.shape == (n, 5) and residual <= 1e-9
+    assert V.shape == (n, 5) and residual <= 1e-9 and matvecs > 0
     assert pair_residuals.shape == (5,) and np.all(pair_residuals <= 1e-9)
     assert np.max(np.abs(V.T @ (B @ V) - np.eye(5))) < 1e-10
 
@@ -309,7 +309,7 @@ def test_solve_lowest_matches_dense(rng):
     Ad = A.toarray()
     S = Ad[:nb, :nb] - Ad[:nb, nb:] @ np.linalg.solve(Ad[nb:, nb:], Ad[nb:, :nb])
     ref = solve_symdef(Pencil((S + S.T) / 2, Bbb)).eigenvalues[:6]
-    vals, V, residual, _ = solve_lowest(A, B, 6, shift=-0.5)
+    vals, V, residual, _, _ = solve_lowest(A, B, 6, shift=-0.5)
     assert np.max(np.abs(vals - ref) / ref) < 1e-10
     assert residual <= 1e-9
 
@@ -317,10 +317,10 @@ def test_solve_lowest_matches_dense(rng):
     n = 5
     A = _tridiagonal_spd(rng, n)
     B = sp.diags(rng.uniform(0.5, 1.5, n)).tocsr()
-    vals, V, residual, _ = solve_lowest(A, B, n - 1, shift=0.0)
+    vals, V, residual, _, matvecs = solve_lowest(A, B, n - 1, shift=0.0)
     ref = solve_symdef(Pencil(A.toarray(), B.toarray())).eigenvalues[:n - 1]
     assert np.max(np.abs(vals - ref) / ref) < 1e-12
-    assert residual <= 1e-9
+    assert residual <= 1e-9 and matvecs == 0
 
 
 def test_solve_lowest_factors_the_p2_drum_pencil_once_in_symmetric_mode(monkeypatch):
@@ -345,7 +345,7 @@ def test_solve_lowest_factors_the_p2_drum_pencil_once_in_symmetric_mode(monkeypa
     # the module eigsh lives in factors M itself when handed no Minv
     monkeypatch.setattr(spla, "splu", spy)
     monkeypatch.setattr(sys.modules[spla.eigsh.__module__], "splu", spy)
-    vals, _, residual, _ = solve_lowest(A, B, 10, shift)
+    vals, _, residual, _, _ = solve_lowest(A, B, 10, shift)
     monkeypatch.undo()
 
     assert len(calls) == 1
@@ -363,10 +363,45 @@ def test_solve_lowest_rejects_k_beyond_the_rank_of_b(rng, n):
     # two nonzero directions in B: the third value is infinite
     A = _tridiagonal_spd(rng, n)
     B = sp.diags(np.r_[1.0, 2.0, np.zeros(n - 2)]).tocsr()
-    vals, _, _, _ = solve_lowest(A, B, 2, shift=-1.0)
+    vals, _, _, _, _ = solve_lowest(A, B, 2, shift=-1.0)
     assert np.all(np.isfinite(vals))
     with pytest.raises(ValueError, match="null space"):
         solve_lowest(A, B, 3, shift=-1.0)
+
+
+def test_solve_lowest_turns_any_arpack_error_into_value_error(rng, monkeypatch,
+                                                              tmp_path):
+    # an error code other than non-convergence, from the library and the CLI
+    def failing(*args, **kwargs):
+        raise spla.ArpackError(-9999)
+
+    monkeypatch.setattr(spla, "eigsh", failing)
+    A = _tridiagonal_spd(rng, 40)
+    with pytest.raises(ValueError, match="Lanczos failed: ARPACK error -9999"):
+        solve_lowest(A, sp.identity(40, format="csr"), 3, shift=-1.0)
+    assert cli.main(["solve", "--domain", "unit-square", "--method", "fem-p2",
+                     "--bc", "dirichlet", "--count", "3", "--levels", "2",
+                     "--out", str(tmp_path)]) == cli.EXIT_QUALITY
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_lanczos_stop_misses_no_multiple_eigenvalue(bc):
+    # the unit square's symmetric pairs, each found twice by the gated stop
+    # as by the dense oracle on the same pencil
+    mesh = shared_mesh("unit-square", 4)
+    spectrum = fem.solve_fem(geometry.load_domain("unit-square"),
+                             fem.EigenProblemSpec(bc, 20, kind="P2", level=4),
+                             mesh=mesh)
+    space = spectrum.space
+    free = space.free
+    K = fem.assemble_stiffness(space)[free][:, free].toarray()
+    M = fem.assemble_mass(space)[free][:, free].toarray()
+    ref = solve_symdef(Pencil(K, M)).eigenvalues[:20]
+    vals = spectrum.eigenvalues
+    assert np.max(np.abs(vals - ref) / np.maximum(1.0, np.abs(ref))) < 1e-10
+    assert np.array_equal(cluster(vals)[0], cluster(ref)[0])
+    # the mesh's diagonals split some of the pairs, not all
+    assert np.count_nonzero(cluster(ref)[0] == 2) >= 2
 
 
 @pytest.mark.parametrize("n,k", [(120, 5), (6, 5)])

@@ -2,11 +2,14 @@
 that bench/tracer.py wraps and sizes must stay as it reads them.
 
 bench/test_bench.py traces a `bounds` run for its time partition; this
-traces the same run for its assembly traffic, and a BIE sweep, whose pencil
-span the tracer sizes by `args[0].n` (a `Pencil`).
+traces the same run for its assembly traffic, a BIE sweep, whose pencil
+span the tracer sizes by `args[0].n` (a `Pencil`), and a drum `compare` for
+its mesh traffic.
 """
 import os
 import sys
+
+import numpy as np
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench")
@@ -71,3 +74,39 @@ def test_traced_mps_solve_locates_lambda_in_few_indicator_calls(tmp_path):
     assert rc == 0
     # parabolic steps on s^2 locate 2 pi^2 here in 13 indicator calls
     assert tr.layer_metrics(t)["mps.indicator_evals"] <= 20
+
+
+def test_traced_compare_refines_one_mesh_per_schedule(tmp_path, monkeypatch):
+    seen = []
+    t = tr.Tracer()
+    t.install(lapspec)
+    traced_solve = lapspec.bounds.solve_fem
+
+    def recording(domain, spec, mesh=None):
+        result = traced_solve(domain, spec, mesh=mesh)
+        seen.append((domain, spec, result.eigenvalues))
+        return result
+
+    try:
+        monkeypatch.setattr(lapspec.bounds, "solve_fem", recording)
+        t.start(tr.ROOT)
+        rc = cli.main(["compare", "--domain-a", "gww-a", "--domain-b", "gww-b",
+                       "--method", "fem-p2", "--bc", "dirichlet", "--count", "3",
+                       "--levels", "4", "--out", str(tmp_path)])
+        t.stop()
+    finally:
+        monkeypatch.undo()
+        t.restore()
+    assert rc == 0
+    m = tr.layer_metrics(t)
+    # levels 2-4 per drum: one mesh built at level 2 and refined twice
+    # (building each level from scratch takes 18 refines and 6 builds)
+    assert m["geometry.refine_calls"] == 8
+    assert m["fem.mesh_builds"] == 2
+    assert m["fem.assemble_calls"] == 12
+    # each level's values are bitwise those of a solve on its own mesh
+    assert [spec.level for _, spec, _ in seen] == [2, 3, 4, 2, 3, 4]
+    for domain, spec, values in seen:
+        fresh = lapspec.fem.solve_fem(domain, lapspec.fem.EigenProblemSpec(
+            spec.bc, spec.count, kind=spec.kind, level=spec.level))
+        assert np.array_equal(values, fresh.eigenvalues)
