@@ -234,9 +234,11 @@ def solve_fem(domain, spec, mesh=None):
             raise ValueError(f"only {len(free)} free dofs at level {mesh.level}: "
                              f"cannot return {spec.count} eigenvalues")
 
+    def sub(A):  # Neumann and Steklov constrain nothing: pass A unsliced
+        return A[free][:, free] if len(free) < space.n_dofs else A
+
     (vals, vfree, flags["residual"], flags["pair_residuals"],
-     flags["matvecs"]) = pen.solve_lowest(K[free][:, free], B[free][:, free],
-                                          spec.count, shift)
+     flags["matvecs"]) = pen.solve_lowest(sub(K), sub(B), spec.count, shift)
     if spec.bc in ("neumann", "steklov"):
         zero = np.abs(vals) <= 1e-9 * abs(shift)
         vals[zero] = 0.0

@@ -15,6 +15,7 @@ from . import specfun
 from .fem import _Q5_BARY, _Q5_W, build_mesh
 
 REFINE_RTOL = 1e-9    # relative bracket width at which the lambda search stops
+REFINE_SRATIO = 1e-2  # ... or, if wider, this times the least s seen so far
 SUP_SAMPLES = 1200    # boundary sup samples per polygon edge or circle
 SUP_TOL = 1e-9        # width in the edge parameter at which sup refinement stops
 OVERSAMPLE = 2        # boundary collocation points per basis function
@@ -223,14 +224,21 @@ def _subspace_smin(M, nb, want_vector=False):
 
 
 def _indicator(domain, basis, offset):
-    """s(lam, want_vector=False) -> (s, coeff) at fixed sample points."""
+    """s(lam, want_vector=False) -> (s, coeff) at fixed sample points.
+
+    The stacked matrix of the lambda with the least s so far is kept, so
+    the coefficient vector at the located minimum reuses it."""
     total = OVERSAMPLE * sum(fan.size for fan in basis)
     bpts = boundary_collocation(domain, basis, total)
     ipts = interior_points(domain, len(bpts), offset=offset)
+    best = [None, np.inf, None]  # lambda, s, stacked matrix
 
     def s(lam, want_vector=False):
-        return _subspace_smin(_stacked(basis, lam, bpts, ipts), len(bpts),
-                              want_vector=want_vector)
+        M = best[2] if lam == best[0] else _stacked(basis, lam, bpts, ipts)
+        smin, coeff = _subspace_smin(M, len(bpts), want_vector=want_vector)
+        if smin <= best[1]:
+            best[:] = lam, smin, M
+        return smin, coeff
     return s
 
 
@@ -311,7 +319,16 @@ def _minimize(f, lo, hi, width):
 
 def refine_minimum(domain, basis, bracket, offset=HALTON_OFFSET):
     """Minimum of s(lambda) in a bracket, by `_minimize` to a width of
-    REFINE_RTOL relative: 12-20 indicator calls on the square and gww-a.
+    max(REFINE_RTOL, REFINE_SRATIO * s_best) relative, s_best the least s
+    evaluated so far: 12-13 indicator calls on the square, where s reaches
+    rounding level and the width stays REFINE_RTOL, and 13 and 10 on
+    gww-a's first and tenth.
+
+    Where s_best is above rounding level it sets how well lambda_h is
+    known: the FHM radius is about sqrt(2) lambda epsilon, and epsilon is
+    6-13 times s_best on gww-a, so a bracket under 1e-2 s_best lambda sits
+    far inside the interval, and narrowing it further only resolves the
+    rounding noise in s.
 
     `basis` and `offset` fix the indicator as in `sigma_min_sweep`. Returns
     (lambda_h, coefficients): lambda_h is the best point evaluated, and the
@@ -323,12 +340,18 @@ def refine_minimum(domain, basis, bracket, offset=HALTON_OFFSET):
     if not 0 < a < b:
         raise ValueError("bracket must be positive and increasing")
     s = _indicator(domain, basis, offset)
+    s_best = [np.inf]
 
     def s_of(lams):
-        return np.array([s(lam)[0] for lam in lams])
+        out = np.array([s(lam)[0] for lam in lams])
+        s_best[0] = min(s_best[0], out.min())
+        return out
+
+    def width(lo, hi):
+        return max(REFINE_RTOL, REFINE_SRATIO * s_best[0]) * hi
 
     sa, sb = s_of([a, b])
-    x, _ = _minimize(s_of, [a], [b], lambda lo, hi: REFINE_RTOL * hi)
+    x, _ = _minimize(s_of, [a], [b], width)
     lam_h = float(x[0])
     s_min, coeff = s(lam_h, want_vector=True)
     if s_min >= min(sa, sb) - 1e-12:

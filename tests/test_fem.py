@@ -395,3 +395,34 @@ def test_lanczos_stops_at_the_residual_gate_on_the_drum():
     spec = shared_solve("gww-a", "dirichlet", "P2", 5, 10)
     assert 0 < spec.flags["matvecs"] <= 60
     assert spec.flags["residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("bc", ["neumann", "steklov"])
+def test_unconstrained_pencil_is_solved_unsliced(bc, gww_a, monkeypatch):
+    # every dof is free, so the assembled matrices themselves go to the
+    # eigensolver, and the values are bitwise those of the pencil
+    # restricted to `free`
+    built, seen = [], []
+    solve_lowest = fem.pen.solve_lowest
+
+    def keeping(assemble):
+        def run(*args):
+            built.append(assemble(*args))
+            return built[-1]
+        return run
+
+    def recording(A, B, k, shift):
+        seen.append((A, B, k, shift))
+        return solve_lowest(A, B, k, shift)
+
+    for name in ("assemble_stiffness", "assemble_mass", "assemble_boundary_mass"):
+        monkeypatch.setattr(fem, name, keeping(getattr(fem, name)))
+    monkeypatch.setattr(fem.pen, "solve_lowest", recording)
+    spec = fem.solve_fem(gww_a, EigenProblemSpec(bc, 6, kind="P2", level=3))
+    (A, B, k, shift), = seen
+    assert len(spec.space.free) == spec.space.n_dofs
+    assert A is built[0] and B is built[1]
+    free = spec.space.free
+    vals = solve_lowest(A[free][:, free], B[free][:, free], k, shift)[0]
+    vals[np.abs(vals) <= 1e-9 * abs(shift)] = 0.0
+    assert np.array_equal(spec.eigenvalues, vals)

@@ -268,6 +268,50 @@ def test_refine_takes_at_most_twenty_indicator_calls(square, gww_a, monkeypatch)
         assert len(calls) <= 20, (bracket, len(calls))
 
 
+def test_square_search_keeps_the_rounding_level_width(square, call_counter,
+                                                     monkeypatch):
+    # s reaches rounding level at 2 pi^2, so REFINE_RTOL sets the width and
+    # the search is the one without the s-relative stop
+    basis = corner_basis(square, 14)
+    calls = call_counter(mps, "_subspace_smin")
+    lam, _ = refine_minimum(square, basis, (19.0, 21.0))
+    assert len(calls) == 12
+    assert lam == pytest.approx(2 * np.pi**2, abs=1e-7)
+    monkeypatch.setattr(mps, "REFINE_SRATIO", 0.0)
+    assert refine_minimum(square, basis, (19.0, 21.0))[0] == lam
+
+
+@pytest.mark.parametrize("bracket", [(19.6, 21.0), (103.5, 105.5)],
+                         ids=["lambda1", "lambda10"])
+def test_stopped_search_lands_well_inside_the_interval(gww_a, bracket, monkeypatch):
+    # stopping at 1e-2 s_best relative moves lambda_h by far less than the
+    # FHM radius from where a search to REFINE_RTOL lands
+    basis = corner_basis(gww_a, 14, corners="singular")
+    lam, coeff = refine_minimum(gww_a, basis, bracket)
+    radius = fhm_enclosure(gww_a, lam, coeff, basis).radius
+    monkeypatch.setattr(mps, "REFINE_SRATIO", 0.0)
+    full, _ = refine_minimum(gww_a, basis, bracket)
+    assert abs(lam - full) <= 1e-2 * radius
+
+
+def test_stacked_matrix_is_built_once_per_lambda(gww_a, call_counter, monkeypatch):
+    # the coefficient vector at lambda_h reuses the matrix its s was read from
+    lams = []
+    stacked = mps._stacked
+
+    def recording(basis, lam, bpts, ipts):
+        lams.append(lam)
+        return stacked(basis, lam, bpts, ipts)
+
+    monkeypatch.setattr(mps, "_stacked", recording)
+    smin = call_counter(mps, "_subspace_smin")
+    lam, _ = refine_minimum(gww_a, corner_basis(gww_a, 14, corners="singular"),
+                            (19.6, 21.0))
+    assert len(lams) == len(set(lams))
+    assert lam in lams
+    assert len(smin) == len(lams) + 1
+
+
 def test_minimizer_ends_within_the_width_at_its_best_point():
     # a V with a floor (the indicator's shape at an eigenvalue), a
     # parabola, and a monotone bracket whose least value sits at its upper

@@ -21,9 +21,11 @@ def test_j0_at_origin():
     assert specfun.bessel_j(0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("nu,x", [(-1.0, 1.0), (250.0, 1.0), (0.0, -2.0), (0.0, 2.0e4)])
+@pytest.mark.parametrize("nu,x", [(-1.0, 1.0), (250.0, 1.0), (0.0, -2.0), (0.0, 2.0e4),
+                                  (np.nan, 1.0), (1.0, np.nan)])
 def test_domain_violations_raise(nu, x):
-    with pytest.raises(ValueError):
+    # NaN fails every comparison, so it must fail the domain check too
+    with pytest.raises(ValueError, match="outside accuracy domain"):
         specfun.bessel_j(nu, x)
 
 
@@ -152,3 +154,84 @@ def test_order_table_matches_mpmath_across_the_accuracy_domain(alpha):
     cols = np.r_[0:orders.size:6, orders.size - 1]
     table = specfun.bessel_j_orders(orders, _MPMATH_X)
     _mpmath_gap(table[:, cols], orders[cols], _MPMATH_X)
+
+
+@pytest.mark.parametrize("orders,x", [([1.0, np.nan], [1.0]), ([1.0, 2.0], [np.nan]),
+                                      ([np.inf], [1.0])])
+def test_order_table_rejects_non_finite_input_before_the_plan(orders, x):
+    before = specfun._order_plan.cache_info().misses
+    with pytest.raises(ValueError, match="outside accuracy domain"):
+        specfun.bessel_j_orders(orders, x)
+    assert specfun._order_plan.cache_info().misses == before
+
+
+def test_order_table_rejects_an_empty_order_list():
+    with pytest.raises(ValueError, match="order list is empty"):
+        specfun.bessel_j_orders([], [1.0])
+
+
+def _unmemoized_table(orders, x):
+    """The order table as computed before the plan was memoized, kept as
+    the oracle: class plan, seeds, recurrence and jv rows on every call."""
+    nu = np.ravel(np.asarray(orders, dtype=float))
+    x = np.ravel(np.asarray(x, dtype=float))
+    desc = np.argsort(-nu, kind="stable")
+    d = nu[desc][:, None] - nu[desc][None, :]
+    same = np.abs(d - np.round(d)) <= specfun.CLASS_RTOL * max(1.0, nu.max())
+    top = np.empty(nu.size, dtype=int)
+    top[desc] = desc[np.argmax(same, axis=1)]
+    tops, cls = np.unique(nu[top], return_inverse=True)
+    steps = np.round(nu[top] - nu).astype(int)
+    recur = np.bincount(cls, weights=steps) > 0
+    seeds = specfun.bessel_j(np.concatenate([tops, tops[recur] - 1])[None, :],
+                             x[:, None])
+    ladder = np.zeros((steps.max() + 1, x.size, tops.size))
+    ladder[0] = seeds[:, :tops.size]
+    if ladder.shape[0] > 1:
+        ladder[1][:, recur] = seeds[:, tops.size:]
+    two_over_x = 2.0 / np.where(x > 0, x, 1.0)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(2, ladder.shape[0]):
+            ladder[j] = (tops - j + 1) * two_over_x * ladder[j - 1] - ladder[j - 2]
+    out = ladder[steps, :, cls].T
+    direct = ((np.abs(ladder[0]) < specfun.SEED_FLOOR)
+              | (x[:, None] > specfun.RECUR_X_MAX)) & recur
+    direct = direct[:, cls] & (x[:, None] > 0)
+    rows = direct.any(axis=1)
+    if rows.any():
+        exact = specfun.bessel_j(nu[None, :], x[rows][:, None])
+        out[rows] = np.where(direct[rows], exact, out[rows])
+    out[x == 0] = nu == 0
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=_ALPHAS, fill=st.floats(0.0, 1.0),
+       log_xmax=st.floats(-30.0, np.log10(specfun.X_MAX)))
+@example(alpha=2.0 / 3.0, fill=1.0, log_xmax=-20.0)     # top seed underflows
+@example(alpha=4.0 / 3.0, fill=0.07, log_xmax=-25.0)    # 14-term fan, tiny x
+@example(alpha=0.25, fill=1.0, log_xmax=4.0)             # 800 orders to x = 1e4
+@example(alpha=2.0 / 3.0 + 1e-9, fill=0.05, log_xmax=2.0)
+def test_memoized_table_is_bitwise_the_unmemoized_one(alpha, fill, log_xmax):
+    # the fans of test_order_table_matches_per_order_values, each grid
+    # starting at x = 0; the second call reads the plan from the memo
+    size = max(1, int(fill * (specfun.NU_MAX - 1e-6) / alpha))
+    orders = alpha * np.arange(1, size + 1)
+    x = np.linspace(0.0, 10.0 ** log_xmax, 40)
+    oracle = _unmemoized_table(orders, x)
+    assert np.array_equal(specfun.bessel_j_orders(orders, x), oracle)
+    assert np.array_equal(specfun.bessel_j_orders(orders, x), oracle)
+
+
+def test_order_plan_is_built_once_per_order_set_and_read_only():
+    specfun._order_plan.cache_clear()
+    fan = 2.0 / 3.0 * np.arange(1, 15)
+    for x in (np.linspace(0.0, 30.0, 7), np.linspace(1.0, 5.0, 3), [2.0]):
+        specfun.bessel_j_orders(fan, x)
+        specfun.bessel_j_orders(list(fan[:6]), x)
+    info = specfun._order_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+    for a in specfun._order_plan(fan.tobytes()):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[0]

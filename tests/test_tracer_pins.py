@@ -3,13 +3,14 @@ that bench/tracer.py wraps and sizes must stay as it reads them.
 
 bench/test_bench.py traces a `bounds` run for its time partition; this
 traces the same run for its assembly traffic, a BIE sweep, whose pencil
-span the tracer sizes by `args[0].n` (a `Pencil`), and a drum `compare` for
-its mesh traffic.
+span the tracer sizes by `args[0].n` (a `Pencil`), a drum `compare` for
+its mesh traffic, and MPS searches for their indicator calls.
 """
 import os
 import sys
 
 import numpy as np
+import pytest
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench")
@@ -74,6 +75,25 @@ def test_traced_mps_solve_locates_lambda_in_few_indicator_calls(tmp_path):
     assert rc == 0
     # parabolic steps on s^2 locate 2 pi^2 here in 13 indicator calls
     assert tr.layer_metrics(t)["mps.indicator_evals"] <= 20
+
+
+@pytest.mark.parametrize("bracket,most", [("19.6:21.0", 14), ("103.5:105.5", 11)],
+                         ids=["lambda1", "lambda10"])
+def test_traced_gww_mps_search_stops_at_what_s_resolves(tmp_path, bracket, most):
+    t = tr.Tracer()
+    t.install(lapspec)
+    try:
+        t.start(tr.ROOT)
+        rc = cli.main(["solve", "--domain", "gww-a", "--method", "mps",
+                       "--bc", "dirichlet", "--bracket", bracket,
+                       "--out", str(tmp_path)])
+        t.stop()
+    finally:
+        t.restore()
+    assert rc == 0
+    # the search stops once the bracket is under 1e-2 s lambda: 13 calls on
+    # lambda1 and 10 on lambda10, against 18 and 12 searched to 1e-9
+    assert tr.layer_metrics(t)["mps.indicator_evals"] <= most
 
 
 def test_traced_compare_refines_one_mesh_per_schedule(tmp_path, monkeypatch):
