@@ -5,21 +5,13 @@ curves, and each circle's own block in closed form. With radius R, orientation
 o, m nodes and h = 2 pi / m, ln|x - y| = ln R + 1/2 ln(4 sin^2((t - s)/2))
 gives the single-layer block -(R / 2 pi)(1/2 R_{|i-j|} + h ln R) with the
 periodic log weights R_k, and (x - y).n(x) / |x - y|^2 = o / (2R) gives the
-constant adjoint-double-layer block -o h / (4 pi). The eigenvalue pencil acts
-on mean-free densities; the shared one-dimensional kernel of both sides is
-deflated by an orthogonal reflection before the eigensolve, so no spurious
-eigenvalues appear even though the outer circle has unit radius (its
-equilibrium density makes the raw single-layer matrix singular).
-When every circle centre lies on one line x = c or y = c, both kernels
-commute with the reflection in that line (they depend only on node
+constant adjoint-double-layer block -o h / (4 pi). The constant density is
+deflated although the outer circle has unit radius, where its equilibrium
+density makes the raw single-layer matrix singular, so no spurious
+eigenvalues appear. Both kernels commute with the reflection in a line
+x = c or y = c through every circle centre: they depend only on node
 distances, per-curve constant weights, circulant self-blocks and a
-mirror-invariant mean), so the pencil splits into an even and an odd block
-of about half the order each; the constant density is even, and only the
-even block is deflated. The blocks read only the kernel rows of the pairs
-and the fixed nodes of the reflection, so only those rows (about half) are
-assembled, each entry as in the whole matrix. Other domains assemble every
-row and keep the one whole pencil.
-`pencil.solve_general` solves the blocks and returns their real values.
+mirror-invariant mean.
 """
 import functools
 
@@ -98,7 +90,8 @@ def assemble_kernels(quad, rows=None):
 
 def _mirror_classes(quad):
     """Even and odd classes of the reflection in a line x = c or y = c through
-    every circle centre, or None when the centres share neither coordinate.
+    every circle centre, or of the identity when the centres share neither
+    coordinate (no pairs, every node fixed).
 
     Node j of an m-node curve sits at angle o h j, so the line x = c maps it
     to node (m/2 - j) mod m (nodes m/4 and 3m/4 are fixed when 4 divides m)
@@ -107,13 +100,14 @@ def _mirror_classes(quad):
     in J with its image in P, and the fixed nodes in F.
     """
     centres = np.array([c.center for c in quad.curves])
+    pi = np.arange(quad.total)
     for axis in (0, 1):
         if np.all(centres[:, axis] == centres[0, axis]):
             pi = np.concatenate([off + ((1 - axis) * (c.n // 2) - np.arange(c.n)) % c.n
                                  for off, c in zip(quad.offsets, quad.curves)])
-            i = np.arange(len(pi))
-            return i[i < pi], pi[i < pi], i[i == pi]
-    return None
+            break
+    i = np.arange(len(pi))
+    return i[i < pi], pi[i < pi], i[i == pi]
 
 
 def _mirror_rows(classes):
@@ -142,25 +136,22 @@ def _mirror_blocks(M, classes):
     return even, odd
 
 
-def _deflated_pencil(S0, Khalf, mirror=None):
-    """The pencil (Khalf, S0) on the complement of the constant density.
+def _deflated_pencil(S0, Khalf, mirror):
+    """The pencil (Khalf, S0) on the complement of the constant density, as
+    the `pencil.BlockPencil` of its nonempty mirror blocks.
 
-    Both matrices annihilate constants by construction (mean subtraction on
-    the right; on the left the jump identity for the constant density on the
-    outer curve combines with the unit-capacity kernel of S0), so the
-    one-dimensional common null space is removed exactly.
+    S0 and Khalf hold the rows `_mirror_rows(mirror)` of the kernels, and
+    `_mirror_blocks` splits them into the even and the odd block. Both
+    kernels annihilate constants by construction (mean subtraction on the
+    right; on the left the jump identity for the constant density on the
+    outer curve combines with the unit-capacity kernel of S0), and the
+    constant is even, so the one-dimensional common null space is removed
+    exactly from the even block.
 
     H = I - tau v v^T with v = 1 + sqrt(n) e_1 is the reflector that maps the
     constant density onto a multiple of e_1, so (H M H)[1:, 1:] is M on the
     complement of the constants. Since v[1:] = 1, that block is
     M[1:, 1:] minus a row vector minus a column vector.
-
-    With the `_mirror_classes` of the nodes, S0 and Khalf hold only the rows
-    `_mirror_rows`, and the pencil splits into the even and odd blocks of
-    `_mirror_blocks`, returned as a `pencil.BlockPencil`.
-    The constant is even, so only the even block is deflated, by the same
-    reflector: its coordinates there are all ones. Otherwise the whole
-    pencil is deflated and returned as a `pencil.Pencil`.
     """
     def reflect(M):
         n = M.shape[0]
@@ -173,23 +164,20 @@ def _deflated_pencil(S0, Khalf, mirror=None):
         out -= r[1:]
         return out
 
-    if mirror is None:
-        return pen.Pencil(reflect(Khalf), reflect(S0))
     (Ke, Ko), (Se, So) = (_mirror_blocks(M, mirror) for M in (Khalf, S0))
-    return pen.BlockPencil([pen.Pencil(reflect(Ke), reflect(Se)), pen.Pencil(Ko, So)])
+    blocks = [pen.Pencil(reflect(Ke), reflect(Se)), pen.Pencil(Ko, So)]
+    return pen.BlockPencil([b for b in blocks if b.n])
 
 
 def solve_steklov_bie(domain, n_per_curve, count):
     """The lowest `count` Steklov eigenvalues of a smooth-curves domain by
     collocation, ascending, with the zero mode prepended and flagged.
 
-    When every circle centre lies on one line x = c or y = c, the kernels
-    are assembled on the rows `_mirror_rows` only (the pairs of that
-    reflection, then its fixed nodes; bit for bit those rows of the whole
-    kernels), the pencil splits into the even and odd blocks, and the
-    constant density is deflated from the even block; otherwise every row
-    is assembled and the whole pencil is deflated and solved as one block
-    (`_deflated_pencil`).
+    The kernels are assembled on the rows `_mirror_rows` of the domain's
+    `_mirror_classes` only (bit for bit those rows of the whole kernels;
+    about half of them on a domain with a mirror line, all of them
+    otherwise), and `_deflated_pencil` splits them into the even and odd
+    blocks.
     `pencil.solve_general` factors the second-kind side 1/2 I + K', which
     stays well-conditioned however small a hole is, and never inverts the
     first-kind single layer. It returns the real pencil values and rejects a
@@ -207,8 +195,7 @@ def solve_steklov_bie(domain, n_per_curve, count):
     quad = boundary_quadrature(domain, n_per_curve)
     n_per_curve = [c.n for c in quad.curves]
     mirror = _mirror_classes(quad)
-    rows = np.arange(quad.total) if mirror is None else _mirror_rows(mirror)
-    pencil = _deflated_pencil(*assemble_kernels(quad, rows), mirror)
+    pencil = _deflated_pencil(*assemble_kernels(quad, _mirror_rows(mirror)), mirror)
     spec = pen.solve_general(pencil, count=max(count - 1, 1))
 
     vals = spec.eigenvalues

@@ -8,7 +8,7 @@ two-sided bracket, and Richardson extrapolation of each column gives the
 best single estimate together with an observed convergence rate.
 """
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 from scipy.special import jn_zeros
@@ -36,8 +36,9 @@ def cr_lower_bound(lam_cr, h):
     """
     lam_cr = float(lam_cr)
     h = float(h)
-    if lam_cr <= 0 or h <= 0:
-        raise ValueError("lower bound needs a positive eigenvalue and mesh size")
+    # NaN fails every comparison, so only finite positive values pass
+    if not (0 < lam_cr < np.inf and 0 < h < np.inf):
+        raise ValueError("lower bound needs a finite positive eigenvalue and mesh size")
     return lam_cr / (1.0 + KAPPA_SQ * h**2 * lam_cr)
 
 
@@ -162,14 +163,13 @@ class BracketReport:
 
 def first_level(domain, index, finest):
     """The coarsest level in 1..finest at which the CR, P1 and P2 spaces
-    each have at least `index` free dofs, or None when no level does."""
+    each have at least `index` free dofs, or None when no level does;
+    finest >= 0."""
     markers = _constrained_markers(_infer_bc(domain))
-    mesh = build_mesh(domain, 0)
-    for lvl in range(1, finest + 1):
-        mesh = refine(mesh)
+    for mesh in islice(_meshes(domain, range(finest + 1)), 1, None):
         if all(len(FemSpace(kind, mesh, markers).free) >= index
                for kind in KINDS):
-            return lvl
+            return mesh.level
     return None
 
 

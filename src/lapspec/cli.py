@@ -269,7 +269,10 @@ def parse_args(argv):
 
 def _outdir(args):
     out = args.out or os.environ.get("SPECTRA_OUT") or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"lapspec: --out {out} is not a usable directory: {exc}")
     return out
 
 
@@ -300,16 +303,23 @@ def _write(path, text):
     print(f"wrote {path}")
 
 
+def _write_csv(out, name, header, rows):
+    """The CSV file `name` in `out`: the header line, then each row's cells
+    joined by commas. Float cells are Python floats, whose str is their
+    shortest round-trip repr."""
+    lines = [header] + [",".join(map(str, row)) for row in rows]
+    _write(os.path.join(out, name), "\n".join(lines) + "\n")
+
+
 def _write_spectrum(out, values, method, param, domain):
     """spectrum.csv, one row per value: each row carries the mean and the
     size of its multiplicity cluster (pencil.cluster)."""
     sizes, means = pencil.cluster(np.asarray(values, dtype=float))
-    lines = ["index,eigenvalue,multiplicity,method,param,domain,version"]
     rows = zip(np.repeat(means, sizes), np.repeat(sizes, sizes))
-    for idx, (mean, size) in enumerate(rows, 1):
-        lines.append(f"{idx},{float(mean)!r},{size},{method},{param},{domain},"
-                     f"{__version__}")
-    _write(os.path.join(out, "spectrum.csv"), "\n".join(lines) + "\n")
+    _write_csv(out, "spectrum.csv",
+               "index,eigenvalue,multiplicity,method,param,domain,version",
+               [(idx, float(mean), size, method, param, domain, __version__)
+                for idx, (mean, size) in enumerate(rows, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +370,8 @@ def _solve_mps(dom, args):
         raise UsageError(f"lapspec solve: invalid --basis-size or --corners: {exc}")
     out = _outdir(args)
     if args.grid is not None:
-        rows = mps.sigma_min_sweep(dom, basis, args.grid, offset=args.seed)
-        csv = "lambda,smin\n" + "".join(f"{l!r},{s!r}\n" for l, s in rows)
-        _write(os.path.join(out, "smin.csv"), csv)
+        _write_csv(out, "smin.csv", "lambda,smin",
+                   mps.sigma_min_sweep(dom, basis, args.grid, offset=args.seed))
     if args.bracket is not None:
         lam_h, coeff = mps.refine_minimum(dom, basis, args.bracket,
                                           offset=args.seed)
@@ -413,13 +422,11 @@ def cmd_compare(args):
     out = _outdir(args)
     rows, overall = compare_domains(dom_a, dom_b, args.bc, args.count,
                                     args.levels, kind=METHODS[args.method][0])
-    lines = ["index,value_a,value_b,width_a,width_b,verdict"]
-    for idx, va, vb, wa, wb, verdict in rows:
-        lines.append(f"{idx},{va!r},{vb!r},{wa!r},{wb!r},{verdict}")
+    for idx, va, vb, _, _, verdict in rows:
         print(f"  {idx:3d}: {va:.6f} vs {vb:.6f}  -> {verdict}")
-    lines.append(f"overall,,,,,{overall}")
     print(f"overall verdict: {overall}")
-    _write(os.path.join(out, "compare.csv"), "\n".join(lines) + "\n")
+    _write_csv(out, "compare.csv", "index,value_a,value_b,width_a,width_b,verdict",
+               rows + [("overall", "", "", "", "", overall)])
     return EXIT_OK
 
 
@@ -431,10 +438,7 @@ def cmd_sweep(args):
     out = _outdir(args)
     per_curve = (args.n // 2, args.n // 2)
     rows = bie.sweep_annulus(args.eps, per_curve, args.k)
-    lines = ["eps,k,sigma,ratio_to_concentric,N"]
-    for eps, k, sigma, ratio, ntot in rows:
-        lines.append(f"{eps!r},{k},{sigma!r},{ratio!r},{ntot}")
-    _write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
+    _write_csv(out, "sweep.csv", "eps,k,sigma,ratio_to_concentric,N", rows)
     for k in args.k:
         sig = [r[2] for r in rows if r[1] == k]
         mono = all(b < a for a, b in zip(sig, sig[1:]))

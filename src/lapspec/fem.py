@@ -78,13 +78,13 @@ class FemSpace:
         self.free = np.flatnonzero(~self.constrained)
 
     def _geometry(self):
+        area = self.mesh.areas()
+        det = 2.0 * area
         p = self.mesh.vertices[self.mesh.triangles]
         j11 = p[:, 1, 0] - p[:, 0, 0]
         j12 = p[:, 2, 0] - p[:, 0, 0]
         j21 = p[:, 1, 1] - p[:, 0, 1]
         j22 = p[:, 2, 1] - p[:, 0, 1]
-        det = j11 * j22 - j12 * j21
-        area = 0.5 * det
         # gradients of the barycentric coordinates, shape (t, 3, 2)
         g = np.empty((len(det), 3, 2))
         g[:, 1, 0] = j22 / det
@@ -180,6 +180,9 @@ class EigenProblemSpec:
 
 
 def build_mesh(domain, level):
+    """The domain's triangulation refined `level` times (level >= 0)."""
+    if level < 0:
+        raise ValueError(f"refinement level must be nonnegative, got {level}")
     mesh = triangulate(domain)
     for _ in range(level):
         mesh = refine(mesh)

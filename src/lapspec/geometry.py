@@ -314,6 +314,7 @@ class Mesh:
         return len(self.vertices)
 
     def edge_lengths(self):
+        """Length of each boundary edge, in `boundary_edges` order."""
         d = self.vertices[self.boundary_edges[:, 1]] - self.vertices[self.boundary_edges[:, 0]]
         return np.sqrt((d**2).sum(axis=1))
 

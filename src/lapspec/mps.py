@@ -197,9 +197,9 @@ def boundary_collocation(domain, basis, total):
     return np.vstack(pts)
 
 
-def _stacked(basis, lam, bpts, ipts):
-    blocks = [fan.evaluate(lam, np.vstack([bpts, ipts])) for fan in basis]
-    return np.hstack(blocks)
+def _basis_matrix(basis, lam, points):
+    """Every fan's values at `points` side by side, one row per point."""
+    return np.hstack([fan.evaluate(lam, points) for fan in basis])
 
 
 def _subspace_smin(M, nb, want_vector=False):
@@ -226,19 +226,22 @@ def _subspace_smin(M, nb, want_vector=False):
 def _indicator(domain, basis, offset):
     """s(lam, want_vector=False) -> (s, coeff) at fixed sample points.
 
-    The stacked matrix of the lambda with the least s so far is kept, so
-    the coefficient vector at the located minimum reuses it."""
+    s.best holds the lambda with the least s so far, that s and its stacked
+    matrix, so the coefficient vector at the located minimum reuses it. s
+    reads that list through its closure: reading it as s.best would be a
+    reference cycle, which keeps the matrix until the cycle collector runs."""
     total = OVERSAMPLE * sum(fan.size for fan in basis)
     bpts = boundary_collocation(domain, basis, total)
-    ipts = interior_points(domain, len(bpts), offset=offset)
-    best = [None, np.inf, None]  # lambda, s, stacked matrix
+    points = np.vstack([bpts, interior_points(domain, len(bpts), offset=offset)])
+    best = [None, np.inf, None]
 
     def s(lam, want_vector=False):
-        M = best[2] if lam == best[0] else _stacked(basis, lam, bpts, ipts)
+        M = best[2] if lam == best[0] else _basis_matrix(basis, lam, points)
         smin, coeff = _subspace_smin(M, len(bpts), want_vector=want_vector)
         if smin <= best[1]:
             best[:] = lam, smin, M
         return smin, coeff
+    s.best = best
     return s
 
 
@@ -319,10 +322,10 @@ def _minimize(f, lo, hi, width):
 
 def refine_minimum(domain, basis, bracket, offset=HALTON_OFFSET):
     """Minimum of s(lambda) in a bracket, by `_minimize` to a width of
-    max(REFINE_RTOL, REFINE_SRATIO * s_best) relative, s_best the least s
-    evaluated so far: 12-13 indicator calls on the square, where s reaches
-    rounding level and the width stays REFINE_RTOL, and 13 and 10 on
-    gww-a's first and tenth.
+    max(REFINE_RTOL, REFINE_SRATIO * s_best) relative, s_best the
+    indicator's least s so far: 12-13 indicator calls on the square, where
+    s reaches rounding level and the width stays REFINE_RTOL, and 13 and 10
+    on gww-a's first and tenth.
 
     Where s_best is above rounding level it sets how well lambda_h is
     known: the FHM radius is about sqrt(2) lambda epsilon, and epsilon is
@@ -340,15 +343,12 @@ def refine_minimum(domain, basis, bracket, offset=HALTON_OFFSET):
     if not 0 < a < b:
         raise ValueError("bracket must be positive and increasing")
     s = _indicator(domain, basis, offset)
-    s_best = [np.inf]
 
     def s_of(lams):
-        out = np.array([s(lam)[0] for lam in lams])
-        s_best[0] = min(s_best[0], out.min())
-        return out
+        return np.array([s(lam)[0] for lam in lams])
 
     def width(lo, hi):
-        return max(REFINE_RTOL, REFINE_SRATIO * s_best[0]) * hi
+        return max(REFINE_RTOL, REFINE_SRATIO * s.best[1]) * hi
 
     sa, sb = s_of([a, b])
     x, _ = _minimize(s_of, [a], [b], width)
@@ -365,8 +365,7 @@ def evaluate_solution(basis, lam, coeff, points):
     """Trial function value at arbitrary points."""
     if not basis:
         raise ValueError("empty basis")
-    blocks = np.hstack([fan.evaluate(lam, points) for fan in basis])
-    return blocks @ coeff
+    return _basis_matrix(basis, lam, points) @ coeff
 
 
 def _l2_norm(domain, basis, lam, coeff):

@@ -1,29 +1,12 @@
 """Generalized eigenvalue pencils: solvers, and the clustering the CLI prints.
 
 Sparse definite pencils (every FEM problem) go through one shift-invert
-Lanczos path (ARPACK) with a residual gate. Every caller shifts below the
-spectrum, so C = A - shift*B is symmetric positive definite and needs no
-pivoting for stability: SuperLU factors C once in symmetric mode
-(minimum-degree ordering of C^T + C, diagonal pivots), and that factor
-serves every Lanczos step. Lanczos stops at the gate, not at machine
-precision: A v - lambda B v = -C r / nu for r = C^-1 B v - nu v, so ARPACK's
-stop ||r|| <= RESIDUAL_GATE nu keeps the gate's residual near the gate,
-which judges every pair. General pencils (the BIE Steklov problems)
-pair a second-kind A with a first-kind B, so only B can be ill-conditioned:
-they factor A once by LU and work on A^-1 B, whose eigenvalues are
-mu = 1/sigma. The route is chosen by size: when a few values of smallest
-modulus are wanted (8 (count + PAD) <= n), shift-invert Arnoldi (ARPACK)
-applies A^-1 B and its pairs pass the residual gate; otherwise A's LU forms
-A^-1 B, solved whole by Hessenberg QR (geev) without vectors and without
-the gate. Both solve with A's getrf factor by getrs itself: lu_solve's
+Lanczos path, `solve_lowest`. General pencils (the BIE Steklov problems,
+`solve_general`) pair a second-kind A with a first-kind B, so only B can be
+ill-conditioned: A is factored once by LU, and B is never inverted. Both
+general routes solve with A's getrf factor by getrs itself: lu_solve's
 finite check and batch dispatch cost more than the solve at the order of
-an Arnoldi step. An exactly zero mu is an infinite sigma and gives no value.
-A mirror-symmetric BIE pencil arrives as a BlockPencil of its even and odd
-blocks (`bie._deflated_pencil`, which also deflates the constant density):
-each block is factored and solved on its own, on the route that the whole
-order picks, and the values are merged. Either way solve_general returns
-only the values that are real to REAL_RTOL, and rejects a non-real one
-inside the requested range.
+an Arnoldi step.
 Every dense product of a BIE solve (Arnoldi's B x, the gate's A V and B V)
 goes through scipy.linalg.blas, given F-ordered views with trans=1 so that
 f2py copies nothing: numpy and scipy load separate OpenBLAS thread pools,

@@ -1,17 +1,13 @@
 """Real-order Bessel J evaluation inside an enforced accuracy domain.
 
 Values come from scipy's AMOS-backed `jv`; this module adds the domain
-checks. `bessel_j_orders` tabulates many orders at once from `jv` seeds at
-the top two orders of each class of orders that differ by integers, plus
-one downward three-term recurrence per class. A row takes `jv` for every
-order of a class instead when the class's top seed is below 1e-250 (digits
-lost to underflow, which the recurrence cannot recover) or x exceeds 1e3
-(where `jv`'s high-order seeds carry errors near 1e-12 of the envelope,
-which the recurrence would spread to the whole class). Which orders form
-a class depends on the orders alone, so that plan is kept per order set.
-Every value outside the domain, NaN included, is rejected. The disk oracles
-and the lower-bound constant take integer-order zeros from scipy's
-`jn_zeros` and `jnp_zeros` tables.
+checks and the downward recurrence of `bessel_j_orders`. A row of that
+table takes `jv` for every order of a class instead when the class's top
+seed is below 1e-250 (digits lost to underflow, which the recurrence cannot
+recover) or x exceeds 1e3 (where `jv`'s high-order seeds carry errors near
+1e-12 of the envelope, which the recurrence would spread to the whole
+class). The disk oracles and the lower-bound constant take integer-order
+zeros from scipy's `jn_zeros` and `jnp_zeros` tables.
 """
 import functools
 

@@ -118,6 +118,18 @@ def _rel(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def _trivial(quad):
+    """The reflection with no pairs: every node fixed, one whole block."""
+    empty = np.array([], dtype=int)
+    return empty, empty, np.arange(quad.total)
+
+
+def _whole(quad):
+    """The whole deflated pencil: the trivial reflection's single block."""
+    (block,) = bie._deflated_pencil(*assemble_kernels(quad), _trivial(quad)).blocks
+    return block
+
+
 def test_rank_one_projections_match_explicit_construction():
     quad = boundary_quadrature(annulus_domain(0.6), [60, 40])
     n, w = quad.total, quad.weights
@@ -129,7 +141,7 @@ def test_rank_one_projections_match_explicit_construction():
     assert _rel(Khalf_got, Khalf_ref) < 1e-12
     Qf, _ = la.qr(np.ones((n, 1)), mode="full")
     Q = Qf[:, 1:]
-    deflated = bie._deflated_pencil(S0_got, Khalf_got)
+    (deflated,) = bie._deflated_pencil(S0_got, Khalf_got, _trivial(quad)).blocks
     A, B = deflated.A, deflated.B
     assert A.shape == B.shape == (n - 1, n - 1)
     assert _rel(A, Q.T @ Khalf_ref @ Q) < 1e-12
@@ -198,9 +210,8 @@ def test_resolution_jump_cuts_error_by_three_decades():
 
 
 def _annulus_pencil(eps, n_per_curve):
-    quad = boundary_quadrature(annulus_domain(eps), [n_per_curve, n_per_curve])
-    # unsplit: no mirror classes are passed
-    return bie._deflated_pencil(*assemble_kernels(quad))
+    # unsplit: the trivial classes are passed
+    return _whole(boundary_quadrature(annulus_domain(eps), [n_per_curve, n_per_curve]))
 
 
 def test_lu_reduced_solve_matches_qz_on_the_deflated_annulus():
@@ -377,10 +388,9 @@ NO_LINE = "c 0 0 1 ccw\nc 0.3 0.2 0.1 cw\n"
 
 
 def _unsplit(quad, count):
-    """The whole deflated pencil's values for a Steklov `count`: no mirror
+    """The whole deflated pencil's values for a Steklov `count`: the trivial
     classes are passed, so nothing splits."""
-    return pencil.solve_general(bie._deflated_pencil(*assemble_kernels(quad)),
-                                count=max(count - 1, 1))
+    return pencil.solve_general(_whole(quad), count=max(count - 1, 1))
 
 
 def _split(quad):
@@ -470,7 +480,8 @@ def test_a_solve_assembles_only_the_rows_its_blocks_read(text, rows, tmp_path,
 def test_domain_without_a_mirror_line_solves_the_whole_pencil(tmp_path):
     dom = _circle_file(tmp_path, NO_LINE)
     quad = boundary_quadrature(dom, 64)
-    assert bie._mirror_classes(quad) is None
+    J, P, F = bie._mirror_classes(quad)
+    assert len(J) == len(P) == 0 and np.array_equal(F, np.arange(quad.total))
     out = tmp_path / "out"
     assert cli.main(["solve", "--domain", dom.name, "--method", "bie", "--bc",
                      "steklov", "--n", "64", "--count", "20", "--out", str(out)]) == 0
@@ -481,6 +492,32 @@ def test_domain_without_a_mirror_line_solves_the_whole_pencil(tmp_path):
     # the CSV is byte for byte the one the whole-pencil values give
     cli._write_spectrum(str(tmp_path), want[:20], "bie", "n=64", dom.name)
     assert (out / "spectrum.csv").read_bytes() == (tmp_path / "spectrum.csv").read_bytes()
+
+
+def _deflated_reference(M):
+    """The constant density deflated from a whole kernel M, the Householder
+    formula written out as `_deflated_pencil` applies it to one block."""
+    n = M.shape[0]
+    root = np.sqrt(n)
+    tau = 1.0 / (n + root)
+    r = tau * (M.sum(axis=0) + root * M[0])
+    c = tau * (M.sum(axis=1) + root * M[:, 0] - (r.sum() + root * r[0]))
+    out = M[1:, 1:] - c[1:, None]
+    out -= r[1:]
+    return out
+
+
+@pytest.mark.parametrize("text", [None, NO_LINE], ids=["annulus", "no-line"])
+def test_trivial_reflection_block_is_the_whole_deflated_pencil(text, tmp_path):
+    # with no pairs the even basis is the node basis, so the one block is
+    # bit for bit the whole pencil deflated by the formula
+    dom = annulus_domain(0.4) if text is None else _circle_file(tmp_path, text)
+    quad = boundary_quadrature(dom, 64)
+    S0, Khalf = assemble_kernels(quad)
+    blocks = bie._deflated_pencil(S0, Khalf, _trivial(quad)).blocks
+    assert len(blocks) == 1
+    assert np.array_equal(blocks[0].A, _deflated_reference(Khalf))
+    assert np.array_equal(blocks[0].B, _deflated_reference(S0))
 
 
 def test_flags_record_the_blocks_their_residual_and_matvecs(tmp_path):
@@ -501,7 +538,7 @@ def test_concentric_blocks_have_exactly_real_values():
     # the whole pencil returns cos/sin pairs as near-real complex values; the
     # even and odd blocks hold one of each, and every block value is real
     quad = boundary_quadrature(annulus_domain(0.0), 256)
-    whole = bie._deflated_pencil(*assemble_kernels(quad))
+    whole = _whole(quad)
     split = _split(quad)
 
     def mu(b):

@@ -29,6 +29,15 @@ def test_lower_bound_input_validation():
         cr_lower_bound(5.0, 0.0)
 
 
+@pytest.mark.parametrize("lam, h", [(np.nan, 0.1), (10.0, np.nan), (np.inf, 0.1),
+                                    (10.0, np.inf)])
+def test_lower_bound_rejects_non_finite_input(lam, h):
+    # NaN fails every comparison and inf passes "> 0": both used to slip
+    # through as a nan or 0.0 bound
+    with pytest.raises(ValueError, match="finite positive"):
+        cr_lower_bound(lam, h)
+
+
 @settings(max_examples=80, deadline=None)
 @given(lam=st.floats(min_value=1e-3, max_value=1e4),
        h=st.floats(min_value=1e-4, max_value=1.0))
@@ -313,6 +322,8 @@ def test_first_level_counts_the_free_dofs_of_every_space(square):
     assert bounds.first_level(square, 9, 5) == 2
     assert bounds.first_level(square, 10, 5) == 3
     assert bounds.first_level(square, 50, 3) is None
+    # the search runs over levels 1..finest: none at all for finest 0
+    assert bounds.first_level(square, 1, 0) is None
     neumann = geometry.Domain("polygon", square.vertices, ["neumann"] * 4)
     # with nothing eliminated, P1 has (2^L + 1)^2 dofs
     assert bounds.first_level(neumann, 9, 5) == 1

@@ -647,3 +647,20 @@ def test_outdir_from_environment(tmp_path, monkeypatch):
     assert main(["solve", "--domain", "unit-square", "--method", "fem-p1",
                  "--count", "2", "--levels", "2"]) == 0
     assert (tmp_path / "envout" / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "environment"])
+def test_out_naming_an_existing_file_is_usage_error(via, tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    argv = ["solve", "--domain", "unit-square", "--method", "fem-p1", "--levels", "2"]
+    if via == "flag":
+        argv += ["--out", str(blocker)]
+    else:
+        monkeypatch.setenv("SPECTRA_OUT", str(blocker))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and "Traceback" not in captured.err
+    assert "wrote" not in captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert blocker.read_text() == "kept\n"

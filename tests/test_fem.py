@@ -198,6 +198,14 @@ def test_problem_spec_validation(square):
         solve_fem(weighted, EigenProblemSpec("steklov", 4, level=1))
 
 
+@pytest.mark.parametrize("level", [-1, -2])
+def test_build_mesh_rejects_a_negative_level(square, level):
+    # range(level) is empty for a negative level, which used to return the
+    # level-0 mesh
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_mesh(square, level)
+
+
 def test_solve_reads_the_weight_from_the_domain(tmp_path):
     f = tmp_path / "square.dom"
     f.write_text("v 0 0\nv 1 0\nv 1 1\nv 0 1\nweight genus2\n")

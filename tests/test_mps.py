@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,21 +298,39 @@ def test_stopped_search_lands_well_inside_the_interval(gww_a, bracket, monkeypat
 
 
 def test_stacked_matrix_is_built_once_per_lambda(gww_a, call_counter, monkeypatch):
-    # the coefficient vector at lambda_h reuses the matrix its s was read from
-    lams = []
-    stacked = mps._stacked
+    # the coefficient vector at lambda_h reuses the matrix its s was read
+    # from; the indicator passes its one stacked point array on every call,
+    # while the L2 norm evaluates the basis at its own quadrature points
+    calls = []
+    basis_matrix = mps._basis_matrix
 
-    def recording(basis, lam, bpts, ipts):
-        lams.append(lam)
-        return stacked(basis, lam, bpts, ipts)
+    def recording(basis, lam, points):
+        calls.append((lam, points))
+        return basis_matrix(basis, lam, points)
 
-    monkeypatch.setattr(mps, "_stacked", recording)
+    monkeypatch.setattr(mps, "_basis_matrix", recording)
     smin = call_counter(mps, "_subspace_smin")
     lam, _ = refine_minimum(gww_a, corner_basis(gww_a, 14, corners="singular"),
                             (19.6, 21.0))
+    lams = [l for l, points in calls if points is calls[0][1]]
+    assert len(lams) < len(calls)
     assert len(lams) == len(set(lams))
     assert lam in lams
     assert len(smin) == len(lams) + 1
+
+
+def test_indicator_and_its_kept_matrix_are_freed_by_reference_counting(square):
+    # s reads its least-s record through its closure, so no cycle keeps the
+    # kept matrix alive until the cycle collector runs
+    s = mps._indicator(square, corner_basis(square, 12), mps.HALTON_OFFSET)
+    s(19.0)
+    gone = weakref.ref(s)
+    gc.disable()
+    try:
+        del s
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_minimizer_ends_within_the_width_at_its_best_point():
