@@ -72,12 +72,11 @@ def _raw_kernels(quad, rows):
     return S0, Kp
 
 
-def assemble_kernels(quad, rows=None):
+def assemble_kernels(quad, rows):
     """S0 and (1/2 I + K'), each acting on mean-free densities: (S0, Khalf),
-    on the rows `rows` of the whole matrices (all rows by default)."""
+    on the rows `rows` (an index array) of the whole matrices."""
     if not isinstance(quad, BoundaryQuadrature):
         raise TypeError("assemble_kernels expects a BoundaryQuadrature")
-    rows = np.arange(quad.total) if rows is None else np.asarray(rows)
     S0, Kp = _raw_kernels(quad, rows)
     w = quad.weights
     p = w / w.sum()
@@ -138,7 +137,7 @@ def _mirror_blocks(M, classes):
 
 def _deflated_pencil(S0, Khalf, mirror):
     """The pencil (Khalf, S0) on the complement of the constant density, as
-    the `pencil.BlockPencil` of its nonempty mirror blocks.
+    the tuple of its nonempty mirror blocks (each a `pencil.Pencil`).
 
     S0 and Khalf hold the rows `_mirror_rows(mirror)` of the kernels, and
     `_mirror_blocks` splits them into the even and the odd block. Both
@@ -166,7 +165,7 @@ def _deflated_pencil(S0, Khalf, mirror):
 
     (Ke, Ko), (Se, So) = (_mirror_blocks(M, mirror) for M in (Khalf, S0))
     blocks = [pen.Pencil(reflect(Ke), reflect(Se)), pen.Pencil(Ko, So)]
-    return pen.BlockPencil([b for b in blocks if b.n])
+    return tuple(b for b in blocks if b.n)
 
 
 def solve_steklov_bie(domain, n_per_curve, count):
@@ -195,8 +194,8 @@ def solve_steklov_bie(domain, n_per_curve, count):
     quad = boundary_quadrature(domain, n_per_curve)
     n_per_curve = [c.n for c in quad.curves]
     mirror = _mirror_classes(quad)
-    pencil = _deflated_pencil(*assemble_kernels(quad, _mirror_rows(mirror)), mirror)
-    spec = pen.solve_general(pencil, count=max(count - 1, 1))
+    blocks = _deflated_pencil(*assemble_kernels(quad, _mirror_rows(mirror)), mirror)
+    spec = pen.solve_general(*blocks, count=max(count - 1, 1))
 
     vals = spec.eigenvalues
     if np.any(vals < -1e-8):
@@ -208,7 +207,7 @@ def solve_steklov_bie(domain, n_per_curve, count):
                          f"cannot return {count} (increase the node counts)")
     return pen.Spectrum(vals[:count], "bie", sum(n_per_curve), domain.name,
                         flags={"zero_mode": True, "n_per_curve": list(n_per_curve),
-                               "blocks": [b.n for b in pencil.blocks], **spec.flags})
+                               "blocks": [b.n for b in blocks], **spec.flags})
 
 
 def sweep_annulus(eps_grid, n_per_curve, k_list):

@@ -276,11 +276,12 @@ def _outdir(args):
     return out
 
 
-def _load_domain(method, bc, name, scale=1.0):
+def _load_domain(method, bc, name, scale=1.0, command=None):
     """The named domain, if METHODS lists `bc` and its kind for `method`;
     the boundary condition is checked before the domain file is read. A
     domain that cannot be loaded, validated or scaled is a usage error, and
-    so is a non-unit weight for MPS or a Steklov problem."""
+    so is a non-unit weight for MPS or a Steklov problem. A `command` that
+    picks `method` itself is named when the domain's kind does not fit."""
     _, bcs, kind = METHODS[method]
     if bc not in bcs:
         raise UsageError(f"{method} computes {' '.join(bcs)} spectra only\n"
@@ -288,7 +289,8 @@ def _load_domain(method, bc, name, scale=1.0):
     try:
         dom = geometry.load_domain(name)
         if dom.kind != kind:
-            raise UsageError(f"{method} needs a {kind} domain\n" + COMPAT_MATRIX)
+            who = f"lapspec {command}:" if command else method
+            raise UsageError(f"{who} needs a {kind} domain\n" + COMPAT_MATRIX)
         if dom.weight != "unit" and (method == "mps" or bc == "steklov"):
             raise UsageError(f"lapspec: {name} has weight {dom.weight}; --method "
                              f"{method} with --bc {bc} solves the unit weight only")
@@ -376,8 +378,9 @@ def _solve_mps(dom, args):
         lam_h, coeff = mps.refine_minimum(dom, basis, args.bracket,
                                           offset=args.seed)
         enc = mps.fhm_enclosure(dom, lam_h, coeff, basis)
-        csv = "lambda_h,lower,upper,epsilon,caveat\n" + enc.report_line() + "\n"
-        _write(os.path.join(out, "enclosure.csv"), csv)
+        _write_csv(out, "enclosure.csv", "lambda_h,lower,upper,epsilon,caveat",
+                   [(enc.lambda_h, enc.lower, enc.upper, enc.epsilon,
+                     str(enc.caveat).lower())])
         krec = "+".join(str(fan.size) for fan in basis)
         _write_spectrum(out, [lam_h], "mps", f"K={krec};eps={enc.epsilon:.3e}",
                         dom.name)
@@ -448,7 +451,7 @@ def cmd_sweep(args):
 
 def cmd_bounds(args):
     # the report solves dirichlet problems with CR, P1 and P2 alike
-    dom = _load_domain("fem-p2", "dirichlet", args.domain)
+    dom = _load_domain("fem-p2", "dirichlet", args.domain, command="bounds")
     first = bounds.first_level(dom, args.index, args.levels)
     if first is None or args.levels - first + 1 < EXTRAPOLATE_FROM:
         reached = (f"first at level {first}" if first else

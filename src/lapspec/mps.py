@@ -400,10 +400,6 @@ class Enclosure:
     def __contains__(self, value):
         return self.lower <= value <= self.upper
 
-    def report_line(self):
-        return (f"{self.lambda_h!r},{self.lower!r},{self.upper!r},"
-                f"{self.epsilon!r},{str(self.caveat).lower()}")
-
     def __repr__(self):
         return (f"Enclosure[{self.method}]({self.lower:.9g}, {self.upper:.9g}; "
                 f"eps={self.epsilon:.3g}, caveat={self.caveat})")

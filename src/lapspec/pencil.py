@@ -44,22 +44,6 @@ class Pencil:
     def n(self):
         return self.A.shape[0]
 
-    @property
-    def blocks(self):
-        return (self,)
-
-
-class BlockPencil:
-    """Block-diagonal pencil, held as its diagonal blocks (each a Pencil):
-    its eigenvalues are those of the blocks together."""
-
-    def __init__(self, blocks):
-        self.blocks = tuple(blocks)
-
-    @property
-    def n(self):
-        return sum(b.n for b in self.blocks)
-
 
 def _is_symmetric(M):
     scale = np.abs(M).max() or 1.0
@@ -122,19 +106,20 @@ def solve_symdef(pencil):
                     flags={"residual": residual})
 
 
-def solve_general(pencil, count):
+def solve_general(*blocks, count):
     """Real eigenvalues of a general square pencil A v = sigma B v, ascending.
 
-    A `BlockPencil` is solved block by block, every block on the route that
-    the whole order n picks, and the blocks' values are merged before the
-    rules below. Both routes factor each A once by LU (getrf), where an
-    exactly zero pivot raises ValueError, solve with that factor by getrs,
-    and work on A^-1 B, whose eigenvalues are mu = 1/sigma. B is never
-    inverted, so a singular B needs no check: its infinite sigma have
-    mu = 0. When 8 (count + PAD) <= n, Arnoldi (ARPACK) on x -> A^-1 B x,
-    from a fixed start vector, computes the count + PAD mu of largest
-    modulus of each block, and their real pairs must pass the residual
-    gate; an ARPACK failure raises ValueError.
+    The pencil is given as its diagonal blocks, each a `Pencil` (one block
+    when it does not split). Each block is solved on the route that the
+    summed order n picks, and the values are merged before the rules below.
+    Both routes factor each A once by LU (getrf), where an exactly zero
+    pivot raises ValueError, solve with that factor by getrs, and work on
+    A^-1 B, whose eigenvalues are mu = 1/sigma. B is never inverted, so a
+    singular B needs no check: its infinite sigma have mu = 0. When
+    8 (count + PAD) <= n, Arnoldi (ARPACK) on x -> A^-1 B x, from a fixed
+    start vector, computes the count + PAD mu of largest modulus of each
+    block, and their real pairs must pass the residual gate; an ARPACK
+    failure raises ValueError.
     The count + PAD merged values of smallest modulus are kept. Otherwise
     eigvals of A^-1 B computes all mu, ungated, and an exactly zero mu gives
     no value. sigma = 1/mu is real by `is_real` exactly when mu is. A
@@ -150,9 +135,9 @@ def solve_general(pencil, count):
         raise ValueError("solve_general needs a count of at least 1")
     # Arnoldi pays only for a few values: 205 of n = 879 took 2.1 s against
     # 0.8 s for the dense route
-    arnoldi = 8 * (count + PAD) <= pencil.n
+    arnoldi = 8 * (count + PAD) <= sum(block.n for block in blocks)
     vals, residual, matvecs = [], 0.0, 0
-    for block in pencil.blocks:
+    for block in blocks:
         # getrf itself: lu_factor warns on an exactly zero pivot (info > 0)
         lu, piv, info = la.lapack.dgetrf(block.A)
         if info > 0:

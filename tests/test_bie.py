@@ -102,7 +102,7 @@ def test_single_layer_fourier_symbol_on_circle(name, scale, curve):
 
 def test_assembled_kernels_annihilate_constants():
     quad = boundary_quadrature(annulus_domain(0.3), [48, 32])
-    S0, Khalf = assemble_kernels(quad)
+    S0, Khalf = assemble_kernels(quad, np.arange(quad.total))
     ones = np.ones(quad.total)
     assert np.max(np.abs(S0 @ ones)) < 1e-12
     assert np.max(np.abs(Khalf @ ones)) < 1e-12
@@ -111,7 +111,7 @@ def test_assembled_kernels_annihilate_constants():
 
 def test_assemble_kernels_type_check():
     with pytest.raises(TypeError):
-        assemble_kernels("not a quadrature")
+        assemble_kernels("not a quadrature", np.arange(4))
 
 
 def _rel(got, want):
@@ -126,7 +126,8 @@ def _trivial(quad):
 
 def _whole(quad):
     """The whole deflated pencil: the trivial reflection's single block."""
-    (block,) = bie._deflated_pencil(*assemble_kernels(quad), _trivial(quad)).blocks
+    (block,) = bie._deflated_pencil(*assemble_kernels(quad, np.arange(quad.total)),
+                                    _trivial(quad))
     return block
 
 
@@ -136,12 +137,12 @@ def test_rank_one_projections_match_explicit_construction():
     S0, Kp = bie._raw_kernels(quad, np.arange(quad.total))
     ImW = np.eye(n) - np.outer(np.ones(n), w) / w.sum()
     S0_ref, Khalf_ref = S0 @ ImW, (0.5 * np.eye(n) + Kp) @ ImW
-    S0_got, Khalf_got = assemble_kernels(quad)
+    S0_got, Khalf_got = assemble_kernels(quad, np.arange(n))
     assert _rel(S0_got, S0_ref) < 1e-12
     assert _rel(Khalf_got, Khalf_ref) < 1e-12
     Qf, _ = la.qr(np.ones((n, 1)), mode="full")
     Q = Qf[:, 1:]
-    (deflated,) = bie._deflated_pencil(S0_got, Khalf_got, _trivial(quad)).blocks
+    (deflated,) = bie._deflated_pencil(S0_got, Khalf_got, _trivial(quad))
     A, B = deflated.A, deflated.B
     assert A.shape == B.shape == (n - 1, n - 1)
     assert _rel(A, Q.T @ Khalf_ref @ Q) < 1e-12
@@ -281,7 +282,8 @@ def test_arnoldi_route_rejects_a_small_complex_pair(monkeypatch, disk):
         pencil.solve_general(pencil.Pencil(A, B), count=3)
     assert calls == [1]
     # the disk's kernels and mirror classes are replaced by one block (A, B)
-    monkeypatch.setattr(bie, "_deflated_pencil", lambda *args: pencil.Pencil(A, B))
+    monkeypatch.setattr(bie, "_deflated_pencil",
+                        lambda *args: (pencil.Pencil(A, B),))
     with pytest.raises(ValueError, match="complex pencil eigenvalues inside"):
         solve_steklov_bie(disk, 64, count=3)
 
@@ -296,7 +298,8 @@ def test_zero_mode_is_not_counted_among_the_pencil_values(monkeypatch, disk):
     P = np.eye(n) + 0.1 * np.random.default_rng(7).standard_normal((n, n))
     A, B = P @ D @ np.linalg.inv(P), np.eye(n)
     # the disk's kernels and mirror classes are replaced by one block (A, B)
-    monkeypatch.setattr(bie, "_deflated_pencil", lambda *args: pencil.Pencil(A, B))
+    monkeypatch.setattr(bie, "_deflated_pencil",
+                        lambda *args: (pencil.Pencil(A, B),))
     spec = solve_steklov_bie(disk, 64, count=2)
     assert spec.flags["solver"] == "arnoldi"
     assert np.allclose(spec.eigenvalues, [0.0, 1.0], rtol=0, atol=1e-10)
@@ -437,7 +440,7 @@ def test_mirror_classes_pair_the_reflected_nodes(nodes, axis, fixed, tmp_path):
     # both kernels commute with the node permutation
     pi = np.arange(quad.total)
     pi[J], pi[P] = P, J
-    for M in assemble_kernels(quad):
+    for M in assemble_kernels(quad, np.arange(quad.total)):
         assert _rel(M[np.ix_(pi, pi)], M) < 1e-13
     spec = solve_steklov_bie(dom, nodes, count=40)
     want = _unsplit(quad, 40).eigenvalues[:39]
@@ -453,7 +456,8 @@ def test_mirror_rows_are_the_rows_of_the_whole_kernels(nodes, axis, tmp_path):
     dom = annulus_domain(0.3) if axis == 0 else _circle_file(tmp_path, Y_LINE)
     quad = boundary_quadrature(dom, nodes)
     rows = bie._mirror_rows(bie._mirror_classes(quad))
-    for whole, part in zip(assemble_kernels(quad), assemble_kernels(quad, rows)):
+    for whole, part in zip(assemble_kernels(quad, np.arange(quad.total)),
+                           assemble_kernels(quad, rows)):
         assert part.shape == (len(rows), quad.total)
         assert np.array_equal(part, whole[rows])
 
@@ -513,16 +517,31 @@ def test_trivial_reflection_block_is_the_whole_deflated_pencil(text, tmp_path):
     # bit for bit the whole pencil deflated by the formula
     dom = annulus_domain(0.4) if text is None else _circle_file(tmp_path, text)
     quad = boundary_quadrature(dom, 64)
-    S0, Khalf = assemble_kernels(quad)
-    blocks = bie._deflated_pencil(S0, Khalf, _trivial(quad)).blocks
+    S0, Khalf = assemble_kernels(quad, np.arange(quad.total))
+    blocks = bie._deflated_pencil(S0, Khalf, _trivial(quad))
     assert len(blocks) == 1
     assert np.array_equal(blocks[0].A, _deflated_reference(Khalf))
     assert np.array_equal(blocks[0].B, _deflated_reference(S0))
 
 
+@pytest.mark.parametrize("text, orders", [(None, [65, 62]), (NO_LINE, [127])],
+                         ids=["mirror", "no-line"])
+def test_deflated_pencil_returns_its_nonempty_blocks(text, orders, tmp_path):
+    # 64 nodes per curve on x = 0: 62 pairs and 4 fixed nodes give an even
+    # block of 62 + 4 - 1 and an odd one of 62; with no mirror line the odd
+    # block is empty and left out
+    dom = annulus_domain(0.4) if text is None else _circle_file(tmp_path, text)
+    quad = boundary_quadrature(dom, 64)
+    blocks = _split(quad)
+    assert isinstance(blocks, tuple)
+    assert all(isinstance(b, pencil.Pencil) for b in blocks)
+    assert [b.n for b in blocks] == orders
+    assert sum(orders) == quad.total - 1
+
+
 def test_flags_record_the_blocks_their_residual_and_matvecs(tmp_path):
     quad = boundary_quadrature(annulus_domain(0.4), 330)
-    blocks = _split(quad).blocks
+    blocks = _split(quad)
     each = [pencil.solve_general(b, count=1) for b in blocks]
     spec = solve_steklov_bie(annulus_domain(0.4), 330, count=2)
     assert spec.flags["blocks"] == [b.n for b in blocks] == [329, 330]
@@ -545,7 +564,7 @@ def test_concentric_blocks_have_exactly_real_values():
         return la.eigvals(la.lu_solve(la.lu_factor(b.A), b.B))
 
     assert np.count_nonzero(mu(whole).imag) > 0
-    for b in split.blocks:
+    for b in split:
         assert np.count_nonzero(mu(b).imag) == 0
     spec = solve_steklov_bie(annulus_domain(0.0), 256, count=20)
     ref = reference.concentric_annulus_steklov(0.1, count=20)

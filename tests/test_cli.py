@@ -53,6 +53,17 @@ def test_incompatible_combinations_exit_one(argv, capsys, tmp_path):
     assert "compatibility" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain", ["unit-disk", "annulus:eps=0.3"])
+def test_bounds_names_itself_for_a_circle_domain(domain, capsys, tmp_path):
+    # bounds picks its FEM methods itself, so the message names bounds and
+    # not the fem-p2 it loads the domain for
+    out = tmp_path / "out"
+    assert main(["bounds", "--domain", domain, "--out", str(out)]) == 1
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first == "lapspec bounds: needs a polygon domain"
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit):
         main(["--version"])

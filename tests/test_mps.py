@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
-from lapspec import mps, specfun
+from lapspec import cli, mps, specfun
 from lapspec.geometry import Domain, load_domain
 from lapspec.mps import (CornerBasis, Enclosure, boundary_collocation,
                          corner_angles, corner_basis, fhm_enclosure,
@@ -392,9 +392,19 @@ def test_enclosure_degenerate_and_invalid():
         Enclosure(5.0, -0.2)
 
 
-def test_enclosure_report_line():
-    line = Enclosure(10.0, 0.0).report_line()
-    assert line == "10.0,10.0,10.0,0.0,true"
+def test_enclosure_report_line(tmp_path, monkeypatch):
+    # enclosure.csv as `solve --method mps` writes it: the enclosure's
+    # floats as their shortest round-trip repr, then the lowercase caveat
+    enc = Enclosure(10.0, 0.1)
+    monkeypatch.setattr(mps, "refine_minimum", lambda *args, **kwargs: (10.0, None))
+    monkeypatch.setattr(mps, "fhm_enclosure", lambda *args: enc)
+    assert cli.main(["solve", "--domain", "unit-square", "--method", "mps",
+                     "--bc", "dirichlet", "--bracket", "9:11",
+                     "--out", str(tmp_path)]) == 0
+    header, row = (tmp_path / "enclosure.csv").read_text().splitlines()
+    assert header == "lambda_h,lower,upper,epsilon,caveat"
+    assert row == f"10.0,{enc.lower!r},{enc.upper!r},0.1,true"
+    assert enc.lower < 10.0 < enc.upper
 
 
 def test_square_enclosures_contain_true_eigenvalues():

@@ -2,9 +2,10 @@
 that bench/tracer.py wraps and sizes must stay as it reads them.
 
 bench/test_bench.py traces a `bounds` run for its time partition; this
-traces the same run for its assembly traffic, a BIE sweep, whose pencil
-span the tracer sizes by `args[0].n` (a `Pencil`), a drum `compare` for
-its mesh traffic, and MPS searches for their indicator calls.
+traces the same run for its assembly traffic, BIE solves, whose pencil
+span the tracer sizes by `args[0].n` (the first block, the even one), a
+drum `compare` for its mesh traffic, and MPS searches for their indicator
+calls.
 """
 import os
 import sys
@@ -35,11 +36,29 @@ def test_traced_sweep_sizes_the_general_pencil(tmp_path):
         t.restore()
     assert rc == 0
     m = tr.layer_metrics(t)
-    # the offsets 0 and 0.5 at 64 nodes per curve: two deflated pencils of
-    # order 127
+    # the offsets 0 and 0.5 at 64 nodes per curve: each deflated pencil of
+    # order 127 splits into an even block of 65 (62 pairs, 4 fixed nodes,
+    # the constant deflated) and an odd block of 62
     assert m["pencil.general_calls"] == 2
-    assert m["pencil.general_max_n"] == 127
+    assert m["pencil.general_max_n"] == 65
     assert m["bie.solves"] == 2
+
+
+def test_traced_high_index_solve_sizes_the_largest_block(tmp_path):
+    t = tr.Tracer()
+    t.install(lapspec)
+    try:
+        t.start(tr.ROOT)
+        rc = cli.main(["solve", "--domain", "annulus:eps=0.4", "--method", "bie",
+                       "--bc", "steklov", "--n", "440", "--count", "201",
+                       "--out", str(tmp_path)])
+        t.stop()
+    finally:
+        t.restore()
+    assert rc == 0
+    # 440 nodes per curve: 438 pairs and 4 fixed nodes give the even block
+    # 441 and the odd block 438 (the whole deflated order is 879)
+    assert tr.layer_metrics(t)["pencil.general_max_n"] == 441
 
 
 def test_traced_bracket_assembles_only_inside_the_solves(tmp_path):
