@@ -16,6 +16,7 @@ mirror-invariant mean.
 import functools
 
 import numpy as np
+import scipy.linalg as la
 from scipy.linalg.blas import dgemv
 
 from . import pencil as pen
@@ -168,24 +169,98 @@ def _deflated_pencil(S0, Khalf, mirror):
     return tuple(b for b in blocks if b.n)
 
 
+def _ntd_blocks(quad, mirror):
+    """The Neumann-to-Dirichlet map of `quad`'s domain on the complement of
+    the constants, as the tuple of its nonempty mirror blocks (each a
+    `pencil.SelfAdjoint`), built from the raw kernels' rows
+    `_mirror_rows(mirror)`.
+
+    With p = w / sum(w), A~ = 1/2 I + K' + 1 p^T and P = I - 1 p^T, the
+    Nystrom map g -> u is N = P S0 A~^-1: the rank-one term makes A~
+    invertible, S0 maps its null density to a constant, and P removes it.
+    T = W^1/2 N W^-1/2 is symmetric up to discretization error. Per block,
+    T = D P S0 A~^-1 D^-1 in the orthonormal mirror basis, where
+    D = diag(sqrt w) is multiplied by sqrt 2 on the pairs of the even
+    block. P and the rank-one term act in the even block only, with
+    p_e = [2 p_J, p_F], the mass of each even basis vector. (D 1)^T T = 0
+    by construction, so one Householder reflector deflates the even
+    block's D 1.
+    """
+    pairs = len(mirror[0])
+    rows = _mirror_rows(mirror)
+    w = quad.weights[rows]
+    p = w / quad.weights.sum()
+    p[:pairs] *= 2.0
+    d = np.sqrt(w)
+    d[:pairs] *= np.sqrt(2.0)
+    # the kernel rows are freed once split, before any block is factored
+    even, odd = zip(*(_mirror_blocks(M, mirror) for M in _raw_kernels(quad, rows)))
+    blocks = [_reflect(_ntd_block(*even, d, p), d)]
+    del even
+    if pairs:
+        # the odd block's D may take the same sqrt 2: a uniform factor cancels
+        blocks.append(_ntd_block(*odd, d[:pairs], None))
+    return tuple(pen.SelfAdjoint(T) for T in blocks)
+
+
+def _ntd_block(S, K, d, p):
+    """D P S A~^-1 D^-1 for one mirror block of the raw S0 and K' (`S`, `K`,
+    both overwritten; the result takes S's memory), with D = diag(d) and
+    the block's p (None: P = I and no rank-one term). Only A~, a
+    second-kind matrix, is factored; an exactly zero pivot raises
+    ValueError."""
+    K.flat[::len(d) + 1] += 0.5
+    if p is not None:
+        K += p
+        S -= dgemv(1.0, S.T, p)
+    # K.T and S.T are F-ordered views: A~^T is factored in place, and
+    # A~^T X^T = (P S)^T is solved in place, so f2py copies nothing
+    lu, piv, info = la.lapack.dgetrf(K.T, overwrite_a=True)
+    if info > 0:
+        raise ValueError(f"1/2 I + K' + 1 p^T is singular: LU pivot {info} is exactly zero")
+    X = pen._getrs((lu, piv), S.T, overwrite_b=True).T
+    X *= d[:, None]
+    X /= d
+    return X
+
+
+def _reflect(T, d):
+    """T on the complement of the direction d: (H T H)[1:, 1:] for the
+    reflector H = I - tau v v^T, v = d + |d| e_1, that maps d onto -|d| e_1
+    (d[0] > 0)."""
+    norm = np.sqrt(d @ d)
+    tau = 1.0 / (norm * (norm + d[0]))
+    v = d.copy()
+    v[0] += norm
+    # T.T is F-ordered: dgemv reads it without a copy
+    r = tau * dgemv(1.0, T.T, v)                             # tau T^T v
+    c = tau * (dgemv(1.0, T.T, v, trans=1) - (r @ v) * v)    # tau (T - v r^T) v
+    out = T[1:, 1:] - c[1:, None] * d[1:]
+    out -= d[1:, None] * r[1:]
+    return out
+
+
 def solve_steklov_bie(domain, n_per_curve, count):
     """The lowest `count` Steklov eigenvalues of a smooth-curves domain by
     collocation, ascending, with the zero mode prepended and flagged.
 
-    The kernels are assembled on the rows `_mirror_rows` of the domain's
+    The kernels are computed on the rows `_mirror_rows` of the domain's
     `_mirror_classes` only (bit for bit those rows of the whole kernels;
     about half of them on a domain with a mirror line, all of them
-    otherwise), and `_deflated_pencil` splits them into the even and odd
-    blocks.
-    `pencil.solve_general` factors the second-kind side 1/2 I + K', which
-    stays well-conditioned however small a hole is, and never inverts the
-    first-kind single layer. It returns the real pencil values and rejects a
-    complex one among the count - 1 it is asked for (at least one), a sign
-    of under-resolution. A negative value raises ValueError, and so do
-    fewer than `count` values, naming the node counts. The domain must have
-    the unit weight. The flags record the block orders (`blocks`) and copy
-    the pencil solve's `solver` route and, on the Arnoldi route, the largest
-    relative `residual` over the blocks and their summed `matvecs`.
+    otherwise) and split into the even and odd mirror blocks. Either route
+    factors only a second-kind matrix, which stays well-conditioned however
+    small a hole is, and never inverts the first-kind single layer.
+    When Arnoldi pays for the count - 1 values (at least one) asked of
+    `pencil.solve_general` (`pencil.arnoldi_pays`), `_deflated_pencil`
+    builds the blocks of the pencil (1/2 I + K', S0); the solve rejects a
+    complex value among them, a sign of under-resolution, and a negative
+    value raises ValueError. Otherwise `_ntd_blocks` builds the symmetric
+    Neumann-to-Dirichlet blocks, which eigh solves, gated, into positive
+    values. Fewer than `count` values raise ValueError, naming the node
+    counts. The domain must have the unit weight. The flags record the
+    block orders (`blocks`) and copy the pencil solve's `solver` route
+    ("arnoldi" or "eigh"), the largest relative `residual` over the blocks,
+    and Arnoldi's summed `matvecs` or the symmetric route's `asymmetry`.
     """
     if domain.weight != "unit":
         raise ValueError(f"BIE Steklov solves need the unit weight, not {domain.weight}")
@@ -194,8 +269,12 @@ def solve_steklov_bie(domain, n_per_curve, count):
     quad = boundary_quadrature(domain, n_per_curve)
     n_per_curve = [c.n for c in quad.curves]
     mirror = _mirror_classes(quad)
-    blocks = _deflated_pencil(*assemble_kernels(quad, _mirror_rows(mirror)), mirror)
-    spec = pen.solve_general(*blocks, count=max(count - 1, 1))
+    wanted = max(count - 1, 1)
+    if pen.arnoldi_pays(quad.total - 1, wanted):
+        blocks = _deflated_pencil(*assemble_kernels(quad, _mirror_rows(mirror)), mirror)
+    else:
+        blocks = _ntd_blocks(quad, mirror)
+    spec = pen.solve_general(*blocks, count=wanted)
 
     vals = spec.eigenvalues
     if np.any(vals < -1e-8):

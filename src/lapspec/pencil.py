@@ -1,10 +1,12 @@
 """Generalized eigenvalue pencils: solvers, and the clustering the CLI prints.
 
 Sparse definite pencils (every FEM problem) go through one shift-invert
-Lanczos path, `solve_lowest`. General pencils (the BIE Steklov problems,
-`solve_general`) pair a second-kind A with a first-kind B, so only B can be
-ill-conditioned: A is factored once by LU, and B is never inverted. Both
-general routes solve with A's getrf factor by getrs itself: lu_solve's
+Lanczos path, `solve_lowest`. The BIE Steklov problems go through
+`solve_general`: Arnoldi on a general pencil when a few values are asked
+for, and a symmetric eigensolve of the Neumann-to-Dirichlet blocks when
+many are. The Arnoldi route pairs a second-kind A with a first-kind B, so
+only B can be ill-conditioned: A is factored once by LU, and B is never
+inverted. It solves with A's getrf factor by getrs itself: lu_solve's
 finite check and batch dispatch cost more than the solve at the order of
 an Arnoldi step.
 Every dense product of a BIE solve (Arnoldi's B x, the gate's A V and B V)
@@ -27,7 +29,7 @@ RESIDUAL_GATE = 1e-9   # largest relative residual accepted from any solver
 PAD = 4                # extra Lanczos pairs beyond the k requested
 LANCZOS_SEED = 1234
 NULL_RTOL = 1e-12      # nu below this fraction of the largest is infinite lambda
-REAL_RTOL = 1e-6       # |imag| at most this fraction of |value| counts as real
+REAL_RTOL = 1e-6       # Arnoldi: |imag| at most this fraction of |value| is real
 
 
 class Pencil:
@@ -45,9 +47,25 @@ class Pencil:
         return self.A.shape[0]
 
 
-def _is_symmetric(M):
-    scale = np.abs(M).max() or 1.0
-    return np.abs(M - M.T).max() <= 1e-12 * scale
+class SelfAdjoint:
+    """Square matrix T, the discretization of a self-adjoint operator in an
+    orthonormal basis: symmetric up to discretization error. Its
+    eigenvalues mu are the reciprocals 1/sigma of the values sought."""
+
+    def __init__(self, T):
+        T = np.asarray(T, dtype=float)
+        if T.ndim != 2 or T.shape[0] != T.shape[1]:
+            raise ValueError("T must be a square matrix")
+        self.matrix = T
+
+    @property
+    def n(self):
+        return self.matrix.shape[0]
+
+
+def _asymmetry(M):
+    """max |M - M^T| / max |M| (max |M - M^T| for a zero M)."""
+    return float(np.abs(M - M.T).max() / (np.abs(M).max() or 1.0))
 
 
 def cluster(values):
@@ -95,7 +113,7 @@ class Spectrum:
 
 def solve_symdef(pencil):
     """All eigenpairs of a symmetric-definite pencil, ascending, B-orthonormal."""
-    if not (_is_symmetric(pencil.A) and _is_symmetric(pencil.B)):
+    if not (_asymmetry(pencil.A) <= 1e-12 and _asymmetry(pencil.B) <= 1e-12):
         raise ValueError("solve_symdef needs symmetric A and B")
     try:
         vals, vecs = la.eigh(pencil.A, pencil.B)
@@ -106,56 +124,52 @@ def solve_symdef(pencil):
                     flags={"residual": residual})
 
 
-def solve_general(*blocks, count):
-    """Real eigenvalues of a general square pencil A v = sigma B v, ascending.
+def arnoldi_pays(n, count):
+    """Whether Arnoldi pays for `count` values of a problem of order n:
+    8 (count + PAD) <= n. Arnoldi took 2.1 s for 205 values of n = 879,
+    where a dense solve took 0.8 s; at n = 659 the symmetric route took
+    51 ms for all values, Arnoldi 22-32 ms for 2."""
+    return 8 * (count + PAD) <= n
 
-    The pencil is given as its diagonal blocks, each a `Pencil` (one block
-    when it does not split). Each block is solved on the route that the
-    summed order n picks, and the values are merged before the rules below.
-    Both routes factor each A once by LU (getrf), where an exactly zero
-    pivot raises ValueError, solve with that factor by getrs, and work on
-    A^-1 B, whose eigenvalues are mu = 1/sigma. B is never inverted, so a
-    singular B needs no check: its infinite sigma have mu = 0. When
-    8 (count + PAD) <= n, Arnoldi (ARPACK) on x -> A^-1 B x, from a fixed
-    start vector, computes the count + PAD mu of largest modulus of each
-    block, and their real pairs must pass the residual gate; an ARPACK
-    failure raises ValueError.
-    The count + PAD merged values of smallest modulus are kept. Otherwise
-    eigvals of A^-1 B computes all mu, ungated, and an exactly zero mu gives
-    no value. sigma = 1/mu is real by `is_real` exactly when mu is. A
-    non-real sigma no larger in modulus than the count-th real value, or the
-    largest when fewer are real, raises ValueError, which names the smallest
-    one; the others are dropped. A count below 1 raises ValueError.
-    flags["solver"] is "arnoldi" or "lu-eigvals"; the Arnoldi route also
-    records the largest relative residual over the blocks in
-    flags["residual"] and the operator applications ARPACK asked for, summed
-    over the blocks, in flags["matvecs"].
+
+def solve_general(*blocks, count):
+    """Real eigenvalues sigma of a problem given as its diagonal blocks,
+    ascending: one block when it does not split. A count below 1 raises
+    ValueError.
+
+    `Pencil` blocks (A v = sigma B v) take the Arnoldi route, meant for
+    few values (`arnoldi_pays`). Each A is factored once by LU (getrf),
+    where an exactly zero pivot raises ValueError, and Arnoldi (ARPACK) on
+    x -> A^-1 B x, solving with that factor by getrs from a fixed start
+    vector, computes the count + PAD mu = 1/sigma of largest modulus of
+    each block. B is never inverted, so a singular B needs no check. Their
+    real pairs must pass the residual gate; an ARPACK failure raises
+    ValueError. The count + PAD merged values of smallest modulus are
+    kept, sigma is real by `is_real`, and a non-real sigma no larger in
+    modulus than the count-th real value, or the largest when fewer are
+    real, raises ValueError, which names the smallest one; the others are
+    dropped. flags["solver"] is "arnoldi", flags["residual"] the largest
+    relative residual over the blocks and flags["matvecs"] the operator
+    applications ARPACK asked for, summed over the blocks.
+
+    `SelfAdjoint` blocks take the symmetric route (`_solve_self_adjoint`),
+    which returns every value and ignores the count.
     """
     if count < 1:
         raise ValueError("solve_general needs a count of at least 1")
-    # Arnoldi pays only for a few values: 205 of n = 879 took 2.1 s against
-    # 0.8 s for the dense route
-    arnoldi = 8 * (count + PAD) <= sum(block.n for block in blocks)
+    if isinstance(blocks[0], SelfAdjoint):
+        return _solve_self_adjoint(blocks)
     vals, residual, matvecs = [], 0.0, 0
     for block in blocks:
         # getrf itself: lu_factor warns on an exactly zero pivot (info > 0)
         lu, piv, info = la.lapack.dgetrf(block.A)
         if info > 0:
             raise ValueError(f"A is singular: LU pivot {info} is exactly zero")
-        if arnoldi:
-            v, r, m = _arnoldi(block, (lu, piv), count + PAD)
-            vals.append(v)
-            residual, matvecs = max(residual, r), matvecs + m
-        else:
-            mu = la.eigvals(_getrs((lu, piv), block.B), overwrite_a=True)
-            vals.append(1.0 / mu[mu != 0])
+        v, r, m = _arnoldi(block, (lu, piv), count + PAD)
+        vals.append(v)
+        residual, matvecs = max(residual, r), matvecs + m
     vals = np.concatenate(vals)
-    vals = vals[np.argsort(np.abs(vals))]
-    if arnoldi:
-        vals = vals[:count + PAD]
-        flags = {"solver": "arnoldi", "residual": residual, "matvecs": matvecs}
-    else:
-        flags = {"solver": "lu-eigvals"}
+    vals = vals[np.argsort(np.abs(vals))][:count + PAD]
     real = is_real(vals)
     out = np.sort(vals[real].real)
     cutoff = abs(out[min(count, len(out)) - 1]) if len(out) else 0.0
@@ -163,7 +177,35 @@ def solve_general(*blocks, count):
     if len(inside):
         raise ValueError("complex pencil eigenvalues inside the requested range "
                          f"(worst {inside[0]:.6g}); increase the node counts")
-    return Spectrum(out, "pencil", None, None, flags=flags)
+    return Spectrum(out, "pencil", None, None,
+                    flags={"solver": "arnoldi", "residual": residual, "matvecs": matvecs})
+
+
+def _solve_self_adjoint(blocks):
+    """Every sigma = 1/mu of the `SelfAdjoint` blocks, ascending.
+
+    eigh solves each block's symmetric part S = (T + T^T) / 2 (the
+    divide-and-conquer driver, all values: a subset cost more for 202 of
+    440), and every pair must pass the residual gate against S.
+    mu at most NULL_RTOL times the largest mu over the blocks (the rounding
+    level, or below) gives no value. flags["solver"] is "eigh",
+    flags["residual"] the largest relative residual and
+    flags["asymmetry"] the largest max |T - T^T| / max |T| over the blocks.
+    """
+    mus, residual, asymmetry = [], 0.0, 0.0
+    for block in blocks:
+        T = block.matrix
+        asymmetry = max(asymmetry, _asymmetry(T))
+        S = T + T.T
+        S *= 0.5
+        mu, V = la.eigh(S, driver="evd")
+        residual = max(residual, _residual_gate(S, None, mu, V)[0])
+        mus.append(mu)
+    mu = np.concatenate(mus)
+    mu = mu[mu > NULL_RTOL * mu.max()]
+    return Spectrum(np.sort(1.0 / mu), "pencil", None, None,
+                    flags={"solver": "eigh", "residual": residual,
+                           "asymmetry": asymmetry})
 
 
 def _arnoldi(pencil, lu, k):
@@ -265,10 +307,10 @@ def _residual_gate(A, B, vals, V):
     the pairs, raising ValueError when a pair's is not at most RESIDUAL_GATE
     (a NaN included), and each pair's own-term
     ||Av - lambda Bv|| / (||Av|| + |lambda| ||Bv||), 0 if 0/0.
-    Sparse A and B multiply with `@`; dense ones in scipy's BLAS, a complex
-    V as the real block [Re V, Im V], recombined."""
+    B None is the identity. Sparse A and B multiply with `@`; dense ones in
+    scipy's BLAS, a complex V as the real block [Re V, Im V], recombined."""
     def norm1(M):
-        return float(abs(M).sum(axis=0).max())
+        return 1.0 if M is None else float(abs(M).sum(axis=0).max())
 
     if sp.issparse(A):
         AV, BV = A @ V, B @ V
@@ -276,7 +318,7 @@ def _residual_gate(A, B, vals, V):
         # numpy would upcast A and B to complex
         split = np.iscomplexobj(V)
         W = np.asfortranarray(np.hstack([V.real, V.imag]) if split else V)
-        AV, BV = (dgemm(1.0, M.T, W, trans_a=1) for M in (A, B))
+        AV, BV = (W if M is None else dgemm(1.0, M.T, W, trans_a=1) for M in (A, B))
         if split:
             p = V.shape[1]
             AV, BV = (X[:, :p] + 1j * X[:, p:] for X in (AV, BV))

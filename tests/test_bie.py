@@ -215,20 +215,34 @@ def _annulus_pencil(eps, n_per_curve):
     return _whole(boundary_quadrature(annulus_domain(eps), [n_per_curve, n_per_curve]))
 
 
+def _ntd_whole(quad):
+    """The whole Neumann-to-Dirichlet block: the trivial classes are passed."""
+    return bie._ntd_blocks(quad, _trivial(quad))
+
+
 def test_lu_reduced_solve_matches_qz_on_the_deflated_annulus():
-    pen = _annulus_pencil(0.85, 330)
+    # the symmetric route factors only A~ = 1/2 I + K' + 1 p^T; QZ solves
+    # the deflated pencil (1/2 I + K', S0) of the same nodes
+    quad = boundary_quadrature(annulus_domain(0.85), [330, 330])
+    pen = _whole(quad)
     ref = np.sort(la.eig(pen.A, pen.B, right=False).real)[:201]
-    got = pencil.solve_general(pen, count=pen.n).eigenvalues
-    assert np.isrealobj(got)
+    got = pencil.solve_general(*_ntd_whole(quad), count=pen.n).eigenvalues
+    assert np.isrealobj(got) and len(got) == pen.n
     assert np.max(np.abs(got[:201] - ref) / np.abs(ref)) < 1e-10
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.5, 0.88])
 def test_arnoldi_matches_the_dense_route_on_the_deflated_annulus(eps):
-    pen = _annulus_pencil(eps, 330)
-    dense = pencil.solve_general(pen, count=pen.n)
+    # the two routes solve two Nystrom forms of one problem, which agree to
+    # the discretization error: at 330 nodes per curve offset 0.88 is not
+    # resolved (asymmetry 8e-4, the routes 1.8e-8 apart), at 660 it is
+    n = 660 if eps == 0.88 else 330
+    quad = boundary_quadrature(annulus_domain(eps), [n, n])
+    pen = _whole(quad)
+    dense = pencil.solve_general(*_ntd_whole(quad), count=pen.n)
     got = pencil.solve_general(pen, count=20)
-    assert dense.flags == {"solver": "lu-eigvals"}
+    assert dense.flags["solver"] == "eigh"
+    assert dense.flags["residual"] <= pencil.RESIDUAL_GATE
     assert got.flags["solver"] == "arnoldi"
     assert got.flags["residual"] <= pencil.RESIDUAL_GATE
     assert np.isrealobj(got.eigenvalues)
@@ -245,21 +259,43 @@ def test_size_switch_routes_the_sweep_and_the_high_index_solve():
     assert sweep.flags["residual"] <= pencil.RESIDUAL_GATE
     assert sweep.flags["zero_mode"] is True
     high = solve_steklov_bie(annulus_domain(0.4), 440, count=201)
-    assert high.flags["solver"] == "lu-eigvals"
-    assert "residual" not in high.flags
+    assert high.flags["solver"] == "eigh"
+    assert "matvecs" not in high.flags
     assert len(high) == 201
 
 
+def test_symmetric_route_records_a_small_asymmetry_and_its_residual():
+    # the resolved 201-value solve: T is symmetric to 7.9e-15, and every
+    # pair of (T + T^T) / 2 passes the gate
+    spec = solve_steklov_bie(annulus_domain(0.4), 440, count=201)
+    assert spec.flags["solver"] == "eigh"
+    assert spec.flags["asymmetry"] < 1e-13
+    assert spec.flags["residual"] <= pencil.RESIDUAL_GATE
+
+
+def test_symmetric_route_passes_the_residual_gate(monkeypatch, disk):
+    # eigh's vectors, perturbed, are no eigenvectors of the matrix it solved
+    eigh = pencil.la.eigh
+
+    def perturbed(*args, **kwargs):
+        mu, V = eigh(*args, **kwargs)
+        return mu, V + 1e-3 * np.random.default_rng(5).standard_normal(V.shape)
+
+    monkeypatch.setattr(pencil.la, "eigh", perturbed)
+    with pytest.raises(ValueError, match=r"relative residual .* exceeds gate 1e-09"):
+        solve_steklov_bie(disk, 64, count=40)
+
+
 def test_dense_route_returns_a_near_real_pair_as_real_values():
-    # the concentric annulus at 64 nodes per curve takes the dense route
-    # (n = 127); its eigvals hold one pair 10 +- 3.6e-15 i, the double
-    # value sigma_20 = sigma_21 = 10, which the realness rule keeps
+    # the concentric annulus at 64 nodes per curve takes the symmetric route
+    # (n = 127); the whole pencil's eigvals hold one pair 10 +- 3.6e-15 i,
+    # the double value sigma_20 = sigma_21 = 10, which eigh returns real
     pen = _annulus_pencil(0.0, 64)
     raw = la.eigvals(la.lu_solve(la.lu_factor(pen.B), pen.A))
     pair = raw[raw.imag != 0]
     assert len(pair) == 2 and np.allclose(pair, 10.0, rtol=1e-12, atol=0)
     spec = solve_steklov_bie(annulus_domain(0.0), 64, count=22)
-    assert spec.flags["solver"] == "lu-eigvals"
+    assert spec.flags["solver"] == "eigh"
     assert np.isrealobj(spec.eigenvalues)
     assert np.allclose(spec.eigenvalues[20:22], 10.0, rtol=1e-12, atol=0)
     exact = reference.concentric_annulus_steklov(0.1, count=22).values
@@ -326,11 +362,11 @@ def test_arnoldi_route_passes_the_residual_gate(monkeypatch):
 
 
 @pytest.mark.parametrize("n_per_curve, count, route",
-                         [(660, 2, "arnoldi"), (330, 660, "lu-eigvals")])
+                         [(660, 2, "arnoldi"), (330, 660, "eigh")])
 def test_default_gate_accepts_the_annulus_without_an_svd(n_per_curve, count, route,
                                                           call_counter):
-    # either route factors one matrix per mirror block, that block's A, and
-    # takes no SVD
+    # either route factors one matrix per mirror block, the second-kind one,
+    # and takes no SVD
     factored = [call_counter(la.lapack, "dgetrf"), call_counter(la, "lu_factor"),
                 call_counter(la, "svdvals")]
     spec = solve_steklov_bie(annulus_domain(0.88), n_per_curve, count=count)
@@ -340,20 +376,23 @@ def test_default_gate_accepts_the_annulus_without_an_svd(n_per_curve, count, rou
 
 
 @pytest.mark.parametrize("radius, count, route", [
-    (1e-11, 5, "arnoldi"), (1e-11, 40, "lu-eigvals"), (1e-300, 5, "arnoldi"),
-], ids=["1e-11-arnoldi", "1e-11-lu-eigvals", "1e-300-arnoldi"])
+    (1e-11, 5, "arnoldi"), (1e-11, 40, "eigh"), (1e-300, 5, "arnoldi"),
+    (1e-300, 40, "eigh"),
+], ids=["1e-11-arnoldi", "1e-11-eigh", "1e-300-arnoldi", "1e-300-eigh"])
 def test_tiny_hole_leaves_the_disk_spectrum(radius, count, route):
     # a hole of radius 1e-11 makes the single layer B nearly singular
     # (cond 3.2e12 at 64 nodes per curve), and at 1e-300 B is
     # rank-deficient, but A = 1/2 I + K' keeps cond 3.24, so the solve
-    # returns the disk's 0, 1, 1, 2, 2. The dense route is not pinned at
-    # 1e-300: its noise values of modulus about 1e17 take their sign from
-    # rounding
+    # returns the disk's 0, 1, 1, 2, 2; the symmetric route drops the
+    # hole's rounding-level mu and returns the disk's first 40 values
     dom = Domain("smooth-curves", circles=[((0.0, 0.0), 1.0, +1),
                                            ((0.0, 0.0), radius, -1)])
     spec = solve_steklov_bie(dom, 64, count=count)
     assert spec.flags["solver"] == route and len(spec) == count
     assert np.allclose(spec.eigenvalues[:5], [0, 1, 1, 2, 2], rtol=0, atol=1e-12)
+    if route == "eigh":
+        disk = reference.disk_spectra("steklov", count=count).values
+        assert np.allclose(spec.eigenvalues, disk, rtol=0, atol=1e-9)
 
 
 def test_count_beyond_the_real_values_is_rejected(disk):
@@ -391,9 +430,12 @@ NO_LINE = "c 0 0 1 ccw\nc 0.3 0.2 0.1 cw\n"
 
 
 def _unsplit(quad, count):
-    """The whole deflated pencil's values for a Steklov `count`: the trivial
-    classes are passed, so nothing splits."""
-    return pencil.solve_general(_whole(quad), count=max(count - 1, 1))
+    """The whole problem's values for a Steklov `count`, on the route a solve
+    takes: the trivial classes are passed, so nothing splits."""
+    wanted = max(count - 1, 1)
+    if pencil.arnoldi_pays(quad.total - 1, wanted):
+        return pencil.solve_general(_whole(quad), count=wanted)
+    return pencil.solve_general(*_ntd_whole(quad), count=wanted)
 
 
 def _split(quad):
@@ -411,7 +453,7 @@ def _circle_file(tmp_path, text):
 
 
 @pytest.mark.parametrize("eps, n, count, route", [
-    (0.4, 440, 201, "lu-eigvals"), (0.88, 330, 2, "arnoldi")])
+    (0.4, 440, 201, "eigh"), (0.88, 330, 2, "arnoldi")])
 def test_mirror_blocks_match_the_unsplit_pencil(eps, n, count, route):
     dom = annulus_domain(eps)
     spec = solve_steklov_bie(dom, n, count=count)
@@ -537,6 +579,35 @@ def test_deflated_pencil_returns_its_nonempty_blocks(text, orders, tmp_path):
     assert all(isinstance(b, pencil.Pencil) for b in blocks)
     assert [b.n for b in blocks] == orders
     assert sum(orders) == quad.total - 1
+
+
+@pytest.mark.parametrize("text", [None, NO_LINE], ids=["annulus", "no-line"])
+def test_ntd_blocks_match_explicit_construction(text, tmp_path):
+    # T = W^1/2 P S0 A~^-1 W^-1/2 on the nodes, whose left null vector
+    # W^1/2 1 is deflated by a QR basis of its complement: the whole block
+    # is that matrix in another orthonormal basis of the same complement,
+    # and the mirror blocks hold its values
+    dom = annulus_domain(0.4) if text is None else _circle_file(tmp_path, text)
+    quad = boundary_quadrature(dom, 48)
+    n, w = quad.total, quad.weights
+    p = w / w.sum()
+    S0, Kp = bie._raw_kernels(quad, np.arange(n))
+    At = 0.5 * np.eye(n) + Kp + np.outer(np.ones(n), p)
+    N = (np.eye(n) - np.outer(np.ones(n), p)) @ S0 @ np.linalg.inv(At)
+    root = np.sqrt(w)
+    T = root[:, None] * N / root
+    assert np.max(np.abs(root @ T)) < 1e-13 * np.abs(T).max()
+    Q = la.qr(root[:, None], mode="full")[0][:, 1:]
+    ref = Q.T @ T @ Q
+    want = np.sort(np.linalg.eigvals(ref).real)
+    (whole,) = _ntd_whole(quad)
+    assert isinstance(whole, pencil.SelfAdjoint) and whole.n == n - 1
+    assert _rel(np.linalg.norm(whole.matrix), np.linalg.norm(ref)) < 1e-12
+    assert _rel(np.sort(np.linalg.eigvals(whole.matrix).real), want) < 1e-12
+    blocks = bie._ntd_blocks(quad, bie._mirror_classes(quad))
+    got = np.sort(np.concatenate([np.linalg.eigvals(b.matrix).real for b in blocks]))
+    assert [b.n for b in blocks] == ([49, 46] if text is None else [n - 1])
+    assert _rel(got, want) < 1e-12
 
 
 def test_flags_record_the_blocks_their_residual_and_matvecs(tmp_path):

@@ -334,7 +334,7 @@ def test_bad_grid_syntax(capsys):
 # solve
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("count", ["5", "40"], ids=["arnoldi", "lu-eigvals"])
+@pytest.mark.parametrize("count", ["5", "40"], ids=["arnoldi", "eigh"])
 def test_solve_bie_takes_a_tiny_hole(count, tmp_path):
     # a hole of radius 1e-11 gives cond(B) = 3.2e12 at 64 nodes per curve;
     # the solve factors only A and returns the disk's 0, 1, 1, 2, 2

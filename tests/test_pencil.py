@@ -107,17 +107,29 @@ def _real_spectrum_pencil(r, n, noise):
     return B @ P @ D @ np.linalg.inv(P), B
 
 
+def _beside_far_values(A, B, n):
+    """(A, B) embedded beside the values 100, 101, ... up to order n, so
+    that Arnoldi's smallest values are those of (A, B)."""
+    m = A.shape[0]
+    return Pencil(la.block_diag(A, np.diag(np.arange(100.0, 100.0 + n - m))),
+                  la.block_diag(B, np.eye(n - m)))
+
+
 def test_general_against_companion_matrix_roots(rng):
+    # the 12 values of a nonsymmetric pencil, beside 84 far ones: Arnoldi
+    # computes count + PAD = 12 of n = 96 = 8 (count + PAD)
     n = 12
     A, B = _real_spectrum_pencil(rng, n, 0.1)
     ref = _charpoly_roots(A, B)
-    got = solve_general(Pencil(A, B), count=n).eigenvalues
+    spec = solve_general(_beside_far_values(A, B, 96), count=8)
+    got = spec.eigenvalues
+    assert spec.flags["solver"] == "arnoldi"
     assert np.isrealobj(got) and len(got) == n
     _match_each(got, ref, 1e-7)
     # a random pencil has complex pairs below its largest real value
     A = rng.standard_normal((n, n))
     with pytest.raises(ValueError, match="complex pencil eigenvalues inside"):
-        solve_general(Pencil(A, B), count=n)
+        solve_general(_beside_far_values(A, B, 96), count=8)
 
 
 # ---------------------------------------------------------------------------
@@ -177,43 +189,53 @@ def test_symdef_rejects_nonsymmetric():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_general_matches_qz_on_nonsymmetric_pencils(seed):
+    # count = 2 asks for count + PAD = 6 values of n = 48 = 8 (count + PAD):
+    # +-0.5, +-1.5, +-2.5
     r = np.random.default_rng(seed)
-    n = 40
+    n, count = 48, 2
     A, B = _real_spectrum_pencil(r, n, 0.2)
     ref = la.eig(A, B, right=False)
-    got = solve_general(Pencil(A, B), count=n).eigenvalues
-    assert np.isrealobj(got) and len(got) == n
+    got = solve_general(Pencil(A, B), count=count).eigenvalues
+    assert np.isrealobj(got) and len(got) == count + pencil.PAD
     assert np.all(np.diff(got) > 0)
     _match_each(got, ref, 1e-10)
-    # a random nonsymmetric pencil has complex-conjugate pairs, and QZ
-    # places some of them below its largest real value
-    A = r.standard_normal((n, n))
+    # the same similarity hides a complex pair 0.5 +- 1i in place of +-0.5:
+    # QZ finds it, and its modulus is below the second real value's, 1.5
+    i, j = n // 2 - 1, n // 2
+    D = np.diag(np.arange(n) - (n - 1) / 2)
+    D[i, i] = D[j, j] = 0.5
+    D[i, j], D[j, i] = -1.0, 1.0
+    P = np.eye(n) + 0.1 * r.standard_normal((n, n))
+    A = B @ P @ D @ np.linalg.inv(P)
     ref = la.eig(A, B, right=False)
-    real = np.abs(ref.imag) <= pencil.REAL_RTOL * np.abs(ref)
-    assert np.any(~real & (np.abs(ref) <= np.abs(ref[real]).max()))
-    with pytest.raises(ValueError, match="complex pencil eigenvalues inside"):
-        solve_general(Pencil(A, B), count=n)
+    assert np.sum(np.abs(ref - (0.5 + 1j)) < 1e-10) == 1
+    with pytest.raises(ValueError, match=r"inside the requested range "
+                                         r"\(worst 0\.5[+-]1j\)"):
+        solve_general(Pencil(A, B), count=count)
 
 
 def test_general_reports_reals_by_the_one_realness_rule():
-    # eigenvalues 1 +- t i: imaginary parts of 1e-7 of the modulus are
-    # rounding-level and count as real, 1e-5 is a true complex pair
+    # eigenvalues 1 +- t i beside far values: imaginary parts of 1e-7 of the
+    # modulus are rounding-level and count as real, 1e-5 is a true complex
+    # pair. count = 1 asks Arnoldi for 5 of n = 40
     def rotation(t):
         return np.array([[1.0, -t], [t, 1.0]])
 
-    got = solve_general(Pencil(rotation(1e-7), np.eye(2)), count=2).eigenvalues
+    def beside(A):
+        return _beside_far_values(A, np.eye(len(A)), 40)
+
+    got = solve_general(beside(rotation(1e-7)), count=1).eigenvalues
     assert np.isrealobj(got)
-    assert np.array_equal(got, [1.0, 1.0])
+    assert np.allclose(got, [1.0, 1.0, 100.0, 101.0, 102.0], rtol=1e-12, atol=0)
     # the pair lies below the first real value 3: inside the requested range
     A = la.block_diag(rotation(1e-5), 3.0)
     with pytest.raises(ValueError, match=r"inside the requested range "
                                          r"\(worst 1[+-]1e-05j\)"):
-        solve_general(Pencil(A, np.eye(3)), count=1)
+        solve_general(beside(A), count=1)
     # above the first real value 0.5 it is outside, and dropped
     A = la.block_diag(0.5, rotation(1e-5))
-    got = solve_general(Pencil(A, np.eye(3)), count=1).eigenvalues
-    assert np.array_equal(got, [0.5])
-
+    got = solve_general(beside(A), count=1).eigenvalues
+    assert np.allclose(got, [0.5, 100.0, 101.0], rtol=1e-12, atol=0)
 
 @pytest.mark.parametrize("count", [0, -1])
 def test_general_rejects_a_count_below_one(count):
@@ -223,51 +245,109 @@ def test_general_rejects_a_count_below_one(count):
 
 
 def test_general_takes_a_nearly_singular_b_through_a_inverse():
-    # only A is factored: B = diag(1, 1e-13), cond 1e13, gives mu = 1e-13
-    # and sigma = 1e13
-    spec = solve_general(Pencil(np.eye(2), np.diag([1.0, 1e-13])), count=2)
-    assert np.allclose(spec.eigenvalues, [1.0, 1e13], rtol=1e-12, atol=0)
+    # only A is factored: B = diag(1, 1e-13, 1, ...), cond 1e13, turns the
+    # second value into sigma = 2e13, beyond Arnoldi's 5 smallest of n = 40
+    n = 40
+    B = np.eye(n)
+    B[1, 1] = 1e-13
+    spec = solve_general(Pencil(np.diag(np.arange(1.0, n + 1.0)), B), count=1)
+    assert np.allclose(spec.eigenvalues, [1.0, 3.0, 4.0, 5.0, 6.0], rtol=1e-12, atol=0)
 
 
 def test_general_takes_a_b_with_condition_1e11():
-    # B = diag(1, 1e-11), cond 1e11: sigma = 3 / 1e-11 = 3e11 beside 2
-    spec = solve_general(Pencil(np.diag([2.0, 3.0]), np.diag([1.0, 1e-11])),
-                         count=2)
-    assert np.allclose(spec.eigenvalues, [2.0, 3e11], rtol=1e-12, atol=0)
+    # B = P diag(1, 1e-11, 1, ...) P^-1, cond about 1e11, against
+    # A = P diag(2, 3, ...) P^-1: sigma = 3e11 leaves 2, 4, 5, 6, 7
+    n = 40
+    P = np.eye(n) + 0.1 * np.random.default_rng(5).standard_normal((n, n))
+    b = np.ones(n)
+    b[1] = 1e-11
+    A = P @ np.diag(np.arange(2.0, n + 2.0)) @ np.linalg.inv(P)
+    B = P @ np.diag(b) @ np.linalg.inv(P)
+    assert np.linalg.cond(B) > 1e10
+    spec = solve_general(Pencil(A, B), count=1)
+    assert np.allclose(spec.eigenvalues, [2.0, 4.0, 5.0, 6.0, 7.0], rtol=1e-10, atol=0)
 
 
 def test_general_singular_b_returns_its_finite_values_without_a_warning():
-    # mu = 0 is an infinite sigma and gives no value
+    # mu = 0 is an infinite sigma: B = diag(1, 0, 1, 0, ...) leaves the odd
+    # values, and Arnoldi's 5 largest mu never reach the zero ones
+    n = 40
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spec = solve_general(Pencil(np.eye(2), np.diag([1.0, 0.0])), count=2)
-    assert np.array_equal(spec.eigenvalues, [1.0])
+        spec = solve_general(Pencil(np.diag(np.arange(1.0, n + 1.0)),
+                                    np.diag(np.arange(n) % 2 == 0).astype(float)),
+                             count=1)
+    assert np.allclose(spec.eigenvalues, [1.0, 3.0, 5.0, 7.0, 9.0], rtol=1e-12, atol=0)
 
 
 def test_general_zero_b_has_no_finite_values():
-    # the dense route finds only mu = 0; Arnoldi's start vector maps to zero
-    assert len(solve_general(Pencil(np.eye(2), np.zeros((2, 2))), count=1)) == 0
+    # Arnoldi's start vector maps to zero
     with pytest.raises(ValueError, match="Arnoldi failed"):
         solve_general(Pencil(np.eye(40), np.zeros((40, 40))), count=1)
 
 
 def test_general_singular_a_is_rejected_without_a_scipy_warning():
     # an exactly zero pivot of A's LU: the zero eigenvalue is not returned
+    A = np.diag(np.arange(40.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="A is singular"):
-            solve_general(Pencil(np.diag([1.0, 0.0]), np.eye(2)), count=2)
+            solve_general(Pencil(A, np.eye(40)), count=1)
 
 
-@pytest.mark.parametrize("n,route", [(40, "arnoldi"), (39, "lu-eigvals")])
+@pytest.mark.parametrize("n,route", [(40, "arnoldi"), (39, "eigh")])
 def test_general_takes_arnoldi_only_for_few_values_of_many(n, route):
-    # count = 1 asks for 1 + PAD = 5 values: Arnoldi from n = 8 * 5 = 40 up
+    # count = 1 asks for 1 + PAD = 5 values: Arnoldi pays from n = 8 * 5 = 40
+    # up, and below it a solve passes the symmetric blocks, whose 1/mu eigh
+    # returns
+    assert pencil.arnoldi_pays(n, 1) == (route == "arnoldi")
     r = np.random.default_rng(n)
-    P = np.eye(n) + 0.1 * r.standard_normal((n, n))
-    A = P @ np.diag(np.arange(1.0, n + 1.0)) @ np.linalg.inv(P)
-    spec = solve_general(Pencil(A, np.eye(n)), count=1)
+    if route == "arnoldi":
+        P = np.eye(n) + 0.1 * r.standard_normal((n, n))
+        block = Pencil(P @ np.diag(np.arange(1.0, n + 1.0)) @ np.linalg.inv(P), np.eye(n))
+    else:
+        Q = la.qr(r.standard_normal((n, n)))[0]
+        block = pencil.SelfAdjoint(Q @ np.diag(1.0 / np.arange(1.0, n + 1.0)) @ Q.T)
+    spec = solve_general(block, count=1)
     assert spec.flags["solver"] == route
     assert np.allclose(spec.eigenvalues[:5], [1, 2, 3, 4, 5], rtol=1e-10, atol=0)
+
+
+def _symmetric(r, mu):
+    Q = la.qr(r.standard_normal((len(mu), len(mu))))[0]
+    return Q @ np.diag(mu) @ Q.T
+
+
+def test_symmetric_route_returns_every_value_above_the_null_level():
+    # mu at most NULL_RTOL of the largest over the blocks (rounding level,
+    # zero or negative) gives no value, in either block; every value of the
+    # others is returned ascending, whatever the count
+    r = np.random.default_rng(3)
+    first = _symmetric(r, [1.0, 0.25, 1e-13, -1e-3])
+    second = _symmetric(r, [0.5, 0.2, 0.0])
+    spec = solve_general(pencil.SelfAdjoint(first), pencil.SelfAdjoint(second), count=1)
+    assert np.allclose(spec.eigenvalues, [1.0, 2.0, 4.0, 5.0], rtol=1e-12, atol=0)
+    assert spec.flags["solver"] == "eigh"
+    assert spec.flags["residual"] <= pencil.RESIDUAL_GATE
+    assert spec.flags["asymmetry"] < 1e-14
+
+
+def test_symmetric_route_solves_the_symmetric_part_and_records_the_rest():
+    # T = S + E with E antisymmetric: eigh solves S, and the flag records
+    # max |T - T^T| / max |T|
+    r = np.random.default_rng(4)
+    S = _symmetric(r, 1.0 / np.arange(1.0, 11.0))
+    E = 1e-6 * r.standard_normal((10, 10))
+    E -= E.T
+    T = S + E
+    spec = solve_general(pencil.SelfAdjoint(T), count=3)
+    assert np.allclose(spec.eigenvalues, np.arange(1.0, 11.0), rtol=1e-12, atol=0)
+    assert spec.flags["asymmetry"] == np.abs(T - T.T).max() / np.abs(T).max()
+
+
+def test_self_adjoint_block_must_be_square():
+    with pytest.raises(ValueError, match="square"):
+        pencil.SelfAdjoint(np.zeros((3, 4)))
 
 
 @settings(max_examples=25, deadline=None)
