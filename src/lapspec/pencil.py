@@ -14,11 +14,27 @@ goes through scipy.linalg.blas, given F-ordered views with trans=1 so that
 f2py copies nothing: numpy and scipy load separate OpenBLAS thread pools,
 and switching between them cost the `annulus` benchmark about a quarter of
 its wall time on 2 cores. Sparse FEM products keep `@`.
+`solve_lowest` runs with every OpenBLAS pool of the process at one thread
+(`_one_blas_thread`), restoring each pool's count on exit. Its BLAS calls
+(SuperLU's supernodal triangular solves, ARPACK's reorthogonalization on
+at most 12,545 x 29) are too small to split, yet OpenBLAS woke a second
+thread for some, which then spin-waited between calls: one thread halved
+the `drums` benchmark's CPU time at the same wall time on 2 cores
+(BENCH_pr32.json), and a FEM value no longer depends on the core count. The
+dense BIE solves keep the pool's count: on 2 cores a second thread took
+`eigh(driver="evd")` from 121.6 to 81.7 ms at n = 880 (best of 15).
 `solve_symdef`, a dense Cholesky-reduction solve (sygvd), is the dense
 reference: no solver path calls it, the tests compare against it and the
 benchmark tracer wraps it by name.
 """
+import contextlib
+import ctypes
+import functools
+import glob
+import os
+
 import numpy as np
+import scipy
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -146,10 +162,11 @@ def solve_general(*blocks, count):
     real pairs must pass the residual gate; an ARPACK failure raises
     ValueError. The count + PAD merged values of smallest modulus are
     kept, sigma is real by `is_real`, and a non-real sigma no larger in
-    modulus than the count-th real value, or the largest when fewer are
-    real, raises ValueError, which names the smallest one; the others are
-    dropped. flags["solver"] is "arnoldi", flags["residual"] the largest
-    relative residual over the blocks and flags["matvecs"] the operator
+    modulus than the real value of count-th smallest modulus, or the
+    largest when fewer are real (every one when none is), raises
+    ValueError, which names the smallest one; the others are dropped.
+    flags["solver"] is "arnoldi", flags["residual"] the largest relative
+    residual over the blocks and flags["matvecs"] the operator
     applications ARPACK asked for, summed over the blocks.
 
     `SelfAdjoint` blocks take the symmetric route (`_solve_self_adjoint`),
@@ -171,13 +188,13 @@ def solve_general(*blocks, count):
     vals = np.concatenate(vals)
     vals = vals[np.argsort(np.abs(vals))][:count + PAD]
     real = is_real(vals)
-    out = np.sort(vals[real].real)
-    cutoff = abs(out[min(count, len(out)) - 1]) if len(out) else 0.0
+    moduli = np.abs(vals[real])
+    cutoff = moduli[min(count, len(moduli)) - 1] if len(moduli) else np.inf
     inside = vals[~real & (np.abs(vals) <= cutoff)]
     if len(inside):
         raise ValueError("complex pencil eigenvalues inside the requested range "
                          f"(worst {inside[0]:.6g}); increase the node counts")
-    return Spectrum(out, "pencil", None, None,
+    return Spectrum(np.sort(vals[real].real), "pencil", None, None,
                     flags={"solver": "arnoldi", "residual": residual, "matvecs": matvecs})
 
 
@@ -247,6 +264,46 @@ def is_real(vals):
     return np.abs(vals.imag) <= REAL_RTOL * np.maximum(np.abs(vals), 1e-300)
 
 
+@functools.cache
+def _blas_pools():
+    """The (get, set) thread-count functions of each OpenBLAS that numpy and
+    scipy bundle (`<package>.libs/libscipy_openblas*.so`), found on first
+    use so that importing the module does not pay for the lookup; empty
+    for another BLAS build."""
+    pools = []
+    for package in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                            package.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+            lib = ctypes.CDLL(path)
+            # numpy's is the 64-bit integer build, with suffixed symbols
+            for suffix in ("64_", ""):
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    pools.append((get, put))
+                    break
+    return tuple(pools)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every pool of `_blas_pools` at one thread inside, each back at its
+    own count on exit, also when the body raises."""
+    pools = _blas_pools()
+    counts = [get() for get, _ in pools]
+    for _, put in pools:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(pools, counts):
+            put(count)
+
+
+@_one_blas_thread()
 def solve_lowest(A, B, k, shift):
     """The k lowest eigenpairs of the sparse pencil A v = lambda B v.
 
@@ -266,7 +323,8 @@ def solve_lowest(A, B, k, shift):
     ARPACK (k + PAD >= n - 1), a dense eigh solves the same pencil. Every
     returned pair must pass the residual gate. Returns (values ascending,
     B-normalized vectors, the largest and the per-pair residuals of
-    `_residual_gate`, and the Lanczos solves with C, 0 if dense).
+    `_residual_gate`, and the Lanczos solves with C, 0 if dense). Runs on
+    one BLAS thread (`_one_blas_thread`).
     """
     n = A.shape[0]
     C = sp.csc_matrix(A - shift * B)

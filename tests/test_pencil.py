@@ -237,6 +237,33 @@ def test_general_reports_reals_by_the_one_realness_rule():
     got = solve_general(beside(A), count=1).eigenvalues
     assert np.allclose(got, [0.5, 100.0, 101.0], rtol=1e-12, atol=0)
 
+
+def test_general_rejects_a_result_with_no_real_value():
+    # the count + PAD = 8 values of smallest modulus of a random pencil are
+    # four complex pairs: every one lies inside an unbounded window
+    r = np.random.default_rng(1)
+    A, B = r.standard_normal((64, 64)), r.standard_normal((64, 64))
+    ref = la.eig(A, B, right=False)
+    assert not np.any(pencil.is_real(ref[np.argsort(np.abs(ref))][:8]))
+    with pytest.raises(ValueError, match="complex pencil eigenvalues inside"):
+        solve_general(Pencil(A, B), count=4)
+
+
+def test_general_window_ends_at_the_count_th_real_modulus():
+    # reals 0.5, 1 and -3 and a pair 1.5 +- 1i of modulus 1.8, beside far
+    # values; count = 3 asks Arnoldi for 7 of n = 64. By modulus the third
+    # real value is -3, so the pair lies inside; the third in ascending
+    # order, 1, would have dropped it
+    A = la.block_diag(np.diag([0.5, 1.0, -3.0]), [[1.5, -1.0], [1.0, 1.5]])
+    with pytest.raises(ValueError, match=r"inside the requested range "
+                                         r"\(worst 1\.5[+-]1j\)"):
+        solve_general(_beside_far_values(A, np.eye(5), 64), count=3)
+    # a pair of modulus 3.5 lies outside and is dropped
+    A = la.block_diag(np.diag([0.5, 1.0, -3.0]), [[3.0, -1.8], [1.8, 3.0]])
+    got = solve_general(_beside_far_values(A, np.eye(5), 64), count=3).eigenvalues
+    assert np.allclose(got, [-3.0, 0.5, 1.0, 100.0, 101.0], rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("count", [0, -1])
 def test_general_rejects_a_count_below_one(count):
     # no count falls back to the largest real value as its cutoff
@@ -493,6 +520,74 @@ def test_solve_lowest_rejects_pairs_that_miss_the_residual_gate(rng, n, k):
     B = sp.identity(n, format="csr")
     with pytest.raises(ValueError, match="exceeds gate"):
         solve_lowest(A.tocsr(), B, k, shift=-1.0)
+
+
+@pytest.fixture
+def blas_pools():
+    """The bundled OpenBLAS pools, each put back at its count after the test."""
+    pools = pencil._blas_pools()
+    if not pools:
+        pytest.skip("no bundled OpenBLAS pool found")
+    counts = [get() for get, _ in pools]
+    yield pools
+    for (_, put), count in zip(pools, counts):
+        put(count)
+
+
+def _set_blas_threads(pools, count):
+    for _, put in pools:
+        put(count)
+
+
+def _blas_threads(pools):
+    return [get() for get, _ in pools]
+
+
+def test_solve_lowest_runs_on_one_blas_thread_and_restores_each_pool(
+        rng, monkeypatch, blas_pools):
+    # Lanczos sees every pool at one thread; on return, a forced ARPACK
+    # error and a gate rejection each pool is back at its entry count, 2
+    _set_blas_threads(blas_pools, 2)
+    entry = _blas_threads(blas_pools)
+    inside = []
+    eigsh = spla.eigsh
+
+    def spy(*args, **kwargs):
+        inside.append(_blas_threads(blas_pools))
+        return eigsh(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        inside.append(_blas_threads(blas_pools))
+        raise spla.ArpackError(-9999)
+
+    A = _tridiagonal_spd(rng, 120)
+    B = sp.identity(120, format="csr")
+    monkeypatch.setattr(spla, "eigsh", spy)
+    solve_lowest(A, B, 5, shift=-1.0)
+    assert _blas_threads(blas_pools) == entry == [2] * len(blas_pools)
+    skewed = A.tolil()
+    skewed[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="exceeds gate"):
+        solve_lowest(skewed.tocsr(), B, 5, shift=-1.0)
+    assert _blas_threads(blas_pools) == entry
+    monkeypatch.setattr(spla, "eigsh", failing)
+    with pytest.raises(ValueError, match="Lanczos failed"):
+        solve_lowest(A, B, 5, shift=-1.0)
+    assert _blas_threads(blas_pools) == entry
+    assert inside == [[1] * len(blas_pools)] * 3
+
+
+def test_fem_values_do_not_depend_on_the_callers_blas_threads(blas_pools):
+    # at level 5 a threaded dgemv split its sums and moved the values by
+    # up to 3.3e-15 relative between 2 threads and 1
+    domain = geometry.load_domain("gww-a")
+    mesh = shared_mesh("gww-a", 5)
+    spec = fem.EigenProblemSpec("dirichlet", 10, kind="P2", level=5)
+    values = []
+    for count in (2, 1):
+        _set_blas_threads(blas_pools, count)
+        values.append(fem.solve_fem(domain, spec, mesh=mesh).eigenvalues)
+    assert np.array_equal(values[0], values[1])
 
 
 def _dense_pencil_with_pair(pair):

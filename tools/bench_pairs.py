@@ -14,7 +14,8 @@ change in time comes from.
 The file records, per workload and metric, both sides' medians and linear
 (inclusive) quartiles, the pairs in which the change read lower, and the
 failed operations; and the machine: nproc, Python, numpy and scipy with
-their BLAS, and each checkout's commit and src/ and bench/ trees.
+their BLAS, the OPENBLAS_NUM_THREADS and OMP_NUM_THREADS settings (null
+when unset), and each checkout's commit and src/ and bench/ trees.
 """
 import argparse
 import json
@@ -56,7 +57,10 @@ def machine():
     return {"nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": numpy.__version__, "scipy": scipy.__version__,
             "numpy_blas": blas(numpy.show_config(mode="dicts")),
-            "scipy_blas": blas(scipy.show_config(mode="dicts"))}
+            "scipy_blas": blas(scipy.show_config(mode="dicts")),
+            # BLAS thread counts set in the environment, null when unset:
+            # cpu_s cannot be read without them
+            **{k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 
 def summary(pairs):
