@@ -5,13 +5,19 @@ curves, and each circle's own block in closed form. With radius R, orientation
 o, m nodes and h = 2 pi / m, ln|x - y| = ln R + 1/2 ln(4 sin^2((t - s)/2))
 gives the single-layer block -(R / 2 pi)(1/2 R_{|i-j|} + h ln R) with the
 periodic log weights R_k, and (x - y).n(x) / |x - y|^2 = o / (2R) gives the
-constant adjoint-double-layer block -o h / (4 pi). The constant density is
-deflated although the outer circle has unit radius, where its equilibrium
-density makes the raw single-layer matrix singular, so no spurious
-eigenvalues appear. Both kernels commute with the reflection in a line
-x = c or y = c through every circle centre: they depend only on node
-distances, per-curve constant weights, circulant self-blocks and a
-mirror-invariant mean.
+constant adjoint-double-layer block -o h / (4 pi).
+
+Every solve takes one form of the problem: the Neumann-to-Dirichlet map
+g -> u on mean-free boundary data, which is self-adjoint and has the
+eigenvalues mu = 1/sigma. Its Nystrom form factors only the second-kind
+matrix 1/2 I + K' (made invertible by a rank-one term), never the
+first-kind single layer, which a unit outer circle makes singular.
+Symmetrized in the quadrature weights and deflated of the constants, it is
+one `pencil.SelfAdjoint` block per mirror class, and `pencil.solve_general`
+picks the eigensolver. Both kernels commute with the
+reflection in a line x = c or y = c through every circle centre: they
+depend only on node distances, per-curve constant weights and circulant
+self-blocks.
 """
 import functools
 
@@ -43,10 +49,12 @@ def kress_log_weights(m):
     return out
 
 
-def _raw_kernels(quad, rows):
+def assemble_kernels(quad, rows):
     """Single-layer S0 and adjoint double-layer K' on the nodes of `quad`,
     restricted to the rows `rows` (indices into the concatenated nodes, in
     the order given); every entry is computed as in the whole matrix."""
+    if not isinstance(quad, BoundaryQuadrature):
+        raise TypeError("assemble_kernels expects a BoundaryQuadrature")
     total = quad.total
     S0 = np.empty((len(rows), total))
     Kp = np.empty((len(rows), total))
@@ -70,21 +78,6 @@ def _raw_kernels(quad, rows):
             S0[out, ib] = -(1 / (4 * np.pi)) * np.log(r2) * cb.weights
             Kp[out, ib] = (-(1 / (2 * np.pi))
                            * np.einsum("ijk,ik->ij", d, ca.normals[ia]) / r2 * cb.weights)
-    return S0, Kp
-
-
-def assemble_kernels(quad, rows):
-    """S0 and (1/2 I + K'), each acting on mean-free densities: (S0, Khalf),
-    on the rows `rows` (an index array) of the whole matrices."""
-    if not isinstance(quad, BoundaryQuadrature):
-        raise TypeError("assemble_kernels expects a BoundaryQuadrature")
-    S0, Kp = _raw_kernels(quad, rows)
-    w = quad.weights
-    p = w / w.sum()
-    Kp[np.arange(len(rows)), rows] += 0.5
-    # M (I - 1 p^T) = M - (M 1) p^T, in place
-    for M in (S0, Kp):
-        M -= np.outer(M.sum(axis=1), p)
     return S0, Kp
 
 
@@ -136,44 +129,12 @@ def _mirror_blocks(M, classes):
     return even, odd
 
 
-def _deflated_pencil(S0, Khalf, mirror):
-    """The pencil (Khalf, S0) on the complement of the constant density, as
-    the tuple of its nonempty mirror blocks (each a `pencil.Pencil`).
-
-    S0 and Khalf hold the rows `_mirror_rows(mirror)` of the kernels, and
-    `_mirror_blocks` splits them into the even and the odd block. Both
-    kernels annihilate constants by construction (mean subtraction on the
-    right; on the left the jump identity for the constant density on the
-    outer curve combines with the unit-capacity kernel of S0), and the
-    constant is even, so the one-dimensional common null space is removed
-    exactly from the even block.
-
-    H = I - tau v v^T with v = 1 + sqrt(n) e_1 is the reflector that maps the
-    constant density onto a multiple of e_1, so (H M H)[1:, 1:] is M on the
-    complement of the constants. Since v[1:] = 1, that block is
-    M[1:, 1:] minus a row vector minus a column vector.
-    """
-    def reflect(M):
-        n = M.shape[0]
-        root = np.sqrt(n)
-        tau = 1.0 / (n + root)        # 2 / (v^T v)
-        r = tau * (M.sum(axis=0) + root * M[0])           # tau v^T M
-        c = tau * (M.sum(axis=1) + root * M[:, 0]
-                   - (r.sum() + root * r[0]))             # tau (M - v r^T) v, rows 1:
-        out = M[1:, 1:] - c[1:, None]
-        out -= r[1:]
-        return out
-
-    (Ke, Ko), (Se, So) = (_mirror_blocks(M, mirror) for M in (Khalf, S0))
-    blocks = [pen.Pencil(reflect(Ke), reflect(Se)), pen.Pencil(Ko, So)]
-    return tuple(b for b in blocks if b.n)
-
-
-def _ntd_blocks(quad, mirror):
+# bench/tracer.py wraps this name (span bie.deflate)
+def _deflated_pencil(quad, mirror):
     """The Neumann-to-Dirichlet map of `quad`'s domain on the complement of
     the constants, as the tuple of its nonempty mirror blocks (each a
-    `pencil.SelfAdjoint`), built from the raw kernels' rows
-    `_mirror_rows(mirror)`.
+    `pencil.SelfAdjoint`), built from the kernels' rows
+    `_mirror_rows(mirror)` (`assemble_kernels`).
 
     With p = w / sum(w), A~ = 1/2 I + K' + 1 p^T and P = I - 1 p^T, the
     Nystrom map g -> u is N = P S0 A~^-1: the rank-one term makes A~
@@ -194,7 +155,7 @@ def _ntd_blocks(quad, mirror):
     d = np.sqrt(w)
     d[:pairs] *= np.sqrt(2.0)
     # the kernel rows are freed once split, before any block is factored
-    even, odd = zip(*(_mirror_blocks(M, mirror) for M in _raw_kernels(quad, rows)))
+    even, odd = zip(*(_mirror_blocks(M, mirror) for M in assemble_kernels(quad, rows)))
     blocks = [_reflect(_ntd_block(*even, d, p), d)]
     del even
     if pairs:
@@ -218,7 +179,10 @@ def _ntd_block(S, K, d, p):
     lu, piv, info = la.lapack.dgetrf(K.T, overwrite_a=True)
     if info > 0:
         raise ValueError(f"1/2 I + K' + 1 p^T is singular: LU pivot {info} is exactly zero")
-    X = pen._getrs((lu, piv), S.T, overwrite_b=True).T
+    X, info = la.lapack.dgetrs(lu, piv, S.T, overwrite_b=True)
+    if info:
+        raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+    X = X.T
     X *= d[:, None]
     X /= d
     return X
@@ -247,20 +211,16 @@ def solve_steklov_bie(domain, n_per_curve, count):
     The kernels are computed on the rows `_mirror_rows` of the domain's
     `_mirror_classes` only (bit for bit those rows of the whole kernels;
     about half of them on a domain with a mirror line, all of them
-    otherwise) and split into the even and odd mirror blocks. Either route
-    factors only a second-kind matrix, which stays well-conditioned however
-    small a hole is, and never inverts the first-kind single layer.
-    When Arnoldi pays for the count - 1 values (at least one) asked of
-    `pencil.solve_general` (`pencil.arnoldi_pays`), `_deflated_pencil`
-    builds the blocks of the pencil (1/2 I + K', S0); the solve rejects a
-    complex value among them, a sign of under-resolution, and a negative
-    value raises ValueError. Otherwise `_ntd_blocks` builds the symmetric
-    Neumann-to-Dirichlet blocks, which eigh solves, gated, into positive
-    values. Fewer than `count` values raise ValueError, naming the node
-    counts. The domain must have the unit weight. The flags record the
-    block orders (`blocks`) and copy the pencil solve's `solver` route
-    ("arnoldi" or "eigh"), the largest relative `residual` over the blocks,
-    and Arnoldi's summed `matvecs` or the symmetric route's `asymmetry`.
+    otherwise), and `_deflated_pencil` turns them into the symmetric
+    Neumann-to-Dirichlet blocks, factoring only a second-kind matrix, which
+    stays well-conditioned however small a hole is. `pencil.solve_general`
+    solves the blocks for the count - 1 values (at least one) after the
+    zero mode, every one positive. Fewer than `count` values raise
+    ValueError, naming the node counts. The domain must have the unit
+    weight. The flags record the block orders (`blocks`) and copy the
+    solve's flags: its `solver` ("lanczos" or "eigh"), the largest relative
+    `residual` and `asymmetry` over the blocks, and Lanczos' summed
+    `matvecs`.
     """
     if domain.weight != "unit":
         raise ValueError(f"BIE Steklov solves need the unit weight, not {domain.weight}")
@@ -268,19 +228,10 @@ def solve_steklov_bie(domain, n_per_curve, count):
         raise ValueError("the Steklov count includes the zero mode: at least 1")
     quad = boundary_quadrature(domain, n_per_curve)
     n_per_curve = [c.n for c in quad.curves]
-    mirror = _mirror_classes(quad)
-    wanted = max(count - 1, 1)
-    if pen.arnoldi_pays(quad.total - 1, wanted):
-        blocks = _deflated_pencil(*assemble_kernels(quad, _mirror_rows(mirror)), mirror)
-    else:
-        blocks = _ntd_blocks(quad, mirror)
-    spec = pen.solve_general(*blocks, count=wanted)
+    blocks = _deflated_pencil(quad, _mirror_classes(quad))
+    spec = pen.solve_general(*blocks, count=max(count - 1, 1))
 
-    vals = spec.eigenvalues
-    if np.any(vals < -1e-8):
-        raise ValueError(f"negative Steklov value {vals.min():.3e}: "
-                         "discretization inconsistency")
-    vals = np.concatenate([[0.0], np.clip(vals, 0.0, None)])
+    vals = np.concatenate([[0.0], spec.eigenvalues])
     if len(vals) < count:
         raise ValueError(f"only {len(vals)} Steklov values at nodes {n_per_curve}: "
                          f"cannot return {count} (increase the node counts)")
@@ -306,6 +257,8 @@ def sweep_annulus(eps_grid, n_per_curve, k_list):
         raise ValueError("k_list is empty: give at least one mode index")
     if any(k < 1 for k in k_list):
         raise ValueError("mode indices start at 1 (index 0 is the zero mode)")
+    if len(set(k_list)) < len(k_list):
+        raise ValueError(f"k_list repeats a mode index: {k_list}")
     kmax = max(k_list)
 
     # every annulus is built before any solve: Domain rejects an offset that

@@ -146,10 +146,12 @@ def _int_list(text):
 
 
 def _index_list(text):
-    """1-based eigenvalue indices (index 0 would be a zero mode)."""
+    """Distinct 1-based eigenvalue indices (index 0 would be a zero mode)."""
     values = _int_list(text)
     if min(values) < 1:
         raise argparse.ArgumentTypeError("indices start at 1")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"index repeated in {text}")
     return values
 
 

@@ -2,18 +2,14 @@
 
 Sparse definite pencils (every FEM problem) go through one shift-invert
 Lanczos path, `solve_lowest`. The BIE Steklov problems go through
-`solve_general`: Arnoldi on a general pencil when a few values are asked
-for, and a symmetric eigensolve of the Neumann-to-Dirichlet blocks when
-many are. The Arnoldi route pairs a second-kind A with a first-kind B, so
-only B can be ill-conditioned: A is factored once by LU, and B is never
-inverted. It solves with A's getrf factor by getrs itself: lu_solve's
-finite check and batch dispatch cost more than the solve at the order of
-an Arnoldi step.
-Every dense product of a BIE solve (Arnoldi's B x, the gate's A V and B V)
-goes through scipy.linalg.blas, given F-ordered views with trans=1 so that
-f2py copies nothing: numpy and scipy load separate OpenBLAS thread pools,
-and switching between them cost the `annulus` benchmark about a quarter of
-its wall time on 2 cores. Sparse FEM products keep `@`.
+`solve_general`, which takes the symmetrized Neumann-to-Dirichlet blocks of
+`bie` and owns the one route decision: Lanczos for a few values, a dense
+symmetric eigensolve of every block for many.
+Every dense product of a BIE solve (Lanczos' S x, the gate's S V) goes
+through scipy.linalg.blas, given F-ordered views so that f2py copies
+nothing: numpy and scipy load separate OpenBLAS thread pools, and switching
+between them cost the `annulus` benchmark about a quarter of its wall time
+on 2 cores. Sparse FEM products keep `@`.
 `solve_lowest` runs with every OpenBLAS pool of the process at one thread
 (`_one_blas_thread`), restoring each pool's count on exit. Its BLAS calls
 (SuperLU's supernodal triangular solves, ARPACK's reorthogonalization on
@@ -21,8 +17,9 @@ at most 12,545 x 29) are too small to split, yet OpenBLAS woke a second
 thread for some, which then spin-waited between calls: one thread halved
 the `drums` benchmark's CPU time at the same wall time on 2 cores
 (BENCH_pr32.json), and a FEM value no longer depends on the core count. The
-dense BIE solves keep the pool's count: on 2 cores a second thread took
-`eigh(driver="evd")` from 121.6 to 81.7 ms at n = 880 (best of 15).
+BIE solves keep the pool's count: on 2 cores a second thread took
+`eigh(driver="evd")` from 114.8 to 76.9 ms at n = 880 (best of 15, one
+process).
 `solve_symdef`, a dense Cholesky-reduction solve (sygvd), is the dense
 reference: no solver path calls it, the tests compare against it and the
 benchmark tracer wraps it by name.
@@ -38,14 +35,13 @@ import scipy
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import dgemm, dgemv
+from scipy.linalg.blas import dgemm, dsymv
 
 CLUSTER_RTOL = 1e-6    # relative gap up to which cluster() merges neighbors
 RESIDUAL_GATE = 1e-9   # largest relative residual accepted from any solver
 PAD = 4                # extra Lanczos pairs beyond the k requested
 LANCZOS_SEED = 1234
 NULL_RTOL = 1e-12      # nu below this fraction of the largest is infinite lambda
-REAL_RTOL = 1e-6       # Arnoldi: |imag| at most this fraction of |value| is real
 
 
 class Pencil:
@@ -140,128 +136,78 @@ def solve_symdef(pencil):
                     flags={"residual": residual})
 
 
-def arnoldi_pays(n, count):
-    """Whether Arnoldi pays for `count` values of a problem of order n:
-    8 (count + PAD) <= n. Arnoldi took 2.1 s for 205 values of n = 879,
-    where a dense solve took 0.8 s; at n = 659 the symmetric route took
-    51 ms for all values, Arnoldi 22-32 ms for 2."""
-    return 8 * (count + PAD) <= n
-
-
 def solve_general(*blocks, count):
-    """Real eigenvalues sigma of a problem given as its diagonal blocks,
-    ascending: one block when it does not split. A count below 1 raises
-    ValueError.
+    """The lowest sigma = 1/mu of a self-adjoint problem given as its
+    diagonal `SelfAdjoint` blocks, ascending: one block when it does not
+    split. A count below 1 raises ValueError.
 
-    `Pencil` blocks (A v = sigma B v) take the Arnoldi route, meant for
-    few values (`arnoldi_pays`). Each A is factored once by LU (getrf),
-    where an exactly zero pivot raises ValueError, and Arnoldi (ARPACK) on
-    x -> A^-1 B x, solving with that factor by getrs from a fixed start
-    vector, computes the count + PAD mu = 1/sigma of largest modulus of
-    each block. B is never inverted, so a singular B needs no check. Their
-    real pairs must pass the residual gate; an ARPACK failure raises
-    ValueError. The count + PAD merged values of smallest modulus are
-    kept, sigma is real by `is_real`, and a non-real sigma no larger in
-    modulus than the real value of count-th smallest modulus, or the
-    largest when fewer are real (every one when none is), raises
-    ValueError, which names the smallest one; the others are dropped.
-    flags["solver"] is "arnoldi", flags["residual"] the largest relative
-    residual over the blocks and flags["matvecs"] the operator
+    Each block's symmetric part S = (T + T^T) / 2 is solved, and every pair
+    must pass the residual gate against S. The route depends on the summed
+    order n and the count alone. When 8 (count + PAD) <= n, Lanczos
+    (`_lanczos`) computes each block's count + PAD largest mu, and the
+    count + PAD largest over the blocks are kept; a block too small for
+    ARPACK (count + PAD >= its order - 1) takes eigh instead, as in
+    `solve_lowest`. Otherwise eigh (the divide-and-conquer driver) returns
+    every value: a subset cost more for 202 of 440. On the `annulus`
+    blocks (best of 5, 2 cores) Lanczos took 2.9 ms for 1 value at
+    n = 659, where all values took 17.4 ms, but 88.5 ms for 105 values at
+    n = 879, the rule's edge, where all values took 29.9 ms.
+    mu at most NULL_RTOL times the largest mu over the blocks (the rounding
+    level, or below) gives no value. A largest mu <= 0 keeps none, and
+    otherwise that bound is positive, so every sigma returned is positive.
+    flags["solver"] is "lanczos" or "eigh", flags["residual"] the largest
+    relative residual, flags["asymmetry"] the largest max |T - T^T| / max |T|
+    over the blocks, and on the Lanczos route flags["matvecs"] the operator
     applications ARPACK asked for, summed over the blocks.
-
-    `SelfAdjoint` blocks take the symmetric route (`_solve_self_adjoint`),
-    which returns every value and ignores the count.
     """
     if count < 1:
         raise ValueError("solve_general needs a count of at least 1")
-    if isinstance(blocks[0], SelfAdjoint):
-        return _solve_self_adjoint(blocks)
-    vals, residual, matvecs = [], 0.0, 0
-    for block in blocks:
-        # getrf itself: lu_factor warns on an exactly zero pivot (info > 0)
-        lu, piv, info = la.lapack.dgetrf(block.A)
-        if info > 0:
-            raise ValueError(f"A is singular: LU pivot {info} is exactly zero")
-        v, r, m = _arnoldi(block, (lu, piv), count + PAD)
-        vals.append(v)
-        residual, matvecs = max(residual, r), matvecs + m
-    vals = np.concatenate(vals)
-    vals = vals[np.argsort(np.abs(vals))][:count + PAD]
-    real = is_real(vals)
-    moduli = np.abs(vals[real])
-    cutoff = moduli[min(count, len(moduli)) - 1] if len(moduli) else np.inf
-    inside = vals[~real & (np.abs(vals) <= cutoff)]
-    if len(inside):
-        raise ValueError("complex pencil eigenvalues inside the requested range "
-                         f"(worst {inside[0]:.6g}); increase the node counts")
-    return Spectrum(np.sort(vals[real].real), "pencil", None, None,
-                    flags={"solver": "arnoldi", "residual": residual, "matvecs": matvecs})
-
-
-def _solve_self_adjoint(blocks):
-    """Every sigma = 1/mu of the `SelfAdjoint` blocks, ascending.
-
-    eigh solves each block's symmetric part S = (T + T^T) / 2 (the
-    divide-and-conquer driver, all values: a subset cost more for 202 of
-    440), and every pair must pass the residual gate against S.
-    mu at most NULL_RTOL times the largest mu over the blocks (the rounding
-    level, or below) gives no value. flags["solver"] is "eigh",
-    flags["residual"] the largest relative residual and
-    flags["asymmetry"] the largest max |T - T^T| / max |T| over the blocks.
-    """
-    mus, residual, asymmetry = [], 0.0, 0.0
+    k = count + PAD
+    lanczos = 8 * k <= sum(block.n for block in blocks)
+    mus, residual, asymmetry, matvecs = [], 0.0, 0.0, 0
     for block in blocks:
         T = block.matrix
         asymmetry = max(asymmetry, _asymmetry(T))
         S = T + T.T
         S *= 0.5
-        mu, V = la.eigh(S, driver="evd")
+        if lanczos and k < block.n - 1:
+            mu, V, m = _lanczos(S, k)
+            matvecs += m
+        else:
+            mu, V = la.eigh(S, driver="evd")
         residual = max(residual, _residual_gate(S, None, mu, V)[0])
         mus.append(mu)
     mu = np.concatenate(mus)
+    flags = {"solver": "eigh", "residual": residual, "asymmetry": asymmetry}
+    if lanczos:
+        mu = np.sort(mu)[::-1][:k]
+        flags.update(solver="lanczos", matvecs=matvecs)
     mu = mu[mu > NULL_RTOL * mu.max()]
-    return Spectrum(np.sort(1.0 / mu), "pencil", None, None,
-                    flags={"solver": "eigh", "residual": residual,
-                           "asymmetry": asymmetry})
+    return Spectrum(np.sort(1.0 / mu), "pencil", None, None, flags=flags)
 
 
-def _arnoldi(pencil, lu, k):
-    """The k sigma of smallest modulus of a one-block pencil, from Arnoldi on
-    A^-1 B with A's LU factor `lu`, the largest relative residual of the
-    real pairs, and the operator applications."""
-    A, B, n = pencil.A, pencil.B, pencil.n
+def _lanczos(S, k):
+    """The k largest mu of a symmetric S with their vectors, from Lanczos
+    (ARPACK) from a fixed start vector, stopped at ||S v - mu v|| <=
+    RESIDUAL_GATE |mu|, and the operator applications. An ARPACK error
+    raises ValueError."""
+    n = S.shape[0]
     matvecs = 0
 
     def apply(x):
         nonlocal matvecs
         matvecs += 1
-        return _getrs(lu, dgemv(1.0, B.T, x, trans=1), overwrite_b=True)
+        # S is exactly symmetric: S.T is S as an F-ordered view
+        return dsymv(1.0, S.T, x)
 
     op = spla.LinearOperator((n, n), dtype=float, matvec=apply)
-    v0 = np.random.default_rng(LANCZOS_SEED).uniform(-1.0, 1.0, n)
+    rng = np.random.default_rng(LANCZOS_SEED)
     try:
-        mu, V = spla.eigs(op, k, which="LM", v0=v0)
+        mu, V = spla.eigsh(op, k, which="LA", v0=rng.uniform(-1.0, 1.0, n), rng=rng,
+                           tol=RESIDUAL_GATE)
     except spla.ArpackError as exc:
-        # no convergence, or a start vector that A^-1 B maps to zero
-        raise ValueError(f"Arnoldi failed: {exc}")
-    vals = 1.0 / mu
-    real = is_real(vals)
-    return vals, _residual_gate(A, B, vals[real], V[:, real])[0], matvecs
-
-
-def _getrs(lu, b, overwrite_b=False):
-    """A^-1 b from A's getrf factor `lu` = (lu, piv), by getrs; a nonzero
-    info raises ValueError, as in lu_solve."""
-    x, info = la.lapack.dgetrs(*lu, b, overwrite_b=overwrite_b)
-    if info:
-        raise ValueError(f"illegal value in {-info}th argument of internal getrs")
-    return x
-
-
-def is_real(vals):
-    """Mask of the values whose imaginary part is at most REAL_RTOL of their
-    modulus."""
-    return np.abs(vals.imag) <= REAL_RTOL * np.maximum(np.abs(vals), 1e-300)
+        raise ValueError(f"Lanczos failed: {exc}")
+    return mu, V, matvecs
 
 
 @functools.cache
@@ -366,20 +312,15 @@ def _residual_gate(A, B, vals, V):
     (a NaN included), and each pair's own-term
     ||Av - lambda Bv|| / (||Av|| + |lambda| ||Bv||), 0 if 0/0.
     B None is the identity. Sparse A and B multiply with `@`; dense ones in
-    scipy's BLAS, a complex V as the real block [Re V, Im V], recombined."""
+    scipy's BLAS."""
     def norm1(M):
         return 1.0 if M is None else float(abs(M).sum(axis=0).max())
 
     if sp.issparse(A):
         AV, BV = A @ V, B @ V
     else:
-        # numpy would upcast A and B to complex
-        split = np.iscomplexobj(V)
-        W = np.asfortranarray(np.hstack([V.real, V.imag]) if split else V)
+        W = np.asfortranarray(V)
         AV, BV = (W if M is None else dgemm(1.0, M.T, W, trans_a=1) for M in (A, B))
-        if split:
-            p = V.shape[1]
-            AV, BV = (X[:, :p] + 1j * X[:, p:] for X in (AV, BV))
     r = np.linalg.norm(AV - BV * vals, axis=0)
     rel = r / ((norm1(A) + np.abs(vals) * norm1(B)) * np.linalg.norm(V, axis=0))
     # NaN fails every comparison: only a residual <= the gate passes

@@ -65,7 +65,7 @@ CIRCLES = [pytest.param("unit-disk", 1.0, 0, id="R=1"),
 
 def _self_blocks(name, scale, curve, n):
     quad = boundary_quadrature(load_domain(name).scaled(scale), n)
-    S0, Kp = bie._raw_kernels(quad, np.arange(quad.total))
+    S0, Kp = assemble_kernels(quad, np.arange(quad.total))
     block = slice(quad.offsets[curve], quad.offsets[curve + 1])
     return quad.curves[curve], S0[block, block], Kp[block, block]
 
@@ -82,7 +82,7 @@ def test_adjoint_double_layer_constant_on_circle(name, scale, curve):
 
 def test_gauss_jump_identity_on_circle(disk):
     quad = boundary_quadrature(disk, 64)
-    S0, Kp = bie._raw_kernels(quad, np.arange(quad.total))
+    S0, Kp = assemble_kernels(quad, np.arange(quad.total))
     resid = (0.5 * np.eye(64) + Kp) @ np.ones(64)
     assert np.max(np.abs(resid)) < 1e-13
 
@@ -101,12 +101,13 @@ def test_single_layer_fourier_symbol_on_circle(name, scale, curve):
 
 
 def test_assembled_kernels_annihilate_constants():
+    # Gauss's identity (1/2 I + K) 1 = 0 for the double layer K, whose
+    # weighted adjoint K' is: the constants are the left null vector of
+    # 1/2 I + K' in the quadrature weights, so A~ needs its rank-one term
     quad = boundary_quadrature(annulus_domain(0.3), [48, 32])
-    S0, Khalf = assemble_kernels(quad, np.arange(quad.total))
-    ones = np.ones(quad.total)
-    assert np.max(np.abs(S0 @ ones)) < 1e-12
-    assert np.max(np.abs(Khalf @ ones)) < 1e-12
-    assert S0.shape == (80, 80)
+    S0, Kp = assemble_kernels(quad, np.arange(quad.total))
+    assert S0.shape == Kp.shape == (80, 80)
+    assert np.max(np.abs(quad.weights @ (0.5 * np.eye(80) + Kp))) < 1e-15
 
 
 def test_assemble_kernels_type_check():
@@ -124,29 +125,34 @@ def _trivial(quad):
     return empty, empty, np.arange(quad.total)
 
 
-def _whole(quad):
-    """The whole deflated pencil: the trivial reflection's single block."""
-    (block,) = bie._deflated_pencil(*assemble_kernels(quad, np.arange(quad.total)),
-                                    _trivial(quad))
-    return block
+def _mean_free_pencil(quad):
+    """The pencil (1/2 I + K', S0) on mean-free densities, deflated of the
+    constants in a QR basis: the nonsymmetric form of the problem, built
+    from the raw kernels as an independent reference."""
+    n, w = quad.total, quad.weights
+    S0, Kp = assemble_kernels(quad, np.arange(n))
+    mean_free = np.eye(n) - np.outer(np.ones(n), w) / w.sum()
+    Q = la.qr(np.ones((n, 1)), mode="full")[0][:, 1:]
+    return (Q.T @ (0.5 * np.eye(n) + Kp) @ mean_free @ Q,
+            Q.T @ S0 @ mean_free @ Q)
 
 
 def test_rank_one_projections_match_explicit_construction():
+    # the even block's P = I - 1 p^T and rank-one term 1 p^T, and the
+    # reflector that deflates D 1, each against its explicit matrix
     quad = boundary_quadrature(annulus_domain(0.6), [60, 40])
     n, w = quad.total, quad.weights
-    S0, Kp = bie._raw_kernels(quad, np.arange(quad.total))
-    ImW = np.eye(n) - np.outer(np.ones(n), w) / w.sum()
-    S0_ref, Khalf_ref = S0 @ ImW, (0.5 * np.eye(n) + Kp) @ ImW
-    S0_got, Khalf_got = assemble_kernels(quad, np.arange(n))
-    assert _rel(S0_got, S0_ref) < 1e-12
-    assert _rel(Khalf_got, Khalf_ref) < 1e-12
-    Qf, _ = la.qr(np.ones((n, 1)), mode="full")
-    Q = Qf[:, 1:]
-    (deflated,) = bie._deflated_pencil(S0_got, Khalf_got, _trivial(quad))
-    A, B = deflated.A, deflated.B
-    assert A.shape == B.shape == (n - 1, n - 1)
-    assert _rel(A, Q.T @ Khalf_ref @ Q) < 1e-12
-    assert _rel(B, Q.T @ S0_ref @ Q) < 1e-12
+    p, d = w / w.sum(), np.sqrt(w)
+    S0, Kp = assemble_kernels(quad, np.arange(n))
+    P, At = np.eye(n) - np.outer(np.ones(n), p), 0.5 * np.eye(n) + Kp + np.outer(np.ones(n), p)
+    want = d[:, None] * (P @ S0 @ np.linalg.inv(At)) / d
+    T = bie._ntd_block(S0.copy(), Kp.copy(), d, p)
+    assert _rel(T, want) < 1e-12
+    v = d.copy()
+    v[0] += np.linalg.norm(d)
+    H = np.eye(n) - 2 * np.outer(v, v) / (v @ v)
+    assert _rel(H @ d, -np.linalg.norm(d) * np.eye(n)[0]) < 1e-15
+    assert _rel(bie._reflect(T, d), (H @ T @ H)[1:, 1:]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -210,52 +216,64 @@ def test_resolution_jump_cuts_error_by_three_decades():
     assert err[260] / max(err[520], 1e-16) >= 1e3
 
 
-def _annulus_pencil(eps, n_per_curve):
-    # unsplit: the trivial classes are passed
-    return _whole(boundary_quadrature(annulus_domain(eps), [n_per_curve, n_per_curve]))
-
-
 def _ntd_whole(quad):
     """The whole Neumann-to-Dirichlet block: the trivial classes are passed."""
-    return bie._ntd_blocks(quad, _trivial(quad))
+    return bie._deflated_pencil(quad, _trivial(quad))
 
 
 def test_lu_reduced_solve_matches_qz_on_the_deflated_annulus():
-    # the symmetric route factors only A~ = 1/2 I + K' + 1 p^T; QZ solves
-    # the deflated pencil (1/2 I + K', S0) of the same nodes
+    # the solve factors only A~ = 1/2 I + K' + 1 p^T; QZ solves the
+    # mean-free pencil (1/2 I + K', S0) of the same nodes
     quad = boundary_quadrature(annulus_domain(0.85), [330, 330])
-    pen = _whole(quad)
-    ref = np.sort(la.eig(pen.A, pen.B, right=False).real)[:201]
-    got = pencil.solve_general(*_ntd_whole(quad), count=pen.n).eigenvalues
-    assert np.isrealobj(got) and len(got) == pen.n
+    A, B = _mean_free_pencil(quad)
+    ref = np.sort(la.eig(A, B, right=False).real)[:201]
+    got = pencil.solve_general(*_ntd_whole(quad), count=len(A)).eigenvalues
+    assert np.isrealobj(got) and len(got) == len(A)
     assert np.max(np.abs(got[:201] - ref) / np.abs(ref)) < 1e-10
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.5, 0.88])
-def test_arnoldi_matches_the_dense_route_on_the_deflated_annulus(eps):
-    # the two routes solve two Nystrom forms of one problem, which agree to
-    # the discretization error: at 330 nodes per curve offset 0.88 is not
-    # resolved (asymmetry 8e-4, the routes 1.8e-8 apart), at 660 it is
-    n = 660 if eps == 0.88 else 330
-    quad = boundary_quadrature(annulus_domain(eps), [n, n])
-    pen = _whole(quad)
-    dense = pencil.solve_general(*_ntd_whole(quad), count=pen.n)
-    got = pencil.solve_general(pen, count=20)
-    assert dense.flags["solver"] == "eigh"
-    assert dense.flags["residual"] <= pencil.RESIDUAL_GATE
-    assert got.flags["solver"] == "arnoldi"
-    assert got.flags["residual"] <= pencil.RESIDUAL_GATE
-    assert np.isrealobj(got.eigenvalues)
+@pytest.mark.parametrize("eps", [0.4, 0.88])
+def test_lanczos_matches_all_values_eigh_on_the_same_blocks(eps):
+    # at 330 nodes per curve offset 0.88 is not resolved (asymmetry 8.7e-4),
+    # yet both routes solve the same symmetric parts
+    quad = boundary_quadrature(annulus_domain(eps), 330)
+    blocks = _split(quad)
+    dense = pencil.solve_general(*blocks, count=sum(b.n for b in blocks))
+    got = pencil.solve_general(*blocks, count=20)
+    assert dense.flags["solver"] == "eigh" and got.flags["solver"] == "lanczos"
+    assert max(dense.flags["residual"], got.flags["residual"]) <= pencil.RESIDUAL_GATE
+    assert got.flags["asymmetry"] == dense.flags["asymmetry"]
     assert len(got) == 20 + pencil.PAD
     ref = dense.eigenvalues[:len(got)]
-    assert np.max(np.abs(got.eigenvalues - ref) / ref) < 1e-10
+    assert np.max(np.abs(got.eigenvalues - ref) / ref) < 1e-12
+
+
+def test_a_block_too_small_for_arpack_takes_eigh(call_counter):
+    # the unit disk at 8 nodes per curve has blocks of order 4 and 3; beside
+    # a block of order 57 (sigma = 10, 11, ...) the summed order 64 =
+    # 8 (4 + PAD) takes Lanczos, which only the large block runs
+    quad = boundary_quadrature(load_domain("unit-disk"), 8)
+    disk = _split(quad)
+    far = pencil.SelfAdjoint(np.diag(1.0 / np.arange(10.0, 67.0)))
+    assert [b.n for b in disk] == [4, 3]
+    calls = call_counter(pencil.spla, "eigsh")
+    spec = pencil.solve_general(*disk, far, count=4)
+    assert spec.flags["solver"] == "lanczos" and len(calls) == 1
+    assert spec.flags["residual"] <= pencil.RESIDUAL_GATE
+    assert np.allclose(spec.eigenvalues, [1, 1, 2, 2, 3, 3, 4, 10], rtol=1e-12, atol=0)
+
+
+def test_a_zero_pivot_of_a_tilde_is_rejected():
+    # K' = -1/2 I with no rank-one term leaves A~ = 0: getrf's first pivot
+    with pytest.raises(ValueError, match="singular: LU pivot 1 is exactly zero"):
+        bie._ntd_block(np.eye(4), -0.5 * np.eye(4), np.ones(4), None)
 
 
 def test_size_switch_routes_the_sweep_and_the_high_index_solve():
     # the sweep asks for sigma_0..sigma_1 at 330 nodes per curve; the
     # high-index solve for 201 values at 440
     sweep = solve_steklov_bie(annulus_domain(0.4), 330, count=2)
-    assert sweep.flags["solver"] == "arnoldi"
+    assert sweep.flags["solver"] == "lanczos"
     assert sweep.flags["residual"] <= pencil.RESIDUAL_GATE
     assert sweep.flags["zero_mode"] is True
     high = solve_steklov_bie(annulus_domain(0.4), 440, count=201)
@@ -287,82 +305,76 @@ def test_symmetric_route_passes_the_residual_gate(monkeypatch, disk):
 
 
 def test_dense_route_returns_a_near_real_pair_as_real_values():
-    # the concentric annulus at 64 nodes per curve takes the symmetric route
-    # (n = 127); the whole pencil's eigvals hold one pair 10 +- 3.6e-15 i,
-    # the double value sigma_20 = sigma_21 = 10, which eigh returns real
-    pen = _annulus_pencil(0.0, 64)
-    raw = la.eigvals(la.lu_solve(la.lu_factor(pen.B), pen.A))
+    # the concentric annulus at 64 nodes per curve takes eigh (n = 127);
+    # the whole mean-free pencil's eigvals hold one pair 170 +- 3.6e-14 i,
+    # a double value (the hole's cos/sin pair of degree 17), which eigh
+    # returns real, twice
+    A, B = _mean_free_pencil(boundary_quadrature(annulus_domain(0.0), 64))
+    raw = la.eigvals(la.lu_solve(la.lu_factor(B), A))
     pair = raw[raw.imag != 0]
-    assert len(pair) == 2 and np.allclose(pair, 10.0, rtol=1e-12, atol=0)
-    spec = solve_steklov_bie(annulus_domain(0.0), 64, count=22)
+    assert len(pair) == 2 and np.allclose(pair, 170.0, rtol=1e-12, atol=0)
+    spec = solve_steklov_bie(annulus_domain(0.0), 64, count=128)
     assert spec.flags["solver"] == "eigh"
     assert np.isrealobj(spec.eigenvalues)
-    assert np.allclose(spec.eigenvalues[20:22], 10.0, rtol=1e-12, atol=0)
+    near = np.abs(spec.eigenvalues - pair.real.mean()) <= 1e-12 * 170.0
+    assert np.count_nonzero(near) == 2
     exact = reference.concentric_annulus_steklov(0.1, count=22).values
-    assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-9
-
-
-def test_arnoldi_route_rejects_a_small_complex_pair(monkeypatch, disk):
-    # sigma = 1 +- 0.5i below the real values 3, 4, ..., 63, hidden by a
-    # similarity so that neither matrix is structured
-    n = 63
-    D = np.diag(np.arange(1.0, n + 1.0))
-    D[0, 1], D[1, 0], D[1, 1] = -0.5, 0.5, 1.0
-    P = np.eye(n) + 0.1 * np.random.default_rng(7).standard_normal((n, n))
-    A, B = P @ D @ np.linalg.inv(P), np.eye(n)
-    eigs, calls = pencil.spla.eigs, []
-    monkeypatch.setattr(pencil.spla, "eigs",
-                        lambda *a, **kw: calls.append(1) or eigs(*a, **kw))
-    with pytest.raises(ValueError, match=r"inside the requested range "
-                                         r"\(worst 1[+-]0\.5j\)"):
-        pencil.solve_general(pencil.Pencil(A, B), count=3)
-    assert calls == [1]
-    # the disk's kernels and mirror classes are replaced by one block (A, B)
-    monkeypatch.setattr(bie, "_deflated_pencil",
-                        lambda *args: (pencil.Pencil(A, B),))
-    with pytest.raises(ValueError, match="complex pencil eigenvalues inside"):
-        solve_steklov_bie(disk, 64, count=3)
+    assert np.max(np.abs(spec.eigenvalues[:22] - exact)) < 1e-9
 
 
 def test_zero_mode_is_not_counted_among_the_pencil_values(monkeypatch, disk):
-    # sigma = 2 +- 0.5i lies above sigma_1 = 1 (real values 1, 4, 5, ..., 63):
-    # count=2 asks for sigma_0 = 0 and sigma_1 only, so the pair is not in
-    # the requested range
+    # one block with sigma = 1, 2, ..., 63 in place of the disk's: count=2
+    # asks the blocks for sigma_1 only, and the 63 block values with the
+    # zero mode give 64 Steklov values, not 63
     n = 63
-    D = np.diag(np.r_[1.0, 2.0, 2.0, np.arange(4.0, n + 1.0)])
-    D[1, 2], D[2, 1] = -0.5, 0.5
-    P = np.eye(n) + 0.1 * np.random.default_rng(7).standard_normal((n, n))
-    A, B = P @ D @ np.linalg.inv(P), np.eye(n)
-    # the disk's kernels and mirror classes are replaced by one block (A, B)
+    Q = la.qr(np.random.default_rng(7).standard_normal((n, n)))[0]
+    T = Q @ np.diag(1.0 / np.arange(1.0, n + 1.0)) @ Q.T
     monkeypatch.setattr(bie, "_deflated_pencil",
-                        lambda *args: (pencil.Pencil(A, B),))
+                        lambda *args: (pencil.SelfAdjoint(T),))
     spec = solve_steklov_bie(disk, 64, count=2)
-    assert spec.flags["solver"] == "arnoldi"
+    assert spec.flags["solver"] == "lanczos"
     assert np.allclose(spec.eigenvalues, [0.0, 1.0], rtol=0, atol=1e-10)
     assert np.array_equal(solve_steklov_bie(disk, 64, count=1).eigenvalues, [0.0])
-    with pytest.raises(ValueError, match="complex pencil eigenvalues inside"):
-        solve_steklov_bie(disk, 64, count=3)
+    assert np.allclose(solve_steklov_bie(disk, 64, count=64).eigenvalues,
+                       np.arange(64.0), rtol=1e-12, atol=0)
+    with pytest.raises(ValueError, match="only 64 Steklov values"):
+        solve_steklov_bie(disk, 64, count=65)
 
 
-def test_arnoldi_records_its_operator_applications(call_counter):
-    # every application of A^-1 B solves once with A's LU factor (getrs)
-    pen = _annulus_pencil(0.4, 330)
-    calls = call_counter(pencil.la.lapack, "dgetrs")
-    spec = pencil.solve_general(pen, count=1)
-    assert pen.n == 659 and spec.flags["solver"] == "arnoldi"
+def test_lanczos_records_its_operator_applications(call_counter):
+    # every application of S is one dsymv, summed over the two blocks
+    blocks = _split(boundary_quadrature(annulus_domain(0.4), 330))
+    calls = call_counter(pencil, "dsymv")
+    spec = pencil.solve_general(*blocks, count=1)
+    assert [b.n for b in blocks] == [329, 330] and spec.flags["solver"] == "lanczos"
     assert spec.flags["matvecs"] == len(calls)
     assert 20 <= len(calls) <= 100
 
 
-def test_arnoldi_route_passes_the_residual_gate(monkeypatch):
-    pen = _annulus_pencil(0.5, 64)
-    monkeypatch.setattr(pencil, "RESIDUAL_GATE", 1e-20)
-    with pytest.raises(ValueError, match="exceeds gate"):
-        pencil.solve_general(pen, count=2)
+def test_lanczos_route_passes_the_residual_gate(monkeypatch):
+    # eigsh's vectors, perturbed, are no eigenvectors of the matrix it solved
+    eigsh = pencil.spla.eigsh
+
+    def perturbed(*args, **kwargs):
+        mu, V = eigsh(*args, **kwargs)
+        return mu, V + 1e-3 * np.random.default_rng(5).standard_normal(V.shape)
+
+    monkeypatch.setattr(pencil.spla, "eigsh", perturbed)
+    with pytest.raises(ValueError, match=r"relative residual .* exceeds gate 1e-09"):
+        solve_steklov_bie(annulus_domain(0.5), 64, count=2)
+
+
+def test_lanczos_turns_any_arpack_error_into_value_error(monkeypatch, disk):
+    def failing(*args, **kwargs):
+        raise pencil.spla.ArpackError(-9999)
+
+    monkeypatch.setattr(pencil.spla, "eigsh", failing)
+    with pytest.raises(ValueError, match="Lanczos failed: ARPACK error -9999"):
+        solve_steklov_bie(disk, 64, count=2)
 
 
 @pytest.mark.parametrize("n_per_curve, count, route",
-                         [(660, 2, "arnoldi"), (330, 660, "eigh")])
+                         [(660, 2, "lanczos"), (330, 660, "eigh")])
 def test_default_gate_accepts_the_annulus_without_an_svd(n_per_curve, count, route,
                                                           call_counter):
     # either route factors one matrix per mirror block, the second-kind one,
@@ -376,15 +388,15 @@ def test_default_gate_accepts_the_annulus_without_an_svd(n_per_curve, count, rou
 
 
 @pytest.mark.parametrize("radius, count, route", [
-    (1e-11, 5, "arnoldi"), (1e-11, 40, "eigh"), (1e-300, 5, "arnoldi"),
+    (1e-11, 5, "lanczos"), (1e-11, 40, "eigh"), (1e-300, 5, "lanczos"),
     (1e-300, 40, "eigh"),
-], ids=["1e-11-arnoldi", "1e-11-eigh", "1e-300-arnoldi", "1e-300-eigh"])
+], ids=["1e-11-lanczos", "1e-11-eigh", "1e-300-lanczos", "1e-300-eigh"])
 def test_tiny_hole_leaves_the_disk_spectrum(radius, count, route):
-    # a hole of radius 1e-11 makes the single layer B nearly singular
-    # (cond 3.2e12 at 64 nodes per curve), and at 1e-300 B is
-    # rank-deficient, but A = 1/2 I + K' keeps cond 3.24, so the solve
-    # returns the disk's 0, 1, 1, 2, 2; the symmetric route drops the
-    # hole's rounding-level mu and returns the disk's first 40 values
+    # a hole of radius 1e-11 makes the single layer nearly singular
+    # (cond 3.2e12 at 64 nodes per curve), and at 1e-300 rank-deficient,
+    # but only A~ is factored, so the solve returns the disk's 0, 1, 1, 2,
+    # 2; eigh drops the hole's rounding-level mu and returns the disk's
+    # first 40 values
     dom = Domain("smooth-curves", circles=[((0.0, 0.0), 1.0, +1),
                                            ((0.0, 0.0), radius, -1)])
     spec = solve_steklov_bie(dom, 64, count=count)
@@ -430,20 +442,15 @@ NO_LINE = "c 0 0 1 ccw\nc 0.3 0.2 0.1 cw\n"
 
 
 def _unsplit(quad, count):
-    """The whole problem's values for a Steklov `count`, on the route a solve
-    takes: the trivial classes are passed, so nothing splits."""
-    wanted = max(count - 1, 1)
-    if pencil.arnoldi_pays(quad.total - 1, wanted):
-        return pencil.solve_general(_whole(quad), count=wanted)
-    return pencil.solve_general(*_ntd_whole(quad), count=wanted)
+    """The whole problem's values for a Steklov `count`, as a solve takes
+    them: the trivial classes are passed, so nothing splits."""
+    return pencil.solve_general(*_ntd_whole(quad), count=max(count - 1, 1))
 
 
 def _split(quad):
     """The mirror blocks as a solve builds them, from the kernels' mirror
     rows only."""
-    mirror = bie._mirror_classes(quad)
-    return bie._deflated_pencil(*assemble_kernels(quad, bie._mirror_rows(mirror)),
-                                mirror)
+    return bie._deflated_pencil(quad, bie._mirror_classes(quad))
 
 
 def _circle_file(tmp_path, text):
@@ -453,7 +460,7 @@ def _circle_file(tmp_path, text):
 
 
 @pytest.mark.parametrize("eps, n, count, route", [
-    (0.4, 440, 201, "eigh"), (0.88, 330, 2, "arnoldi")])
+    (0.4, 440, 201, "eigh"), (0.88, 330, 2, "lanczos")])
 def test_mirror_blocks_match_the_unsplit_pencil(eps, n, count, route):
     dom = annulus_domain(eps)
     spec = solve_steklov_bie(dom, n, count=count)
@@ -533,37 +540,26 @@ def test_domain_without_a_mirror_line_solves_the_whole_pencil(tmp_path):
                      "steklov", "--n", "64", "--count", "20", "--out", str(out)]) == 0
     spec = solve_steklov_bie(dom, 64, count=20)
     assert spec.flags["blocks"] == [127]
-    want = np.concatenate([[0.0], np.clip(_unsplit(quad, 20).eigenvalues, 0.0, None)])
+    want = np.concatenate([[0.0], _unsplit(quad, 20).eigenvalues])
     assert np.array_equal(spec.eigenvalues, want[:20])
     # the CSV is byte for byte the one the whole-pencil values give
     cli._write_spectrum(str(tmp_path), want[:20], "bie", "n=64", dom.name)
     assert (out / "spectrum.csv").read_bytes() == (tmp_path / "spectrum.csv").read_bytes()
 
 
-def _deflated_reference(M):
-    """The constant density deflated from a whole kernel M, the Householder
-    formula written out as `_deflated_pencil` applies it to one block."""
-    n = M.shape[0]
-    root = np.sqrt(n)
-    tau = 1.0 / (n + root)
-    r = tau * (M.sum(axis=0) + root * M[0])
-    c = tau * (M.sum(axis=1) + root * M[:, 0] - (r.sum() + root * r[0]))
-    out = M[1:, 1:] - c[1:, None]
-    out -= r[1:]
-    return out
-
-
 @pytest.mark.parametrize("text", [None, NO_LINE], ids=["annulus", "no-line"])
 def test_trivial_reflection_block_is_the_whole_deflated_pencil(text, tmp_path):
     # with no pairs the even basis is the node basis, so the one block is
-    # bit for bit the whole pencil deflated by the formula
+    # bit for bit the Neumann-to-Dirichlet map of the whole kernels, deflated
     dom = annulus_domain(0.4) if text is None else _circle_file(tmp_path, text)
     quad = boundary_quadrature(dom, 64)
-    S0, Khalf = assemble_kernels(quad, np.arange(quad.total))
-    blocks = bie._deflated_pencil(S0, Khalf, _trivial(quad))
+    w = quad.weights
+    d = np.sqrt(w)
+    S0, Kp = assemble_kernels(quad, np.arange(quad.total))
+    blocks = _ntd_whole(quad)
     assert len(blocks) == 1
-    assert np.array_equal(blocks[0].A, _deflated_reference(Khalf))
-    assert np.array_equal(blocks[0].B, _deflated_reference(S0))
+    assert np.array_equal(blocks[0].matrix,
+                          bie._reflect(bie._ntd_block(S0, Kp, d, w / w.sum()), d))
 
 
 @pytest.mark.parametrize("text, orders", [(None, [65, 62]), (NO_LINE, [127])],
@@ -576,7 +572,7 @@ def test_deflated_pencil_returns_its_nonempty_blocks(text, orders, tmp_path):
     quad = boundary_quadrature(dom, 64)
     blocks = _split(quad)
     assert isinstance(blocks, tuple)
-    assert all(isinstance(b, pencil.Pencil) for b in blocks)
+    assert all(isinstance(b, pencil.SelfAdjoint) for b in blocks)
     assert [b.n for b in blocks] == orders
     assert sum(orders) == quad.total - 1
 
@@ -591,7 +587,7 @@ def test_ntd_blocks_match_explicit_construction(text, tmp_path):
     quad = boundary_quadrature(dom, 48)
     n, w = quad.total, quad.weights
     p = w / w.sum()
-    S0, Kp = bie._raw_kernels(quad, np.arange(n))
+    S0, Kp = assemble_kernels(quad, np.arange(n))
     At = 0.5 * np.eye(n) + Kp + np.outer(np.ones(n), p)
     N = (np.eye(n) - np.outer(np.ones(n), p)) @ S0 @ np.linalg.inv(At)
     root = np.sqrt(w)
@@ -604,7 +600,7 @@ def test_ntd_blocks_match_explicit_construction(text, tmp_path):
     assert isinstance(whole, pencil.SelfAdjoint) and whole.n == n - 1
     assert _rel(np.linalg.norm(whole.matrix), np.linalg.norm(ref)) < 1e-12
     assert _rel(np.sort(np.linalg.eigvals(whole.matrix).real), want) < 1e-12
-    blocks = bie._ntd_blocks(quad, bie._mirror_classes(quad))
+    blocks = _split(quad)
     got = np.sort(np.concatenate([np.linalg.eigvals(b.matrix).real for b in blocks]))
     assert [b.n for b in blocks] == ([49, 46] if text is None else [n - 1])
     assert _rel(got, want) < 1e-12
@@ -616,27 +612,23 @@ def test_flags_record_the_blocks_their_residual_and_matvecs(tmp_path):
     each = [pencil.solve_general(b, count=1) for b in blocks]
     spec = solve_steklov_bie(annulus_domain(0.4), 330, count=2)
     assert spec.flags["blocks"] == [b.n for b in blocks] == [329, 330]
-    assert [s.flags["solver"] for s in each] == ["arnoldi", "arnoldi"]
+    assert [s.flags["solver"] for s in each] == ["lanczos", "lanczos"]
     assert spec.flags["residual"] == max(s.flags["residual"] for s in each)
     assert spec.flags["matvecs"] == sum(s.flags["matvecs"] for s in each)
     skew = solve_steklov_bie(_circle_file(tmp_path, NO_LINE), 330, count=2)
     assert skew.flags["blocks"] == [659]
-    assert skew.flags["solver"] == "arnoldi" and skew.flags["matvecs"] > 0
+    assert skew.flags["solver"] == "lanczos" and skew.flags["matvecs"] > 0
 
 
 def test_concentric_blocks_have_exactly_real_values():
-    # the whole pencil returns cos/sin pairs as near-real complex values; the
-    # even and odd blocks hold one of each, and every block value is real
+    # the whole mean-free pencil returns cos/sin pairs as near-real complex
+    # values; the even and odd blocks hold one of each, and even the
+    # nonsymmetric T of every block has real values only
     quad = boundary_quadrature(annulus_domain(0.0), 256)
-    whole = _whole(quad)
-    split = _split(quad)
-
-    def mu(b):
-        return la.eigvals(la.lu_solve(la.lu_factor(b.A), b.B))
-
-    assert np.count_nonzero(mu(whole).imag) > 0
-    for b in split:
-        assert np.count_nonzero(mu(b).imag) == 0
+    A, B = _mean_free_pencil(quad)
+    assert np.count_nonzero(la.eigvals(la.lu_solve(la.lu_factor(A), B)).imag) > 0
+    for b in _split(quad):
+        assert np.count_nonzero(la.eigvals(b.matrix).imag) == 0
     spec = solve_steklov_bie(annulus_domain(0.0), 256, count=20)
     ref = reference.concentric_annulus_steklov(0.1, count=20)
     assert list(pencil.cluster(spec.eigenvalues)[0]) == [m for _, m in ref.pairs()]
@@ -663,6 +655,9 @@ def test_sweep_rejects_bad_grid():
         sweep_annulus([0.95], 64, [1])
     with pytest.raises(ValueError):
         sweep_annulus([0.1], 64, [0])
+    # a repeated k wrote its rows twice
+    with pytest.raises(ValueError, match=r"repeats a mode index: \[1, 2, 1\]"):
+        sweep_annulus([0.1], 64, [1, 2, 1])
 
 
 @pytest.mark.parametrize("eps_grid, k_list, name", [

@@ -221,11 +221,15 @@ MPS_SQUARE = ["solve", "--domain", "unit-square", "--method", "mps", "--bracket"
     (MPS_SQUARE + ["--corners", "1,1"], "--corners"),
     (MPS_SQUARE + ["--corners", "auto"], "--corners"),
     (MPS_SQUARE + ["--seed=-100"], "--seed"),
+    # a repeated --k wrote its sweep rows twice and printed a wrong verdict
+    (["sweep", "--eps", "0:0.5:3", "--n", "128", "--k", "1,2,1"], "--k: index repeated"),
+    (["solve", "--domain", "unit-square", "--method", "fem-p1", "--count", "3",
+      "--levels", "2", "--modes", "1,1"], "--modes: index repeated"),
 ], ids=["eps-0.95", "eps-0.9", "eps-negative", "bracket-reversed", "bracket-zero",
         "grid-negative", "grid-zero", "bounds-levels-1", "bounds-levels-2",
         "basis-size-above-bessel-domain", "corners-no-reflex", "corner-9",
         "corner-minus-1", "corner-repeated", "corners-auto-retired",
-        "seed-negative"])
+        "seed-negative", "k-repeated", "modes-repeated"])
 def test_out_of_range_flag_is_usage_error(argv, flag, capsys, tmp_path):
     # rejected before any solve: exit 1, the flag named, nothing written
     assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -334,10 +338,11 @@ def test_bad_grid_syntax(capsys):
 # solve
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("count", ["5", "40"], ids=["arnoldi", "eigh"])
+@pytest.mark.parametrize("count", ["5", "40"], ids=["lanczos", "eigh"])
 def test_solve_bie_takes_a_tiny_hole(count, tmp_path):
-    # a hole of radius 1e-11 gives cond(B) = 3.2e12 at 64 nodes per curve;
-    # the solve factors only A and returns the disk's 0, 1, 1, 2, 2
+    # a hole of radius 1e-11 gives the single layer cond 3.2e12 at 64 nodes
+    # per curve; the solve factors only A~ and returns the disk's 0, 1, 1,
+    # 2, 2
     curves = tmp_path / "tiny-hole.curves"
     curves.write_text("c 0 0 1 ccw\nc 0 0 1e-11 cw\n")
     out = tmp_path / "out"

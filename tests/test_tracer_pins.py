@@ -2,10 +2,10 @@
 that bench/tracer.py wraps and sizes must stay as it reads them.
 
 bench/test_bench.py traces a `bounds` run for its time partition; this
-traces the same run for its assembly traffic, BIE solves, whose pencil
-span the tracer sizes by `args[0].n` (the first block, the even one), a
-drum `compare` for its mesh traffic, and MPS searches for their indicator
-calls.
+traces the same run for its assembly traffic, BIE solves, whose
+`pencil.general` span the tracer sizes by `args[0].n` (the first block, the
+even one) and whose kernel builds it counts, a drum `compare` for its mesh
+traffic, and MPS searches for their indicator calls.
 """
 import os
 import sys
@@ -36,9 +36,10 @@ def test_traced_sweep_sizes_the_general_pencil(tmp_path):
         t.restore()
     assert rc == 0
     m = tr.layer_metrics(t)
-    # the offsets 0 and 0.5 at 64 nodes per curve: each deflated pencil of
-    # order 127 splits into an even block of 65 (62 pairs, 4 fixed nodes,
-    # the constant deflated) and an odd block of 62
+    # the offsets 0 and 0.5 at 64 nodes per curve: each Neumann-to-Dirichlet
+    # map of order 127 (the constants deflated) splits into an even block
+    # of 65 (62 pairs, 4 fixed nodes, less the constant) and an odd block
+    # of 62
     assert m["pencil.general_calls"] == 2
     assert m["pencil.general_max_n"] == 65
     assert m["bie.solves"] == 2
@@ -57,8 +58,28 @@ def test_traced_high_index_solve_sizes_the_largest_block(tmp_path):
         t.restore()
     assert rc == 0
     # 440 nodes per curve: 438 pairs and 4 fixed nodes give the even block
-    # 441 and the odd block 438 (the whole deflated order is 879)
+    # 441 and the odd block 438 (the whole map, deflated, has order 879)
     assert tr.layer_metrics(t)["pencil.general_max_n"] == 441
+
+
+def test_traced_bie_solves_build_their_kernels_once_each(tmp_path):
+    # every solve, few values or many, builds its kernel rows through the
+    # traced assemble_kernels once: bie.halvings reads 0
+    for argv in (["sweep", "--eps", "0:0.5:2", "--n", "128", "--k", "1"],
+                 ["solve", "--domain", "annulus:eps=0.4", "--method", "bie",
+                  "--bc", "steklov", "--n", "440", "--count", "201"]):
+        t = tr.Tracer()
+        t.install(lapspec)
+        try:
+            t.start(tr.ROOT)
+            rc = cli.main(argv + ["--out", str(tmp_path)])
+            t.stop()
+        finally:
+            t.restore()
+        assert rc == 0
+        assert t.counts["bie.kernels"] == t.counts["bie.solve"] > 0
+        m = tr.layer_metrics(t)
+        assert m["bie.halvings"] == 0 and m["bie.kernels_s"] > 0
 
 
 def test_traced_bracket_assembles_only_inside_the_solves(tmp_path):
