@@ -23,6 +23,7 @@ import functools
 
 import numpy as np
 import scipy.linalg as la
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import dgemv
 
 from . import pencil as pen
@@ -66,18 +67,21 @@ def assemble_kernels(quad, rows):
             ib = slice(offs[b], offs[b + 1])
             if a == b:
                 m, R = cb.n, cb.radius
-                lag = np.abs(ia[:, None] - np.arange(m)[None, :])
-                S0[out, ib] = -(R / (2 * np.pi)) * (
-                    0.5 * kress_log_weights(m)[lag] + cb.h * np.log(R))
+                W = kress_log_weights(m)
+                # row i of the circulant R_{|i-j|}: a window of W_{m-1}..W_1, W_0..W_{m-1}
+                circulant = sliding_window_view(np.r_[W[:0:-1], W], m)[::-1]
+                S0[out, ib] = -(R / (2 * np.pi)) * (0.5 * circulant[ia] + cb.h * np.log(R))
                 Kp[out, ib] = -cb.orientation * cb.h / (4 * np.pi)
                 continue
-            d = ca.points[ia, None, :] - cb.points[None, :, :]
-            r2 = np.einsum("ijk,ijk->ij", d, d)
+            (x, y), (nx, ny) = ca.points[ia].T, ca.normals[ia].T
+            dx = x[:, None] - cb.points[:, 0]
+            dy = y[:, None] - cb.points[:, 1]
+            r2 = dx * dx + dy * dy
             if r2.min() <= 0.0:
                 raise ValueError("coincident quadrature nodes across curves")
             S0[out, ib] = -(1 / (4 * np.pi)) * np.log(r2) * cb.weights
             Kp[out, ib] = (-(1 / (2 * np.pi))
-                           * np.einsum("ijk,ik->ij", d, ca.normals[ia]) / r2 * cb.weights)
+                           * (dx * nx[:, None] + dy * ny[:, None]) / r2 * cb.weights)
     return S0, Kp
 
 
@@ -130,6 +134,7 @@ def _mirror_blocks(M, classes):
 
 
 # bench/tracer.py wraps this name (span bie.deflate)
+@pen._one_blas_thread()
 def _deflated_pencil(quad, mirror):
     """The Neumann-to-Dirichlet map of `quad`'s domain on the complement of
     the constants, as the tuple of its nonempty mirror blocks (each a
@@ -145,7 +150,7 @@ def _deflated_pencil(quad, mirror):
     block. P and the rank-one term act in the even block only, with
     p_e = [2 p_J, p_F], the mass of each even basis vector. (D 1)^T T = 0
     by construction, so one Householder reflector deflates the even
-    block's D 1.
+    block's D 1. Runs on one BLAS thread (`pencil._one_blas_thread`).
     """
     pairs = len(mirror[0])
     rows = _mirror_rows(mirror)

@@ -10,16 +10,22 @@ through scipy.linalg.blas, given F-ordered views so that f2py copies
 nothing: numpy and scipy load separate OpenBLAS thread pools, and switching
 between them cost the `annulus` benchmark about a quarter of its wall time
 on 2 cores. Sparse FEM products keep `@`.
-`solve_lowest` runs with every OpenBLAS pool of the process at one thread
-(`_one_blas_thread`), restoring each pool's count on exit. Its BLAS calls
-(SuperLU's supernodal triangular solves, ARPACK's reorthogonalization on
-at most 12,545 x 29) are too small to split, yet OpenBLAS woke a second
-thread for some, which then spin-waited between calls: one thread halved
-the `drums` benchmark's CPU time at the same wall time on 2 cores
-(BENCH_pr32.json), and a FEM value no longer depends on the core count. The
-BIE solves keep the pool's count: on 2 cores a second thread took
-`eigh(driver="evd")` from 114.8 to 76.9 ms at n = 880 (best of 15, one
-process).
+Every FEM and BIE solve runs with every OpenBLAS pool of the process at one
+thread (`_one_blas_thread`, on `solve_lowest`, `solve_general` and
+`bie._deflated_pencil`), restoring each pool's count on exit. OpenBLAS
+woke a second thread for some of their BLAS calls, and that thread then
+spin-waited between calls, so a round's CPU time was about twice its wall
+time. FEM calls (SuperLU's supernodal triangular solves, ARPACK's
+reorthogonalization on at most 12,545 x 29) are too small to split: one
+thread halved the `drums` benchmark's CPU time at the same wall time on
+2 cores (BENCH_pr32.json). BIE calls gain little from the second thread:
+at 440 nodes per curve `eigh(driver="evd")` of the 441-order block took
+16.4 ms on one thread or two, and `bie._deflated_pencil` 32.0 ms against
+27.3 ms (best of 15, 2 cores), while the spinning thread doubled the
+`annulus` round's CPU time; one thread halves it (BENCH_pr34.json). No
+FEM or BIE value depends on the core count. MPS keeps the pools' counts:
+scoping it too read the `certify` benchmark's wall time 0.933 -> 0.972 s
+(lower in 1 of 6 pairs).
 `solve_symdef`, a dense Cholesky-reduction solve (sygvd), is the dense
 reference: no solver path calls it, the tests compare against it and the
 benchmark tracer wraps it by name.
@@ -136,6 +142,46 @@ def solve_symdef(pencil):
                     flags={"residual": residual})
 
 
+@functools.cache
+def _blas_pools():
+    """The (get, set) thread-count functions of each OpenBLAS that numpy and
+    scipy bundle (`<package>.libs/libscipy_openblas*.so`), found on first
+    use so that importing the module does not pay for the lookup; empty
+    for another BLAS build."""
+    pools = []
+    for package in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                            package.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+            lib = ctypes.CDLL(path)
+            # numpy's is the 64-bit integer build, with suffixed symbols
+            for suffix in ("64_", ""):
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    pools.append((get, put))
+                    break
+    return tuple(pools)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every pool of `_blas_pools` at one thread inside, each back at its
+    own count on exit, also when the body raises."""
+    pools = _blas_pools()
+    counts = [get() for get, _ in pools]
+    for _, put in pools:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(pools, counts):
+            put(count)
+
+
+@_one_blas_thread()
 def solve_general(*blocks, count):
     """The lowest sigma = 1/mu of a self-adjoint problem given as its
     diagonal `SelfAdjoint` blocks, ascending: one block when it does not
@@ -149,16 +195,17 @@ def solve_general(*blocks, count):
     ARPACK (count + PAD >= its order - 1) takes eigh instead, as in
     `solve_lowest`. Otherwise eigh (the divide-and-conquer driver) returns
     every value: a subset cost more for 202 of 440. On the `annulus`
-    blocks (best of 5, 2 cores) Lanczos took 2.9 ms for 1 value at
-    n = 659, where all values took 17.4 ms, but 88.5 ms for 105 values at
-    n = 879, the rule's edge, where all values took 29.9 ms.
+    blocks (best of 5, one thread) Lanczos took 3.5 ms for 1 value at
+    n = 659, where all values took 21.1 ms, but 87.5 ms for 105 values at
+    n = 879, the rule's edge, where all values took 42.5 ms.
     mu at most NULL_RTOL times the largest mu over the blocks (the rounding
     level, or below) gives no value. A largest mu <= 0 keeps none, and
     otherwise that bound is positive, so every sigma returned is positive.
     flags["solver"] is "lanczos" or "eigh", flags["residual"] the largest
     relative residual, flags["asymmetry"] the largest max |T - T^T| / max |T|
     over the blocks, and on the Lanczos route flags["matvecs"] the operator
-    applications ARPACK asked for, summed over the blocks.
+    applications ARPACK asked for, summed over the blocks. Runs on one
+    BLAS thread (`_one_blas_thread`).
     """
     if count < 1:
         raise ValueError("solve_general needs a count of at least 1")
@@ -210,45 +257,6 @@ def _lanczos(S, k):
     return mu, V, matvecs
 
 
-@functools.cache
-def _blas_pools():
-    """The (get, set) thread-count functions of each OpenBLAS that numpy and
-    scipy bundle (`<package>.libs/libscipy_openblas*.so`), found on first
-    use so that importing the module does not pay for the lookup; empty
-    for another BLAS build."""
-    pools = []
-    for package in (np, scipy):
-        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
-                            package.__name__ + ".libs")
-        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
-            lib = ctypes.CDLL(path)
-            # numpy's is the 64-bit integer build, with suffixed symbols
-            for suffix in ("64_", ""):
-                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
-                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    pools.append((get, put))
-                    break
-    return tuple(pools)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Every pool of `_blas_pools` at one thread inside, each back at its
-    own count on exit, also when the body raises."""
-    pools = _blas_pools()
-    counts = [get() for get, _ in pools]
-    for _, put in pools:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), count in zip(pools, counts):
-            put(count)
-
-
 @_one_blas_thread()
 def solve_lowest(A, B, k, shift):
     """The k lowest eigenpairs of the sparse pencil A v = lambda B v.
@@ -270,7 +278,7 @@ def solve_lowest(A, B, k, shift):
     returned pair must pass the residual gate. Returns (values ascending,
     B-normalized vectors, the largest and the per-pair residuals of
     `_residual_gate`, and the Lanczos solves with C, 0 if dense). Runs on
-    one BLAS thread (`_one_blas_thread`).
+    one BLAS thread (`_one_blas_thread`), as the BIE solves do.
     """
     n = A.shape[0]
     C = sp.csc_matrix(A - shift * B)

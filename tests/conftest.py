@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lapspec import bounds, fem, geometry, reference
+from lapspec import bounds, fem, geometry, pencil, reference
 
 _MESH_CACHE = {}
 _SOLVE_CACHE = {}
@@ -22,6 +22,27 @@ def call_counter(monkeypatch):
         monkeypatch.setattr(owner, name, counting)
         return calls
     return count
+
+
+@pytest.fixture
+def blas_pools():
+    """The bundled OpenBLAS pools, each put back at its count after the test."""
+    pools = pencil._blas_pools()
+    if not pools:
+        pytest.skip("no bundled OpenBLAS pool found")
+    counts = [get() for get, _ in pools]
+    yield pools
+    for (_, put), count in zip(pools, counts):
+        put(count)
+
+
+def set_blas_threads(pools, count):
+    for _, put in pools:
+        put(count)
+
+
+def blas_threads(pools):
+    return [get() for get, _ in pools]
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py: the summary of a BENCH_*.json file and the seed
-ranges it runs. No benchmark is run here."""
+"""tools/bench_pairs.py: the summary of a BENCH_*.json file, the seed
+ranges it runs, and its refusal to compare checkouts whose benchmark code
+differs. No benchmark is run here."""
 import os
 import sys
 
@@ -50,3 +51,40 @@ def test_summary_sums_the_failed_and_attempted_operations():
                                         ("7", [7])], ids=["range", "single"])
 def test_seeds_reads_a_range_or_one_seed(text, want):
     assert bench_pairs.seeds(text) == want
+
+
+def _identity(bench_tree="b1", bench_clean=True):
+    return {"commit": "c", "src_tree": "s", "bench_tree": bench_tree,
+            "clean": bench_clean, "bench_clean": bench_clean}
+
+
+def test_same_committed_bench_trees_may_be_compared():
+    assert bench_pairs.bench_mismatch({"parent": _identity(), "change": _identity()}) is None
+
+
+@pytest.mark.parametrize("parent, change, reason", [
+    (_identity("b1"), _identity("b2"), "the benchmark code differs"),
+    (_identity(bench_clean=False), _identity(), "in the parent checkout"),
+    (_identity(), _identity(bench_clean=False), "in the change checkout"),
+    (_identity(bench_clean=False), _identity(bench_clean=False),
+     "in the parent and change checkout")],
+    ids=["trees-differ", "parent-dirty", "change-dirty", "both-dirty"])
+def test_different_or_uncommitted_bench_trees_are_refused(parent, change, reason):
+    message = bench_pairs.bench_mismatch({"parent": parent, "change": change})
+    assert reason in message
+    assert (f"parent bench/ tree {parent['bench_tree']}" in message
+            and f"change bench/ tree {change['bench_tree']}" in message)
+
+
+def test_main_exits_before_any_run_when_the_benchmarks_differ(monkeypatch, tmp_path):
+    trees = {"p": "b1", "c": "b2"}
+    monkeypatch.setattr(bench_pairs, "identity",
+                        lambda d: _identity(trees[os.path.basename(d)]))
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run", lambda *args: runs.append(args))
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path / "p"), "--change", str(tmp_path / "c"),
+                          "--out", str(out), "--workload", "annulus", "--seeds", "1-2"])
+    assert "parent bench/ tree b1, change bench/ tree b2" in str(exc.value.code)
+    assert runs == [] and not out.exists()

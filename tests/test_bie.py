@@ -7,7 +7,7 @@ from lapspec.bie import (annulus_domain, assemble_kernels, kress_log_weights,
                          solve_steklov_bie, sweep_annulus)
 from lapspec.geometry import Domain, boundary_quadrature, load_domain
 
-from conftest import shared_bie
+from conftest import blas_threads, set_blas_threads, shared_bie
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +511,47 @@ def test_mirror_rows_are_the_rows_of_the_whole_kernels(nodes, axis, tmp_path):
         assert np.array_equal(part, whole[rows])
 
 
+def _kernels_by_difference_array(quad, rows):
+    """S0 and K' in the plain form of the kernel formulas: the cross-curve
+    blocks from a (rows, m, 2) difference array and two einsum calls, the
+    self blocks from the log weights gathered by |i - j|."""
+    S0 = np.empty((len(rows), quad.total))
+    Kp = np.empty((len(rows), quad.total))
+    offs = quad.offsets
+    for a, ca in enumerate(quad.curves):
+        out = np.flatnonzero((rows >= offs[a]) & (rows < offs[a + 1]))
+        ia = rows[out] - offs[a]
+        for b, cb in enumerate(quad.curves):
+            ib = slice(offs[b], offs[b + 1])
+            if a == b:
+                R = cb.radius
+                lag = np.abs(ia[:, None] - np.arange(cb.n)[None, :])
+                S0[out, ib] = -(R / (2 * np.pi)) * (
+                    0.5 * kress_log_weights(cb.n)[lag] + cb.h * np.log(R))
+                Kp[out, ib] = -cb.orientation * cb.h / (4 * np.pi)
+                continue
+            d = ca.points[ia, None, :] - cb.points[None, :, :]
+            r2 = np.einsum("ijk,ijk->ij", d, d)
+            S0[out, ib] = -(1 / (4 * np.pi)) * np.log(r2) * cb.weights
+            Kp[out, ib] = (-(1 / (2 * np.pi))
+                           * np.einsum("ijk,ik->ij", d, ca.normals[ia]) / r2 * cb.weights)
+    return S0, Kp
+
+
+@pytest.mark.parametrize("text, n", [(None, 330), (None, 440), (NO_LINE, 330)],
+                         ids=["annulus-330", "annulus-440", "no-line-330"])
+def test_kernels_match_the_difference_array_formula_bit_for_bit(text, n, tmp_path):
+    # the 2-D coordinate differences and the circulant window of the log
+    # weights compute every entry as the plain formulas do; the no-line
+    # domain's mirror rows are all of its rows
+    dom = annulus_domain(0.4) if text is None else _circle_file(tmp_path, text)
+    quad = boundary_quadrature(dom, n)
+    for rows in (np.arange(quad.total), bie._mirror_rows(bie._mirror_classes(quad))):
+        for got, want in zip(assemble_kernels(quad, rows),
+                             _kernels_by_difference_array(quad, rows)):
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("text, rows", [(None, 66), (NO_LINE, 128)],
                          ids=["mirror", "no-line"])
 def test_a_solve_assembles_only_the_rows_its_blocks_read(text, rows, tmp_path,
@@ -632,6 +673,76 @@ def test_concentric_blocks_have_exactly_real_values():
     spec = solve_steklov_bie(annulus_domain(0.0), 256, count=20)
     ref = reference.concentric_annulus_steklov(0.1, count=20)
     assert list(pencil.cluster(spec.eigenvalues)[0]) == [m for _, m in ref.pairs()]
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+def test_bie_blas_runs_on_one_thread_and_restores_each_pool(monkeypatch, blas_pools):
+    # the kernel build and A~'s LU (in _deflated_pencil), Lanczos and eigh
+    # (in solve_general) see every pool at one thread; after each return, a
+    # zero pivot of A~ and a gate rejection every pool is back at its entry
+    # count, 2
+    set_blas_threads(blas_pools, 2)
+    entry = blas_threads(blas_pools)
+    inside = []
+
+    def spy(owner, name, body=None):
+        original = getattr(owner, name)
+
+        def spying(*args, **kwargs):
+            inside.append(blas_threads(blas_pools))
+            return (body or original)(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spying)
+        return original
+
+    quad = boundary_quadrature(annulus_domain(0.4), 64)
+    mirror = bie._mirror_classes(quad)
+    assemble = spy(bie, "assemble_kernels")
+    eigh = spy(pencil.la, "eigh")
+    spy(pencil.spla, "eigsh")
+    blocks = bie._deflated_pencil(quad, mirror)
+    assert blas_threads(blas_pools) == entry == [2] * len(blas_pools)
+    assert pencil.solve_general(*blocks, count=1).flags["solver"] == "lanczos"
+    assert blas_threads(blas_pools) == entry
+    assert pencil.solve_general(*blocks, count=60).flags["solver"] == "eigh"
+    assert blas_threads(blas_pools) == entry
+
+    def singular(quad, rows):
+        # K' = -1/2 I makes A~ = 1 p^T, whose second LU pivot is exactly zero
+        S0, _ = assemble(quad, rows)
+        return S0, -0.5 * np.eye(quad.total)[rows]
+
+    spy(bie, "assemble_kernels", singular)
+    with pytest.raises(ValueError, match="is exactly zero"):
+        bie._deflated_pencil(quad, mirror)
+    assert blas_threads(blas_pools) == entry
+
+    def perturbed(*args, **kwargs):
+        mu, V = eigh(*args, **kwargs)
+        return mu, V + 1e-3 * np.random.default_rng(5).standard_normal(V.shape)
+
+    spy(pencil.la, "eigh", perturbed)
+    with pytest.raises(ValueError, match="exceeds gate"):
+        pencil.solve_general(*blocks, count=60)
+    assert blas_threads(blas_pools) == entry
+    # kernels, eigsh on two blocks, eigh on two, the singular kernels, and
+    # the rejected eigh
+    assert inside == [[1] * len(blas_pools)] * 7
+
+
+@pytest.mark.parametrize("n, count, route", [(330, 2, "lanczos"), (440, 201, "eigh")])
+def test_bie_values_do_not_depend_on_the_callers_blas_threads(n, count, route, blas_pools):
+    # the sweep's sigma_1 (Lanczos) and the 201-value solve (eigh) of the
+    # annulus at offset 0.4, with the caller's pools at 2 threads and at 1
+    spectra = []
+    for threads in (2, 1):
+        set_blas_threads(blas_pools, threads)
+        spectra.append(solve_steklov_bie(annulus_domain(0.4), n, count=count))
+    assert [s.flags["solver"] for s in spectra] == [route, route]
+    assert np.array_equal(spectra[0].eigenvalues, spectra[1].eigenvalues)
 
 
 # ---------------------------------------------------------------------------

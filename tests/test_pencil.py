@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapspec import cli, fem, geometry, pencil
-from conftest import shared_mesh
+from conftest import blas_threads, set_blas_threads, shared_mesh
 from lapspec.pencil import Pencil, cluster, solve_general, solve_lowest, solve_symdef
 
 
@@ -339,58 +339,37 @@ def test_solve_lowest_rejects_pairs_that_miss_the_residual_gate(rng, n, k):
         solve_lowest(A.tocsr(), B, k, shift=-1.0)
 
 
-@pytest.fixture
-def blas_pools():
-    """The bundled OpenBLAS pools, each put back at its count after the test."""
-    pools = pencil._blas_pools()
-    if not pools:
-        pytest.skip("no bundled OpenBLAS pool found")
-    counts = [get() for get, _ in pools]
-    yield pools
-    for (_, put), count in zip(pools, counts):
-        put(count)
-
-
-def _set_blas_threads(pools, count):
-    for _, put in pools:
-        put(count)
-
-
-def _blas_threads(pools):
-    return [get() for get, _ in pools]
-
-
 def test_solve_lowest_runs_on_one_blas_thread_and_restores_each_pool(
         rng, monkeypatch, blas_pools):
     # Lanczos sees every pool at one thread; on return, a forced ARPACK
     # error and a gate rejection each pool is back at its entry count, 2
-    _set_blas_threads(blas_pools, 2)
-    entry = _blas_threads(blas_pools)
+    set_blas_threads(blas_pools, 2)
+    entry = blas_threads(blas_pools)
     inside = []
     eigsh = spla.eigsh
 
     def spy(*args, **kwargs):
-        inside.append(_blas_threads(blas_pools))
+        inside.append(blas_threads(blas_pools))
         return eigsh(*args, **kwargs)
 
     def failing(*args, **kwargs):
-        inside.append(_blas_threads(blas_pools))
+        inside.append(blas_threads(blas_pools))
         raise spla.ArpackError(-9999)
 
     A = _tridiagonal_spd(rng, 120)
     B = sp.identity(120, format="csr")
     monkeypatch.setattr(spla, "eigsh", spy)
     solve_lowest(A, B, 5, shift=-1.0)
-    assert _blas_threads(blas_pools) == entry == [2] * len(blas_pools)
+    assert blas_threads(blas_pools) == entry == [2] * len(blas_pools)
     skewed = A.tolil()
     skewed[0, 1] += 1e-3
     with pytest.raises(ValueError, match="exceeds gate"):
         solve_lowest(skewed.tocsr(), B, 5, shift=-1.0)
-    assert _blas_threads(blas_pools) == entry
+    assert blas_threads(blas_pools) == entry
     monkeypatch.setattr(spla, "eigsh", failing)
     with pytest.raises(ValueError, match="Lanczos failed"):
         solve_lowest(A, B, 5, shift=-1.0)
-    assert _blas_threads(blas_pools) == entry
+    assert blas_threads(blas_pools) == entry
     assert inside == [[1] * len(blas_pools)] * 3
 
 
@@ -402,7 +381,7 @@ def test_fem_values_do_not_depend_on_the_callers_blas_threads(blas_pools):
     spec = fem.EigenProblemSpec("dirichlet", 10, kind="P2", level=5)
     values = []
     for count in (2, 1):
-        _set_blas_threads(blas_pools, count)
+        set_blas_threads(blas_pools, count)
         values.append(fem.solve_fem(domain, spec, mesh=mesh).eigenvalues)
     assert np.array_equal(values[0], values[1])
 

@@ -11,6 +11,10 @@ workload to the file (a workload already in it is replaced). --trace-pair
 runs one more pair with --trace 1, whose per-layer metrics show where a
 change in time comes from.
 
+Both checkouts must run the same benchmark: the script exits non-zero
+before any run, naming both bench/ trees, when their committed bench/
+trees differ or either has uncommitted changes under bench/.
+
 The file records, per workload and metric, both sides' medians and linear
 (inclusive) quartiles, the pairs in which the change read lower, and the
 failed operations; and the machine: nproc, Python, numpy and scipy with
@@ -42,7 +46,21 @@ def identity(checkout):
     return {"commit": git(checkout, "rev-parse", "HEAD"),
             "src_tree": git(checkout, "rev-parse", "HEAD:src"),
             "bench_tree": git(checkout, "rev-parse", "HEAD:bench"),
-            "clean": git(checkout, "status", "--porcelain", "src", "bench") == ""}
+            "clean": git(checkout, "status", "--porcelain", "src", "bench") == "",
+            "bench_clean": git(checkout, "status", "--porcelain", "bench") == ""}
+
+
+def bench_mismatch(ids):
+    """Why the checkouts with `identity` records ids["parent"] and
+    ids["change"] cannot be compared, naming both bench/ trees, or None
+    when both run the same committed bench/ tree."""
+    trees = ", ".join(f"{s} bench/ tree {ids[s]['bench_tree']}" for s in ("parent", "change"))
+    if ids["parent"]["bench_tree"] != ids["change"]["bench_tree"]:
+        return f"the benchmark code differs: {trees}"
+    dirty = [s for s in ("parent", "change") if not ids[s]["bench_clean"]]
+    if dirty:
+        return f"uncommitted changes under bench/ in the {' and '.join(dirty)} checkout: {trees}"
+    return None
 
 
 def machine():
@@ -98,6 +116,10 @@ def main(argv=None):
     ap.add_argument("--trace-pair", action="store_true")
     args = ap.parse_args(argv)
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    ids = {s: identity(d) for s, d in dirs.items()}
+    mismatch = bench_mismatch(ids)
+    if mismatch:
+        sys.exit(f"bench_pairs: {mismatch} (parent {dirs['parent']}, change {dirs['change']})")
 
     pairs = []
     for i, seed in enumerate(args.seeds):
@@ -122,7 +144,7 @@ def main(argv=None):
     doc.setdefault("workloads", {})[args.workload] = entry
     doc["command"] = "python3 bench/run.py --workload W --seed S --seconds T --trace 0"
     doc["machine"] = machine()
-    doc["checkouts"] = {s: identity(d) for s, d in dirs.items()}
+    doc["checkouts"] = ids
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
