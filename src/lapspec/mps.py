@@ -13,6 +13,7 @@ import scipy.linalg as la
 
 from . import specfun
 from .fem import _Q5_BARY, _Q5_W, build_mesh
+from .pencil import _one_blas_thread
 
 REFINE_RTOL = 1e-9    # relative bracket width at which the lambda search stops
 REFINE_SRATIO = 1e-2  # ... or, if wider, this times the least s seen so far
@@ -245,12 +246,14 @@ def _indicator(domain, basis, offset):
     return s
 
 
+@_one_blas_thread()
 def sigma_min_sweep(domain, basis, lambda_grid, offset=HALTON_OFFSET):
     """Subspace-angle indicator s(lambda) over a grid; minima mark eigenvalues.
 
     `basis` is a list of fans (`corner_basis`). The indicator collocates
     OVERSAMPLE points per basis function on the boundary and as many
     interior points, from the Halton sequence starting at index `offset`.
+    Runs on one BLAS thread (`pencil._one_blas_thread`).
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if np.any(lambda_grid <= 0) or np.any(np.diff(lambda_grid) <= 0):
@@ -320,6 +323,7 @@ def _minimize(f, lo, hi, width):
         x, gx, fx = np.where(best, u, x), np.where(best, gu, gx), np.where(best, fu, fx)
 
 
+@_one_blas_thread()
 def refine_minimum(domain, basis, bracket, offset=HALTON_OFFSET):
     """Minimum of s(lambda) in a bracket, by `_minimize` to a width of
     max(REFINE_RTOL, REFINE_SRATIO * s_best) relative, s_best the
@@ -337,7 +341,8 @@ def refine_minimum(domain, basis, bracket, offset=HALTON_OFFSET):
     (lambda_h, coefficients): lambda_h is the best point evaluated, and the
     coefficient vector is normalized to unit L2 norm over the polygon
     (degree-5 quadrature on a level-L2_LEVEL triangulation). A bracket
-    without an interior minimum of s is rejected.
+    without an interior minimum of s is rejected. Runs on one BLAS thread
+    (`pencil._one_blas_thread`).
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not 0 < a < b:
@@ -445,11 +450,13 @@ def _boundary_sup(domain, basis, lam, coeff):
     return max(sup, float(-least.min()))
 
 
+@_one_blas_thread()
 def fhm_enclosure(domain, lambda_h, coeff, basis):
     """A-posteriori interval for an L2-normalized candidate eigenfunction.
 
     The FHM theorem takes epsilon = sqrt|Omega| * sup over the boundary of
-    |u|, which does not change when the domain is dilated.
+    |u|, which does not change when the domain is dilated. Runs on one BLAS
+    thread (`pencil._one_blas_thread`).
     """
     eps = np.sqrt(domain.area()) * _boundary_sup(domain, basis, lambda_h, coeff)
     if eps >= 1.0:

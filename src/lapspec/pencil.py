@@ -10,11 +10,12 @@ through scipy.linalg.blas, given F-ordered views so that f2py copies
 nothing: numpy and scipy load separate OpenBLAS thread pools, and switching
 between them cost the `annulus` benchmark about a quarter of its wall time
 on 2 cores. Sparse FEM products keep `@`.
-Every FEM and BIE solve runs with every OpenBLAS pool of the process at one
-thread (`_one_blas_thread`, on `solve_lowest`, `solve_general` and
-`bie._deflated_pencil`), restoring each pool's count on exit. OpenBLAS
-woke a second thread for some of their BLAS calls, and that thread then
-spin-waited between calls, so a round's CPU time was about twice its wall
+Every FEM, BIE and MPS solve runs with every OpenBLAS pool of the process
+at one thread (`_one_blas_thread`, on `solve_lowest`, `solve_general`,
+`bie._deflated_pencil` and `mps.sigma_min_sweep`, `mps.refine_minimum` and
+`mps.fhm_enclosure`), restoring each pool's count on exit. OpenBLAS woke a
+second thread for some of their BLAS calls, and that thread then
+spin-waited between calls, so a round's CPU time was up to twice its wall
 time. FEM calls (SuperLU's supernodal triangular solves, ARPACK's
 reorthogonalization on at most 12,545 x 29) are too small to split: one
 thread halved the `drums` benchmark's CPU time at the same wall time on
@@ -22,10 +23,12 @@ thread halved the `drums` benchmark's CPU time at the same wall time on
 at 440 nodes per curve `eigh(driver="evd")` of the 441-order block took
 16.4 ms on one thread or two, and `bie._deflated_pencil` 32.0 ms against
 27.3 ms (best of 15, 2 cores), while the spinning thread doubled the
-`annulus` round's CPU time; one thread halves it (BENCH_pr34.json). No
-FEM or BIE value depends on the core count. MPS keeps the pools' counts:
-scoping it too read the `certify` benchmark's wall time 0.933 -> 0.972 s
-(lower in 1 of 6 pairs).
+`annulus` round's CPU time; one thread halves it (BENCH_pr34.json). MPS
+calls are slower on two: the QR and SVD of gww-a's 222 x 56 indicator block in
+`mps._subspace_smin` took 1.14 ms on two threads and 0.66 ms on one
+(2.13 and 1.43 ms with the coefficient vector; best of 40, 2 cores), and
+the thread they woke spun through the Bessel evaluations that follow.
+No FEM, BIE or MPS value depends on the core count.
 `solve_symdef`, a dense Cholesky-reduction solve (sygvd), is the dense
 reference: no solver path calls it, the tests compare against it and the
 benchmark tracer wraps it by name.
@@ -187,17 +190,20 @@ def solve_general(*blocks, count):
     diagonal `SelfAdjoint` blocks, ascending: one block when it does not
     split. A count below 1 raises ValueError.
 
-    Each block's symmetric part S = (T + T^T) / 2 is solved, and every pair
-    must pass the residual gate against S. The route depends on the summed
-    order n and the count alone. When 8 (count + PAD) <= n, Lanczos
-    (`_lanczos`) computes each block's count + PAD largest mu, and the
-    count + PAD largest over the blocks are kept; a block too small for
-    ARPACK (count + PAD >= its order - 1) takes eigh instead, as in
-    `solve_lowest`. Otherwise eigh (the divide-and-conquer driver) returns
-    every value: a subset cost more for 202 of 440. On the `annulus`
-    blocks (best of 5, one thread) Lanczos took 3.5 ms for 1 value at
-    n = 659, where all values took 21.1 ms, but 87.5 ms for 105 values at
-    n = 879, the rule's edge, where all values took 42.5 ms.
+    Each block's symmetric part S = (T + T^T) / 2 is solved for its
+    count + PAD largest mu, each pair of which must pass the residual gate
+    against S, and the count + PAD largest over the blocks are kept, so
+    every returned pair is gated. The route depends on the summed order n
+    and the count alone. When 8 (count + PAD) <= n, Lanczos (`_lanczos`)
+    computes them; a block too small for ARPACK (order at most
+    count + PAD + 1) takes eigh instead, as in `solve_lowest`. Otherwise
+    eigh (the divide-and-conquer driver) computes every value, and only
+    the largest count + PAD are gated: a subset cost more for 202 of 440,
+    and gating 204 of the 441-order `annulus` block's pairs took 2.4 ms
+    against 5.4 ms for all of them (one thread, best of 15). On the
+    `annulus` blocks (best of 5, one thread) Lanczos took 3.5 ms for 1
+    value at n = 659, where all values took 21.1 ms, but 87.5 ms for 105
+    values at n = 879, the rule's edge, where all values took 42.5 ms.
     mu at most NULL_RTOL times the largest mu over the blocks (the rounding
     level, or below) gives no value. A largest mu <= 0 keeps none, and
     otherwise that bound is positive, so every sigma returned is positive.
@@ -222,12 +228,12 @@ def solve_general(*blocks, count):
             matvecs += m
         else:
             mu, V = la.eigh(S, driver="evd")
+            mu, V = mu[-k:], V[:, -k:]
         residual = max(residual, _residual_gate(S, None, mu, V)[0])
         mus.append(mu)
-    mu = np.concatenate(mus)
+    mu = np.sort(np.concatenate(mus))[::-1][:k]
     flags = {"solver": "eigh", "residual": residual, "asymmetry": asymmetry}
     if lanczos:
-        mu = np.sort(mu)[::-1][:k]
         flags.update(solver="lanczos", matvecs=matvecs)
     mu = mu[mu > NULL_RTOL * mu.max()]
     return Spectrum(np.sort(1.0 / mu), "pencil", None, None, flags=flags)

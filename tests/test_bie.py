@@ -282,6 +282,27 @@ def test_size_switch_routes_the_sweep_and_the_high_index_solve():
     assert len(high) == 201
 
 
+def test_the_gate_takes_only_the_top_pairs_of_each_block(monkeypatch):
+    # the 201-value solve asks eigh for 200 values after the zero mode: each
+    # block gates its 200 + PAD largest mu, not all 879 pairs, and the
+    # values are those of the every-value solve of the same blocks
+    quad = boundary_quadrature(annulus_domain(0.4), 440)
+    blocks = _split(quad)
+    every = pencil.solve_general(*blocks, count=sum(b.n for b in blocks))
+    columns = []
+    gate = pencil._residual_gate
+
+    def recording(A, B, vals, V):
+        columns.append(V.shape[1])
+        return gate(A, B, vals, V)
+
+    monkeypatch.setattr(pencil, "_residual_gate", recording)
+    spec = solve_steklov_bie(annulus_domain(0.4), 440, count=201)
+    assert spec.flags["solver"] == "eigh" and spec.flags["blocks"] == [441, 438]
+    assert columns == [200 + pencil.PAD] * 2
+    assert np.array_equal(spec.eigenvalues[1:], every.eigenvalues[:200])
+
+
 def test_symmetric_route_records_a_small_asymmetry_and_its_residual():
     # the resolved 201-value solve: T is symmetric to 7.9e-15, and every
     # pair of (T + T^T) / 2 passes the gate

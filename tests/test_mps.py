@@ -14,7 +14,7 @@ from lapspec.mps import (CornerBasis, Enclosure, boundary_collocation,
                          interior_points, refine_minimum, reentrant_corners,
                          sigma_min_sweep, singular_corners)
 
-from conftest import shared_gww_mps, shared_square_mps
+from conftest import blas_threads, set_blas_threads, shared_gww_mps, shared_square_mps
 
 
 # ---------------------------------------------------------------------------
@@ -486,3 +486,74 @@ def test_enclosure_rejects_non_eigenfunction(square):
     coeff = coeff / mps._l2_norm(square, basis, lam, coeff)
     with pytest.raises(ValueError, match="not below 1"):
         fhm_enclosure(square, lam, coeff, basis)
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+def test_mps_blas_runs_on_one_thread_and_restores_each_pool(square, monkeypatch,
+                                                            blas_pools):
+    # the indicator's QR and SVD (in sigma_min_sweep and refine_minimum) and
+    # the boundary sup (in fhm_enclosure) see every pool at one thread; after
+    # each return, a bracket without an interior minimum and an
+    # epsilon >= 1 rejection every pool is back at its entry count, 2
+    set_blas_threads(blas_pools, 2)
+    entry = blas_threads(blas_pools)
+    inside, marks = [], []
+
+    def spy(name):
+        original = getattr(mps, name)
+
+        def spying(*args, **kwargs):
+            inside.append(blas_threads(blas_pools))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mps, name, spying)
+
+    def returned():
+        marks.append(len(inside))
+        return blas_threads(blas_pools)
+
+    spy("_subspace_smin")
+    spy("_boundary_sup")
+    basis = corner_basis(square, 8)
+    off = np.zeros(8)
+    off[0] = 1.0
+    off /= mps._l2_norm(square, basis, 30.0, off)
+    sigma_min_sweep(square, basis, [19.0, 19.7, 20.5])
+    assert returned() == entry == [2] * len(blas_pools)
+    lam, coeff = refine_minimum(square, basis, (19.0, 21.0))
+    assert returned() == entry
+    fhm_enclosure(square, lam, coeff, basis)
+    assert returned() == entry
+    with pytest.raises(ValueError, match="no interior minimum"):
+        refine_minimum(square, basis, (21.0, 24.0))
+    assert returned() == entry
+    with pytest.raises(ValueError, match="not below 1"):
+        fhm_enclosure(square, 30.0, off, basis)
+    assert returned() == entry
+    # three indicator calls, then the search's, one sup, the rejected
+    # search's, and the rejected sup
+    assert marks[0] == 3 and np.all(np.diff(marks) > 0)
+    assert marks[2] - marks[1] == marks[4] - marks[3] == 1
+    assert inside == [[1] * len(blas_pools)] * len(inside)
+
+
+@pytest.mark.parametrize("name, bracket", [("gww-a", (19.6, 21.0)),
+                                           ("unit-square", (19.0, 21.0))],
+                         ids=["gww-a", "unit-square"])
+def test_mps_values_do_not_depend_on_the_callers_blas_threads(name, bracket,
+                                                              blas_pools):
+    # lambda_h, epsilon and the coefficients with the caller's pools at 2
+    # threads and at 1
+    domain = load_domain(name)
+    basis = corner_basis(domain, 14)
+    runs = []
+    for threads in (2, 1):
+        set_blas_threads(blas_pools, threads)
+        lam, coeff = refine_minimum(domain, basis, bracket)
+        runs.append((lam, fhm_enclosure(domain, lam, coeff, basis).epsilon, coeff))
+    (lam2, eps2, coeff2), (lam1, eps1, coeff1) = runs
+    assert lam2 == lam1 and eps2 == eps1
+    assert np.array_equal(coeff2, coeff1)
