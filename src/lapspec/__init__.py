@@ -11,7 +11,7 @@ from .geometry import (Domain, Mesh, annulus_domain, boundary_quadrature,
                        load_domain, triangulate)
 from .mps import (CornerBasis, Enclosure, corner_basis, fhm_enclosure,
                   refine_minimum, sigma_min_sweep)
-from .pencil import Pencil, Spectrum, cluster, solve_general, solve_symdef
+from .pencil import Spectrum, cluster, solve_general
 from .reference import (AnalyticSpectrum, concentric_annulus_steklov,
                         disk_spectra, rectangle_spectra)
 
@@ -24,7 +24,7 @@ __all__ = [
     "Domain", "Mesh", "boundary_quadrature", "load_domain", "triangulate",
     "CornerBasis", "Enclosure", "corner_basis", "fhm_enclosure",
     "refine_minimum", "sigma_min_sweep",
-    "Pencil", "Spectrum", "cluster", "solve_general", "solve_symdef",
+    "Spectrum", "cluster", "solve_general",
     "AnalyticSpectrum", "concentric_annulus_steklov", "disk_spectra",
     "rectangle_spectra",
 ]

@@ -224,8 +224,8 @@ def solve_steklov_bie(domain, n_per_curve, count):
     ValueError, naming the node counts. The domain must have the unit
     weight. The flags record the block orders (`blocks`) and copy the
     solve's flags: its `solver` ("lanczos" or "eigh"), the largest relative
-    `residual` and `asymmetry` over the blocks, and Lanczos' summed
-    `matvecs`.
+    `residual` and `asymmetry` over the blocks, and the summed `matvecs`
+    (0 on the eigh route).
     """
     if domain.weight != "unit":
         raise ValueError(f"BIE Steklov solves need the unit weight, not {domain.weight}")

@@ -4,31 +4,31 @@ Sparse definite pencils (every FEM problem) go through one shift-invert
 Lanczos path, `solve_lowest`. The BIE Steklov problems go through
 `solve_general`, which takes the symmetrized Neumann-to-Dirichlet blocks of
 `bie` and owns the one route decision: Lanczos for a few values, a dense
-symmetric eigensolve of every block for many.
+symmetric eigensolve of every block for many. Both solve through one core,
+`_largest`: Lanczos (ARPACK) from a fixed start vector, stopped at the
+residual gate, its errors raised as ValueError and its operator
+applications counted, and a dense eigh for a problem without an operator
+or too small for ARPACK.
 Every dense product of a BIE solve (Lanczos' S x, the gate's S V) goes
 through scipy.linalg.blas, given F-ordered views so that f2py copies
-nothing: numpy and scipy load separate OpenBLAS thread pools, and switching
-between them cost the `annulus` benchmark about a quarter of its wall time
-on 2 cores. Sparse FEM products keep `@`.
+nothing: numpy and scipy load separate OpenBLAS thread pools, and
+switching between them on every product costs wall time and memory, also
+with both pools at one thread (`annulus` benchmark, 2 cores). Sparse FEM
+products keep `@`.
 Every FEM, BIE and MPS solve runs with every OpenBLAS pool of the process
 at one thread (`_one_blas_thread`, on `solve_lowest`, `solve_general`,
 `bie._deflated_pencil` and `mps.sigma_min_sweep`, `mps.refine_minimum` and
 `mps.fhm_enclosure`), restoring each pool's count on exit. OpenBLAS woke a
 second thread for some of their BLAS calls, and that thread then
 spin-waited between calls, so a round's CPU time was up to twice its wall
-time. FEM calls (SuperLU's supernodal triangular solves, ARPACK's
-reorthogonalization on at most 12,545 x 29) are too small to split: one
-thread halved the `drums` benchmark's CPU time at the same wall time on
-2 cores (BENCH_pr32.json). BIE calls gain little from the second thread:
-at 440 nodes per curve `eigh(driver="evd")` of the 441-order block took
-16.4 ms on one thread or two, and `bie._deflated_pencil` 32.0 ms against
-27.3 ms (best of 15, 2 cores), while the spinning thread doubled the
-`annulus` round's CPU time; one thread halves it (BENCH_pr34.json). MPS
-calls are slower on two: the QR and SVD of gww-a's 222 x 56 indicator block in
-`mps._subspace_smin` took 1.14 ms on two threads and 0.66 ms on one
-(2.13 and 1.43 ms with the coefficient vector; best of 40, 2 cores), and
-the thread they woke spun through the Bessel evaluations that follow.
-No FEM, BIE or MPS value depends on the core count.
+time. The calls gain little or nothing from a second thread: FEM calls
+(SuperLU's supernodal triangular solves, ARPACK's reorthogonalization on
+at most 12,545 x 29) are too small to split; at 440 nodes per curve
+`eigh(driver="evd")` of the 441-order BIE block took 16.4 ms on one
+thread or two; and the QR and SVD of gww-a's 222 x 56 MPS indicator block
+in `mps._subspace_smin` took 0.66 ms on one thread against 1.14 ms on two
+(best of 15 and of 40, 2 cores). No FEM, BIE or MPS value depends on the
+core count.
 `solve_symdef`, a dense Cholesky-reduction solve (sygvd), is the dense
 reference: no solver path calls it, the tests compare against it and the
 benchmark tracer wraps it by name.
@@ -184,83 +184,81 @@ def _one_blas_thread():
             put(count)
 
 
+def _largest(k, n, dense, apply, **mode):
+    """The k largest eigenpairs of an order-n symmetric problem, descending,
+    and the operator applications. Lanczos (ARPACK `eigsh`) runs on the
+    map `apply` with the `eigsh` keywords `mode`, from a fixed start vector,
+    stopped at a Ritz estimate of RESIDUAL_GATE times the value; an ARPACK
+    error raises ValueError. With `apply` None, or when k >= n - 1 is too
+    many for ARPACK, `dense()` gives every pair instead, with 0
+    applications."""
+    matvecs = 0
+    if apply is None or k >= n - 1:
+        vals, V = dense()
+    else:
+        def counted(x):
+            nonlocal matvecs
+            matvecs += 1
+            return apply(x)
+
+        op = spla.LinearOperator((n, n), dtype=float, matvec=counted)
+        rng = np.random.default_rng(LANCZOS_SEED)
+        try:
+            vals, V = spla.eigsh(op, k, which="LA", v0=rng.uniform(-1.0, 1.0, n),
+                                 rng=rng, tol=RESIDUAL_GATE, **mode)
+        except spla.ArpackError as exc:
+            raise ValueError(f"Lanczos failed: {exc}")
+    order = np.argsort(vals)[::-1][:k]
+    return vals[order], V[:, order], matvecs
+
+
 @_one_blas_thread()
 def solve_general(*blocks, count):
     """The lowest sigma = 1/mu of a self-adjoint problem given as its
     diagonal `SelfAdjoint` blocks, ascending: one block when it does not
     split. A count below 1 raises ValueError.
 
-    Each block's symmetric part S = (T + T^T) / 2 is solved for its
-    count + PAD largest mu, each pair of which must pass the residual gate
-    against S, and the count + PAD largest over the blocks are kept, so
-    every returned pair is gated. The route depends on the summed order n
-    and the count alone. When 8 (count + PAD) <= n, Lanczos (`_lanczos`)
-    computes them; a block too small for ARPACK (order at most
-    count + PAD + 1) takes eigh instead, as in `solve_lowest`. Otherwise
-    eigh (the divide-and-conquer driver) computes every value, and only
-    the largest count + PAD are gated: a subset cost more for 202 of 440,
-    and gating 204 of the 441-order `annulus` block's pairs took 2.4 ms
-    against 5.4 ms for all of them (one thread, best of 15). On the
-    `annulus` blocks (best of 5, one thread) Lanczos took 3.5 ms for 1
-    value at n = 659, where all values took 21.1 ms, but 87.5 ms for 105
-    values at n = 879, the rule's edge, where all values took 42.5 ms.
+    Each block's symmetric part S = (T + T^T) / 2 is solved by `_largest`
+    for its count + PAD largest mu, each pair of which must pass the
+    residual gate against S, and the count + PAD largest over the blocks
+    are kept, so every returned pair is gated. The route depends on the
+    summed order n and the count alone. When 12 (count + PAD) <= n,
+    Lanczos on the product S x computes them (a block too small for ARPACK
+    takes eigh instead, as in `solve_lowest`); otherwise eigh (the
+    divide-and-conquer driver) computes every value of each block, which
+    costs less than a subset of them. On the annulus blocks (one thread)
+    eigh was the faster below that ratio at every order measured, 127 to
+    2,079, and Lanczos from a ratio of 16 at orders 259 to 2,079.
     mu at most NULL_RTOL times the largest mu over the blocks (the rounding
     level, or below) gives no value. A largest mu <= 0 keeps none, and
     otherwise that bound is positive, so every sigma returned is positive.
     flags["solver"] is "lanczos" or "eigh", flags["residual"] the largest
     relative residual, flags["asymmetry"] the largest max |T - T^T| / max |T|
-    over the blocks, and on the Lanczos route flags["matvecs"] the operator
-    applications ARPACK asked for, summed over the blocks. Runs on one
+    over the blocks, and flags["matvecs"] the operator applications ARPACK
+    asked for, summed over the blocks (0 on the eigh route). Runs on one
     BLAS thread (`_one_blas_thread`).
     """
     if count < 1:
         raise ValueError("solve_general needs a count of at least 1")
     k = count + PAD
-    lanczos = 8 * k <= sum(block.n for block in blocks)
+    lanczos = 12 * k <= sum(block.n for block in blocks)
     mus, residual, asymmetry, matvecs = [], 0.0, 0.0, 0
     for block in blocks:
         T = block.matrix
         asymmetry = max(asymmetry, _asymmetry(T))
         S = T + T.T
         S *= 0.5
-        if lanczos and k < block.n - 1:
-            mu, V, m = _lanczos(S, k)
-            matvecs += m
-        else:
-            mu, V = la.eigh(S, driver="evd")
-            mu, V = mu[-k:], V[:, -k:]
+        # S is exactly symmetric: S.T is S as an F-ordered view
+        apply = functools.partial(dsymv, 1.0, S.T) if lanczos else None
+        mu, V, m = _largest(k, block.n, lambda: la.eigh(S, driver="evd"), apply)
+        matvecs += m
         residual = max(residual, _residual_gate(S, None, mu, V)[0])
         mus.append(mu)
     mu = np.sort(np.concatenate(mus))[::-1][:k]
-    flags = {"solver": "eigh", "residual": residual, "asymmetry": asymmetry}
-    if lanczos:
-        flags.update(solver="lanczos", matvecs=matvecs)
+    flags = {"solver": "lanczos" if lanczos else "eigh", "residual": residual,
+             "asymmetry": asymmetry, "matvecs": matvecs}
     mu = mu[mu > NULL_RTOL * mu.max()]
     return Spectrum(np.sort(1.0 / mu), "pencil", None, None, flags=flags)
-
-
-def _lanczos(S, k):
-    """The k largest mu of a symmetric S with their vectors, from Lanczos
-    (ARPACK) from a fixed start vector, stopped at ||S v - mu v|| <=
-    RESIDUAL_GATE |mu|, and the operator applications. An ARPACK error
-    raises ValueError."""
-    n = S.shape[0]
-    matvecs = 0
-
-    def apply(x):
-        nonlocal matvecs
-        matvecs += 1
-        # S is exactly symmetric: S.T is S as an F-ordered view
-        return dsymv(1.0, S.T, x)
-
-    op = spla.LinearOperator((n, n), dtype=float, matvec=apply)
-    rng = np.random.default_rng(LANCZOS_SEED)
-    try:
-        mu, V = spla.eigsh(op, k, which="LA", v0=rng.uniform(-1.0, 1.0, n), rng=rng,
-                           tol=RESIDUAL_GATE)
-    except spla.ArpackError as exc:
-        raise ValueError(f"Lanczos failed: {exc}")
-    return mu, V, matvecs
 
 
 @_one_blas_thread()
@@ -268,19 +266,20 @@ def solve_lowest(A, B, k, shift):
     """The k lowest eigenpairs of the sparse pencil A v = lambda B v.
 
     Needs A - shift*B symmetric positive definite and B symmetric positive
-    semidefinite. Lanczos (ARPACK) runs on the definite pencil
+    semidefinite. Lanczos (`_largest`) runs on the definite pencil
     B v = nu (A - shift*B) v for its largest nu, and lambda = shift + 1/nu;
     directions in the null space of B have nu = 0 and drop out. Each step
     solves with C = A - shift*B through one sparse LU of C in SuperLU's
     symmetric mode (minimum-degree ordering of C^T + C, diagonal pivots).
     C is SPD, so its pivots stay positive without row exchanges, and the
     factor holds about half the fill of SuperLU's default (COLAMD, partial
-    pivoting), which eigsh would build without `Minv`. A few more
-    pairs than k are computed so that a cluster is not split at the cutoff.
-    ARPACK stops at ||r|| <= RESIDUAL_GATE nu for r = C^-1 B v - nu v: as
-    A v - lambda B v = -C r / nu, the gate's residual stays near the gate.
-    Any ARPACK error raises ValueError. When the pencil is too small for
-    ARPACK (k + PAD >= n - 1), a dense eigh solves the same pencil. Every
+    pivoting), which eigsh would build without `Minv`. ARPACK's mode 2
+    applies B once per solve with C, so the count of applications is the
+    count of solves. A few more pairs than k are computed so that a cluster
+    is not split at the cutoff. ARPACK stops at ||r|| <= RESIDUAL_GATE nu
+    for r = C^-1 B v - nu v: as A v - lambda B v = -C r / nu, the gate's
+    residual stays near the gate. When the pencil is too small for ARPACK
+    (k + PAD >= n - 1), a dense eigh solves the same pencil. Every
     returned pair must pass the residual gate. Returns (values ascending,
     B-normalized vectors, the largest and the per-pair residuals of
     `_residual_gate`, and the Lanczos solves with C, 0 if dense). Runs on
@@ -288,28 +287,12 @@ def solve_lowest(A, B, k, shift):
     """
     n = A.shape[0]
     C = sp.csc_matrix(A - shift * B)
-    matvecs = 0
-    if k + PAD >= n - 1:
-        nu, V = la.eigh(B.toarray(), C.toarray())
-    else:
-        lu = spla.splu(C, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                       options={"SymmetricMode": True})
-
-        def solve(x):
-            nonlocal matvecs
-            matvecs += 1
-            return lu.solve(x)
-
-        Cinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
-        rng = np.random.default_rng(LANCZOS_SEED)
-        try:
-            nu, V = spla.eigsh(B, k + PAD, M=C, Minv=Cinv, which="LA",
-                               v0=rng.uniform(-1.0, 1.0, n), rng=rng,
-                               tol=RESIDUAL_GATE)
-        except spla.ArpackError as exc:
-            raise ValueError(f"Lanczos failed: {exc}")
-    order = np.argsort(nu)[::-1][:k]
-    nu, V = nu[order], V[:, order]
+    lu = spla.splu(C, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                   options={"SymmetricMode": True})
+    Cinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    nu, V, matvecs = _largest(k + PAD, n, lambda: la.eigh(B.toarray(), C.toarray()),
+                              B.dot, M=C, Minv=Cinv)
+    nu, V = nu[:k], V[:, :k]
     # nu at rounding level belongs to the null space of B (lambda = inf)
     if not nu[-1] > NULL_RTOL * nu[0]:
         raise ValueError(f"B has fewer than {k} directions off its null space: "

@@ -9,7 +9,7 @@ from lapspec.fem import (EigenProblemSpec, FemSpace, assemble_boundary_mass,
                          genus2_weight, solve_fem)
 from lapspec.geometry import Domain, Mesh
 
-from conftest import shared_solve
+from conftest import shared_mesh, shared_solve
 
 
 def _reference_triangle():
@@ -403,6 +403,33 @@ def test_lanczos_stops_at_the_residual_gate_on_the_drum():
     spec = shared_solve("gww-a", "dirichlet", "P2", 5, 10)
     assert 0 < spec.flags["matvecs"] <= 60
     assert spec.flags["residual"] <= 1e-9
+
+
+def test_matvecs_counts_the_solves_with_the_symmetric_factor(gww_a, monkeypatch):
+    # ARPACK's mode 2 applies B once per solve with C = A - shift B, so the
+    # operator applications that Lanczos counts are the solves with the one
+    # symmetric-mode factor of C
+    factor = fem.pen.spla.splu
+    factors, solves = [], []
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, x):
+            solves.append(x.shape)
+            return self.lu.solve(x)
+
+    def spy(C, *args, **kwargs):
+        factors.append(kwargs["options"])
+        return Counted(factor(C, *args, **kwargs))
+
+    monkeypatch.setattr(fem.pen.spla, "splu", spy)
+    spec = solve_fem(gww_a, EigenProblemSpec("dirichlet", 10, kind="P2", level=4),
+                     mesh=shared_mesh("gww-a", 4))
+    assert factors == [{"SymmetricMode": True}]
+    assert spec.flags["matvecs"] == len(solves) > 0
+    assert set(solves) == {(len(spec.space.free),)}
 
 
 @pytest.mark.parametrize("bc", ["neumann", "steklov"])

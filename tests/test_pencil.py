@@ -137,26 +137,26 @@ def test_general_rejects_a_count_below_one(count):
         solve_general(pencil.SelfAdjoint(np.diag([1.0, 0.5])), count=count)
 
 
-@pytest.mark.parametrize("n,route", [(40, "lanczos"), (39, "eigh")])
+@pytest.mark.parametrize("n,route", [(60, "lanczos"), (59, "eigh")])
 def test_general_takes_lanczos_only_for_few_values_of_many(n, route):
     # count = 1 asks for 1 + PAD = 5 values: Lanczos returns those from
-    # n = 8 * 5 = 40 up, and below it eigh computes every value and returns
-    # the same 5
+    # n = 12 * 5 = 60 up, and below it eigh computes every value and returns
+    # the same 5, after no operator application
     Q = la.qr(np.random.default_rng(n).standard_normal((n, n)))[0]
     block = pencil.SelfAdjoint(Q @ np.diag(1.0 / np.arange(1.0, n + 1.0)) @ Q.T)
     spec = solve_general(block, count=1)
     assert spec.flags["solver"] == route
-    assert ("matvecs" in spec.flags) == (route == "lanczos")
+    assert (spec.flags["matvecs"] > 0) == (route == "lanczos")
     assert len(spec) == 5
     assert np.allclose(spec.eigenvalues[:5], [1, 2, 3, 4, 5], rtol=1e-10, atol=0)
 
 
 def test_lanczos_keeps_the_largest_mu_over_the_blocks():
-    # the summed order 20 + 20 routes count = 1 to Lanczos; each block gives
+    # the summed order 30 + 30 routes count = 1 to Lanczos; each block gives
     # its 5 largest mu, and the 5 largest of those ten are kept
     r = np.random.default_rng(6)
-    first = _symmetric(r, 1.0 / np.arange(1.0, 40.0, 2.0))     # sigma 1, 3, 5, ...
-    second = _symmetric(r, 1.0 / np.arange(2.0, 41.0, 2.0))    # sigma 2, 4, 6, ...
+    first = _symmetric(r, 1.0 / np.arange(1.0, 60.0, 2.0))     # sigma 1, 3, 5, ...
+    second = _symmetric(r, 1.0 / np.arange(2.0, 61.0, 2.0))    # sigma 2, 4, 6, ...
     spec = solve_general(pencil.SelfAdjoint(first), pencil.SelfAdjoint(second), count=1)
     assert spec.flags["solver"] == "lanczos"
     assert spec.flags["residual"] <= pencil.RESIDUAL_GATE

@@ -16,10 +16,13 @@ before any run, naming both bench/ trees, when their committed bench/
 trees differ or either has uncommitted changes under bench/.
 
 The file records, per workload and metric, both sides' medians and linear
-(inclusive) quartiles, the pairs in which the change read lower, and the
-failed operations; and the machine: nproc, Python, numpy and scipy with
-their BLAS, the OPENBLAS_NUM_THREADS and OMP_NUM_THREADS settings (null
-when unset), and each checkout's commit and src/ and bench/ trees.
+(inclusive) quartiles, the pairs in which the change read lower and
+higher, and the failed operations; per end-to-end metric of the change
+checkout's BENCHMARK.json (read, never written) a verdict against that
+metric's `better` and `bound`; and the machine: nproc, Python, numpy and
+scipy with their BLAS, the OPENBLAS_NUM_THREADS and OMP_NUM_THREADS
+settings (null when unset), and each checkout's commit and src/ and
+bench/ trees.
 """
 import argparse
 import json
@@ -91,6 +94,7 @@ def summary(pairs):
             q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
             row[s] = {"median": median, "q1": q1, "q3": q3}
         row["change_lower"] = sum(c < p for p, c in zip(side["parent"], side["change"]))
+        row["change_higher"] = sum(c > p for p, c in zip(side["parent"], side["change"]))
         row["pairs"] = len(pairs)
         out[name] = row
     for s in ("parent", "change"):
@@ -98,6 +102,25 @@ def summary(pairs):
         out[f"{s}_attempted"] = sum(p[s]["attempted"] for p in pairs)
         out[f"{s}_all_correct"] = all(p[s]["correct"] for p in pairs)
     return out
+
+
+def verdict(row, better, bound):
+    """The verdict on one metric's `summary` row, for a metric that is
+    better "lower" or "higher" and may be worse by at most the relative
+    `bound`: the relative change of the median, whether it stays within
+    the bound, the parent's quartile distance, and whether the gain rule
+    holds (the change better in at least 9 of 10 pairs, and its median
+    better than the parent's by more than that distance)."""
+    sign = 1.0 if better == "lower" else -1.0
+    parent, change = row["parent"]["median"], row["change"]["median"]
+    relative = (change - parent) / parent
+    distance = row["parent"]["q3"] - row["parent"]["q1"]
+    better_pairs = row["change_lower" if better == "lower" else "change_higher"]
+    return {"relative_change": relative, "bound": bound,
+            "within_bound": sign * relative <= bound,
+            "parent_quartile_distance": distance,
+            "gain": 10 * better_pairs >= 9 * row["pairs"]
+            and sign * (parent - change) > distance}
 
 
 def seeds(text):
@@ -120,6 +143,8 @@ def main(argv=None):
     mismatch = bench_mismatch(ids)
     if mismatch:
         sys.exit(f"bench_pairs: {mismatch} (parent {dirs['parent']}, change {dirs['change']})")
+    with open(os.path.join(dirs["change"], "BENCHMARK.json")) as f:
+        end_to_end = json.load(f)["end_to_end"]
 
     pairs = []
     for i, seed in enumerate(args.seeds):
@@ -130,7 +155,10 @@ def main(argv=None):
             print(args.workload, seed, side, json.dumps(pair[side]["metrics"]),
                   file=sys.stderr)
         pairs.append(pair)
-    entry = {"seconds": args.seconds, "pairs": pairs, "summary": summary(pairs)}
+    rows = summary(pairs)
+    entry = {"seconds": args.seconds, "pairs": pairs, "summary": rows,
+             "verdict": {m["name"]: verdict(rows[m["name"]], m["better"], m["bound"])
+                         for m in end_to_end}}
     if args.trace_pair:
         seed = args.seeds[-1] + 1
         entry["traced"] = {"seed": seed, "order": ["parent", "change"],
